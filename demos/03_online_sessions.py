@@ -48,7 +48,7 @@ print(f"         {header}    avg")
 row = " ".join(f"{a:.3f}" for a in report.session_accuracies)
 print(f"accuracy {row}  {report.average:.4f}")
 
-drops = forgetting_metrics(report, report.base_class_accuracies)
+drops = forgetting_metrics(report.base_class_accuracies)
 print("base-class accuracy drop per session:", [f"{d:+.3f}" for d in drops])
 print("(the extractor and old prototypes are frozen, so any drop comes only",
       "\n from new prototypes competing in the argmax, never from drift)")

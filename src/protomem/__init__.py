@@ -54,11 +54,13 @@ from .memory import (
     bipolarize,
     choose_shift,
     classify,
+    classify_batch,
     em_memory_bytes,
     load_em,
     precision_sweep,
     quantize_feature,
     reduce_precision,
+    reduce_rows,
     save_em,
 )
 from .numerics import cossim, matmul, relu, softmax_ce

@@ -34,7 +34,7 @@ from .harness import (
     validate_stream,
 )
 from .losses import PretrainLossConfig
-from .memory import ExplicitMemory, QuantSpec, classify, load_em, precision_sweep, save_em
+from .memory import ExplicitMemory, QuantSpec, classify_batch, load_em, precision_sweep, save_em
 from .offline import MetaConfig, init_fcc, metalearn, pretrain
 from .online import ActivationMemory, FinetuneConfig, learn_class, load_actmem, save_actmem
 
@@ -78,7 +78,6 @@ def _quant(cfg: RunConfig) -> QuantSpec:
         feature_bits=cfg.feature_bits,
         accum_bits=cfg.accum_bits,
         prototype_bits=cfg.prototype_bits,
-        right_shift=max(cfg.right_shift, 0),
         max_shots=cfg.max_shots,
     )
 
@@ -311,14 +310,12 @@ def cmd_classify(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     em = load_em(cfg.em_in)
     dataset = _resolve_dataset(cfg)
-    feats = extract_features(params, dataset)
-    rows = []
-    for i, (row, lab) in enumerate(zip(feats, dataset.labels)):
-        pred, scores = classify(em, row)
-        rows.append((i, int(lab), pred, float(scores.max())))
+    preds, scores = classify_batch(em, extract_features(params, dataset))
+    labels = dataset.labels
+    rows = zip(range(len(labels)), labels.tolist(), preds.tolist(), scores.max(axis=1).tolist())
     _write_csv(cfg.predictions_out, ("index", "label", "predicted", "score"), rows)
-    hits = sum(1 for r in rows if r[1] == r[2])
-    print(f"classified {len(rows)} samples, accuracy {hits / len(rows):.4f}")
+    hits = int(np.count_nonzero(preds == labels))
+    print(f"classified {len(labels)} samples, accuracy {hits / len(labels):.4f}")
     return 0
 
 

@@ -28,7 +28,6 @@ def _intlist(text: str) -> tuple:
 # key -> (parser, default)
 DEFAULTS = {
     "seed": (int, 7),
-    "threads": (int, 1),
     # model
     "hidden": (_intlist, (96, 48)),
     "d_p": (int, 32),
@@ -56,7 +55,6 @@ DEFAULTS = {
     "feature_bits": (int, 8),
     "accum_bits": (int, 32),
     "prototype_bits": (int, 32),
-    "right_shift": (int, -1),  # -1 = choose minimal shift automatically
     "max_shots": (int, 256),
     "sweep_bits": (_intlist, (8, 7, 6, 5, 4, 3, 2, 1)),
     # data source (file, manifest, or synthetic blobs)

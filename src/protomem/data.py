@@ -71,12 +71,6 @@ class SessionStream:
     shots: int
     test: LabeledDataset
 
-    def all_class_ids(self) -> list:
-        ids = list(self.base.class_ids())
-        for s in self.sessions:
-            ids.extend(s.class_ids())
-        return ids
-
     def classes_through(self, t: int) -> list:
         """Union of class ids seen up to and including session t (0 = base)."""
         ids = list(self.base.class_ids())

@@ -71,3 +71,7 @@ class NumericFailureError(ProtomemError):
 
 class ConfigError(ProtomemError):
     """Unknown key, bad value, or malformed config file."""
+
+
+class SettingValueError(ConfigError, ValueError):
+    """A settings dataclass rejected one of its values."""

@@ -9,7 +9,7 @@ from .backbone import forward_backbone, forward_fcr, init_model
 from .data import LabeledDataset, SessionStream
 from .errors import ConflictingFlagsError
 from .losses import PretrainLossConfig
-from .memory import QuantSpec, classify
+from .memory import QuantSpec, classify_batch
 from .offline import MetaConfig, build_base_em, init_fcc, metalearn, pretrain
 from .online import FinetuneConfig, finetune_fcr, learn_class
 
@@ -71,18 +71,11 @@ def extract_features(params, dataset: LabeledDataset) -> np.ndarray:
 
 def _evaluate(params, em, test: LabeledDataset, class_subset, base_ids):
     subset = test.subset_by_classes(class_subset)
-    feats = extract_features(params, subset)
-    hits = base_hits = base_total = 0
-    base_set = set(base_ids)
-    for row, lab in zip(feats, subset.labels):
-        pred, _ = classify(em, row)
-        ok = int(pred == lab)
-        hits += ok
-        if int(lab) in base_set:
-            base_hits += ok
-            base_total += 1
-    acc = hits / len(subset) if len(subset) else 0.0
-    base_acc = base_hits / base_total if base_total else 0.0
+    preds, _ = classify_batch(em, extract_features(params, subset))
+    ok = preds == subset.labels
+    is_base = np.isin(subset.labels, base_ids)
+    acc = int(ok.sum()) / len(subset) if len(subset) else 0.0
+    base_acc = int(ok[is_base].sum()) / int(is_base.sum()) if is_base.any() else 0.0
     return acc, base_acc, len(subset)
 
 
@@ -90,11 +83,8 @@ def _probe(params, em, probes):
     if not probes:
         return []
     feats = extract_features(params, LabeledDataset(np.asarray(probes), np.zeros(len(probes), dtype=np.int64)))
-    out = []
-    for row in feats:
-        _, scores = classify(em, row)
-        out.append({cid: float(s) for cid, s in zip(em.class_ids(), scores)})
-    return out
+    _, scores = classify_batch(em, feats)
+    return [dict(zip(em.class_ids(), row)) for row in scores.tolist()]
 
 
 def run_protocol(
@@ -150,7 +140,7 @@ def run_protocol(
     )
 
 
-def forgetting_metrics(report: SessionReport, base_only_accuracies) -> list:
+def forgetting_metrics(base_only_accuracies) -> list:
     """Per-session drop of base-class accuracy relative to session 0."""
     ref = base_only_accuracies[0]
     return [ref - a for a in base_only_accuracies]

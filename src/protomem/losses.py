@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroNormError
+from .errors import SettingValueError, ShapeMismatchError, ZeroNormError
 from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, matmul, softmax_ce
 
 
@@ -18,13 +18,13 @@ class PretrainLossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.mix_probability <= 1.0:
-            raise ValueError("mix_probability must be in [0, 1]")
+            raise SettingValueError("mix_probability must be in [0, 1]")
         if self.margin <= 0:
-            raise ValueError("margin must be positive")
+            raise SettingValueError("margin must be positive")
         if self.lambda_ortho < 0:
-            raise ValueError("lambda_ortho must be nonnegative")
+            raise SettingValueError("lambda_ortho must be nonnegative")
         if self.mix_alpha <= 0:
-            raise ValueError("mix_alpha must be positive")
+            raise SettingValueError("mix_alpha must be positive")
 
 
 def ortho_loss(theta_pb):

@@ -8,7 +8,7 @@ dividing by the shot count (or shifting right) changes no decision.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -18,14 +18,17 @@ from .errors import (
     EmptyMemoryError,
     FormatVersionMismatchError,
     OverflowAfterShiftError,
+    SettingValueError,
     ShapeMismatchError,
     ZeroNormError,
 )
-from .numerics import ZERO_NORM_FLOOR, as_vector, check_finite, cossim
+from .numerics import ZERO_NORM_FLOOR, as_vector, check_finite
 
 EM_MAGIC = b"OFEM"
 ACTMEM_MAGIC = b"OFAM"
 SNAPSHOT_VERSION = 1
+
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
 @dataclass
@@ -33,30 +36,30 @@ class QuantSpec:
     """Bit-width policy for feature quantization and prototype storage.
 
     accum_bits must leave headroom for max_shots additions of
-    feature_bits-wide values; prototype_bits is the storage width after
-    the optional right shift (accum_bits means no reduction).
+    feature_bits-wide values; prototype_bits is the storage width that
+    `reduce_rows` brings each accumulator to (accum_bits means no
+    reduction).
     """
 
     feature_bits: int = 8
     accum_bits: int = 32
     prototype_bits: int | None = None
-    right_shift: int = 0
     max_shots: int = 256
 
     def __post_init__(self):
         if self.prototype_bits is None:
             self.prototype_bits = self.accum_bits
         if not 2 <= self.feature_bits <= 32:
-            raise ValueError("feature_bits must be in [2, 32]")
+            raise SettingValueError("feature_bits must be in [2, 32]")
         if not 1 <= self.prototype_bits <= self.accum_bits:
-            raise ValueError("prototype_bits must be in [1, accum_bits]")
+            raise SettingValueError("prototype_bits must be in [1, accum_bits]")
         if self.accum_bits > 64:
-            raise ValueError("accum_bits beyond 64 is not representable")
-        if self.right_shift < 0 or self.max_shots < 1:
-            raise ValueError("right_shift must be >= 0 and max_shots >= 1")
+            raise SettingValueError("accum_bits beyond 64 is not representable")
+        if self.max_shots < 1:
+            raise SettingValueError("max_shots must be >= 1")
         headroom = self.feature_bits + math.ceil(math.log2(self.max_shots))
         if self.accum_bits < headroom:
-            raise ValueError(
+            raise SettingValueError(
                 f"accum_bits {self.accum_bits} < feature_bits + log2(max_shots) = {headroom}"
             )
 
@@ -84,10 +87,6 @@ def quantize_feature(theta_p, feature_bits: int) -> QuantizedFeature:
     return QuantizedFeature(q, scale, False)
 
 
-def dequantize(values, scale: float) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * scale
-
-
 @dataclass
 class Prototype:
     """Per-class aggregate: exact integer sum of quantized features plus
@@ -110,20 +109,6 @@ class Prototype:
     def mean_vector(self) -> np.ndarray:
         """Full-precision class mean of the quantized features."""
         return self.accum.astype(np.float64) / self.count
-
-    def direction(self) -> np.ndarray:
-        """The stored reduced-precision vector as float, for cosine scoring."""
-        return self.quantized.astype(np.float64)
-
-
-def choose_shift(proto: Prototype, target_bits: int) -> int:
-    """Minimal right shift so max|accum| fits the symmetric signed range."""
-    limit = (1 << (target_bits - 1)) - 1
-    peak = int(np.abs(proto.accum).max()) if proto.accum.size else 0
-    shift = 0
-    while (peak >> shift) > limit:
-        shift += 1
-    return shift
 
 
 def reduce_precision(proto: Prototype, target_bits: int, shift: int) -> Prototype:
@@ -151,94 +136,140 @@ def bipolarize(x) -> np.ndarray:
     return np.where(arr >= 0, 1, -1).astype(np.int64)
 
 
+def reduce_rows(accum, bits: int):
+    """The memory's one precision-reduction rule, for a (C, d_p) stack of
+    accumulators: 1-bit storage is the sign vector; wider storage is each
+    row's minimal arithmetic right shift into the signed range,
+    bit_length(max|row|) - (bits - 1) (cosine scoring is per-prototype
+    scale-invariant). Returns (reduced, shifts)."""
+    accum = np.asarray(accum, dtype=np.int64)
+    if bits == 1:
+        return bipolarize(accum), np.zeros(len(accum), dtype=np.int64)
+    bit_length = _POWERS_OF_TWO.searchsorted(np.abs(accum).max(axis=1, initial=0), side="right")
+    shifts = np.maximum(bit_length - (bits - 1), 0)
+    return accum >> shifts[:, None], shifts
+
+
+def choose_shift(proto: Prototype, target_bits: int) -> int:
+    """The right shift that `reduce_rows` gives the prototype's accumulator."""
+    return int(reduce_rows(proto.accum.reshape(1, -1), target_bits)[1][0])
+
+
 class ExplicitMemory:
-    """Ordered store of class prototypes; the classifier's entire state."""
+    """The classifier's entire state, one row per class in insertion
+    order: class ids, shot counts, right shifts, and (C, d_p) int64
+    matrices of exact accumulators and of the reduced values that
+    classification scores."""
 
     def __init__(self, d_p: int, quant: QuantSpec | None = None):
         if d_p < 1:
             raise ShapeMismatchError("d_p must be positive")
         self.d_p = d_p
         self.quant = quant if quant is not None else QuantSpec()
-        self._protos: dict[int, Prototype] = {}
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.shifts = np.zeros(0, dtype=np.int64)
+        self.accum = np.zeros((0, d_p), dtype=np.int64)
+        self.reduced = np.zeros((0, d_p), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._protos)
+        return len(self.ids)
 
     def __contains__(self, class_id: int) -> bool:
-        return class_id in self._protos
+        return class_id in self.ids.tolist()
 
     def class_ids(self) -> list:
-        return list(self._protos)
+        return self.ids.tolist()
 
     def get(self, class_id: int) -> Prototype:
-        return self._protos[class_id]
+        if class_id not in self:
+            raise KeyError(class_id)
+        i = self.class_ids().index(class_id)
+        return Prototype(
+            int(self.ids[i]), self.accum[i], int(self.counts[i]), self.reduced[i], int(self.shifts[i])
+        )
 
     def prototypes(self) -> list:
-        return list(self._protos.values())
+        return [self.get(cid) for cid in self.class_ids()]
+
+    def _extend(self, ids, counts, shifts, accum, reduced):
+        """Append checked rows: `add`, `add_accumulated` and `load_em` all come here."""
+        ids = np.asarray(ids, dtype=np.int64)
+        both = self.ids.tolist() + ids.tolist()
+        if len(set(both)) < len(both):
+            clash = next(c for i, c in enumerate(both) if c in both[:i])
+            raise DuplicateClassError(f"class {clash} already stored")
+        if accum.shape[1] != self.d_p:
+            raise ShapeMismatchError(f"prototype dim {accum.shape[1]} != memory d_p {self.d_p}")
+        if min(np.asarray(counts).tolist(), default=1) < 1:
+            raise ValueError("a usable prototype needs count >= 1")
+        self.ids = np.concatenate([self.ids, ids])
+        self.counts = np.concatenate([self.counts, counts])
+        self.shifts = np.concatenate([self.shifts, shifts])
+        self.accum = np.concatenate([self.accum, accum])
+        self.reduced = np.concatenate([self.reduced, reduced])
 
     def add(self, proto: Prototype):
-        if proto.class_id in self._protos:
-            raise DuplicateClassError(f"class {proto.class_id} already stored")
-        if proto.accum.size != self.d_p:
-            raise ShapeMismatchError(
-                f"prototype dim {proto.accum.size} != memory d_p {self.d_p}"
-            )
-        self._protos[proto.class_id] = proto
+        """Store a prototype as given, reduced values and shift included."""
+        self._extend(
+            [proto.class_id], [proto.count], [proto.scale_shift],
+            proto.accum[None], proto.quantized[None],
+        )
+
+    def add_accumulated(self, class_id: int, accum, count: int):
+        """Store a class from its exact sum, reduced by `reduce_rows`."""
+        accum = np.asarray(accum, dtype=np.int64).reshape(1, -1)
+        reduced, shifts = reduce_rows(accum, self.quant.prototype_bits)
+        self._extend([class_id], [count], shifts, accum, reduced)
 
     def rebuilt_at_bits(self, bits: int) -> "ExplicitMemory":
-        """New memory with every prototype reduced to `bits` storage.
-
-        Each prototype takes its own minimal shift (cosine scoring is
-        per-prototype scale-invariant); 1-bit storage is the sign vector.
-        """
-        spec = QuantSpec(
-            feature_bits=self.quant.feature_bits,
-            accum_bits=self.quant.accum_bits,
-            prototype_bits=bits,
-            right_shift=0,
-            max_shots=self.quant.max_shots,
-        )
-        out = ExplicitMemory(self.d_p, spec)
-        max_shift = 0
-        for proto in self._protos.values():
-            if bits == 1:
-                reduced = Prototype(
-                    proto.class_id, proto.accum, proto.count, bipolarize(proto.accum), 0
-                )
-            else:
-                shift = choose_shift(proto, bits)
-                reduced = reduce_precision(proto, bits, shift)
-                max_shift = max(max_shift, shift)
-            out.add(reduced)
-        out.quant.right_shift = max_shift
+        """New memory with every prototype reduced to `bits` storage by
+        `reduce_rows`; ids, counts and accumulators are shared."""
+        out = ExplicitMemory(self.d_p, replace(self.quant, prototype_bits=bits))
+        out.ids, out.counts, out.accum = self.ids, self.counts, self.accum
+        out.reduced, out.shifts = reduce_rows(self.accum, bits)
         return out
 
 
-def classify(em: ExplicitMemory, theta_p):
-    """Nearest-prototype prediction by cosine similarity.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Per-row sqrt(dot(row, row)), bitwise equal to np.linalg.norm(row):
+    numpy runs each 1 x d by d x 1 product of a stack through the same dot
+    kernel as np.dot on two vectors, where x @ x.T would sum in BLAS blocks."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
-    Returns (class_id, scores) with scores ordered like em.class_ids().
-    Ties break toward the smallest class id; a degenerate all-zero
-    prototype scores 0.0 rather than poisoning the argmax.
+
+def classify_batch(em: ExplicitMemory, features):
+    """Nearest-prototype cosine scoring of N queries at once, the one
+    scoring path: (N,) predictions and (N, C) scores, columns ordered like
+    em.class_ids(), each bitwise equal to numerics.cossim of query and
+    reduced prototype. Ties break toward the smallest class id; a degenerate
+    all-zero prototype scores 0.0 rather than poisoning the argmax.
     """
     if len(em) == 0:
         raise EmptyMemoryError("explicit memory holds no prototypes")
-    q = as_vector(theta_p)
-    if q.size != em.d_p:
-        raise ShapeMismatchError(f"query dim {q.size} != memory d_p {em.d_p}")
-    if float(np.linalg.norm(q)) < ZERO_NORM_FLOOR:
+    q = check_finite(features, "query features")
+    if q.ndim != 2 or q.shape[1] != em.d_p:
+        raise ShapeMismatchError(f"query shape {q.shape} does not match memory d_p {em.d_p}")
+    q_norm = _row_norms(q)
+    if np.any(q_norm < ZERO_NORM_FLOOR):
         raise ZeroNormError("query feature has near-zero norm")
-    ids = em.class_ids()
-    scores = np.empty(len(ids))
-    for i, cid in enumerate(ids):
-        direction = em.get(cid).direction()
-        if float(np.linalg.norm(direction)) < ZERO_NORM_FLOOR:
-            scores[i] = 0.0
-        else:
-            scores[i] = cossim(q, direction)
-    best = scores.max()
-    winner = min(cid for cid, s in zip(ids, scores) if s == best)
-    return winner, scores
+    protos = em.reduced.astype(np.float64)
+    p_norm = _row_norms(protos)
+    dots = np.matmul(q[:, None, None, :], protos[:, :, None])[..., 0, 0]  # see _row_norms
+    scores = np.divide(
+        dots, q_norm[:, None] * p_norm, out=np.zeros(dots.shape), where=p_norm >= ZERO_NORM_FLOOR
+    )
+    np.clip(scores, -1.0, 1.0, out=scores)
+    best = scores.max(axis=1, keepdims=True)
+    preds = np.where(scores == best, em.ids, np.iinfo(np.int64).max).min(axis=1)
+    return preds, scores
+
+
+def classify(em: ExplicitMemory, theta_p):
+    """Nearest-prototype prediction for one query: the one-row case of
+    `classify_batch`. Returns (class_id, scores)."""
+    preds, scores = classify_batch(em, as_vector(theta_p)[None, :])
+    return int(preds[0]), scores[0]
 
 
 def em_memory_bytes(num_classes: int, d_p: int, bits: int) -> int:
@@ -266,14 +297,9 @@ def precision_sweep(em: ExplicitMemory, features, labels, bits_list) -> list:
         raise ShapeMismatchError("empty evaluation set")
     points = []
     for bits in bits_list:
-        em_b = em.rebuilt_at_bits(bits)
-        hits = 0
-        for row, lab in zip(feats, labs):
-            pred, _ = classify(em_b, row)
-            hits += int(pred == lab)
-        points.append(
-            SweepPoint(bits, em_memory_bytes(len(em), em.d_p, bits), hits / feats.shape[0])
-        )
+        preds, _ = classify_batch(em.rebuilt_at_bits(bits), feats)
+        accuracy = int(np.count_nonzero(preds == labs)) / len(labs)
+        points.append(SweepPoint(bits, em_memory_bytes(len(em), em.d_p, bits), accuracy))
     return points
 
 
@@ -283,24 +309,22 @@ def _int_bytes(bits: int) -> int:
 
 def save_em(em: ExplicitMemory, path):
     """Snapshot of the reduced-precision store (accumulators are runtime
-    state and are not persisted)."""
+    state and are not persisted). The header's shift is the largest
+    per-prototype shift."""
     width = _int_bytes(em.quant.prototype_bits)
+    limit = 1 << (8 * width - 1)
+    if len(em) and (int(em.reduced.min()) < -limit or int(em.reduced.max()) >= limit):
+        raise OverflowAfterShiftError(f"reduced values exceed {width}-byte storage")
+    # little-endian two's complement truncated to `width` bytes per entry
+    payload = em.reduced.astype("<i8").view(np.uint8).reshape(len(em), em.d_p, 8)[..., :width]
+    head = np.column_stack([em.ids, em.counts]).astype("<u4").view(np.uint8)
+    shift = int(em.shifts.max(initial=0))
     with open(path, "wb") as fh:
         fh.write(EM_MAGIC)
         fh.write(
-            struct.pack(
-                "<IIIII",
-                SNAPSHOT_VERSION,
-                len(em),
-                em.d_p,
-                em.quant.prototype_bits,
-                em.quant.right_shift,
-            )
+            struct.pack("<IIIII", SNAPSHOT_VERSION, len(em), em.d_p, em.quant.prototype_bits, shift)
         )
-        for proto in em.prototypes():
-            fh.write(struct.pack("<II", proto.class_id, proto.count))
-            for v in proto.quantized.tolist():
-                fh.write(int(v).to_bytes(width, "little", signed=True))
+        fh.write(np.concatenate([head, payload.reshape(len(em), -1)], axis=1).tobytes())
 
 
 def load_em(path) -> ExplicitMemory:
@@ -309,19 +333,19 @@ def load_em(path) -> ExplicitMemory:
     if len(blob) < 24 or blob[:4] != EM_MAGIC:
         raise FormatVersionMismatchError(f"{path}: bad magic")
     version, n, d_p, bits, shift = struct.unpack_from("<IIIII", blob, 4)
-    if version != SNAPSHOT_VERSION:
-        raise FormatVersionMismatchError(f"{path}: unsupported version {version}")
+    if version != SNAPSHOT_VERSION or not 1 <= bits <= 64:
+        raise FormatVersionMismatchError(f"{path}: unsupported version {version} or {bits} bits")
     width = _int_bytes(bits)
-    em = ExplicitMemory(d_p, QuantSpec(prototype_bits=bits, right_shift=shift))
-    off = 24
-    for _ in range(n):
-        if off + 8 + d_p * width > len(blob):
-            raise FormatVersionMismatchError(f"{path}: truncated payload")
-        cid, count = struct.unpack_from("<II", blob, off)
-        off += 8
-        vals = np.empty(d_p, dtype=np.int64)
-        for i in range(d_p):
-            vals[i] = int.from_bytes(blob[off : off + width], "little", signed=True)
-            off += width
-        em.add(Prototype(cid, vals, count, vals.copy(), shift))
+    record = 8 + d_p * width
+    if 24 + n * record > len(blob):
+        raise FormatVersionMismatchError(f"{path}: truncated payload")
+    spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
+    em = ExplicitMemory(d_p, spec)
+    rows = np.frombuffer(blob, dtype=np.uint8, count=n * record, offset=24).reshape(n, record)
+    head = rows[:, :8].copy().view("<u4").astype(np.int64)
+    # entries fill the top bytes of int64s; shifting back down sign-extends
+    full = np.zeros((n, d_p, 8), dtype=np.uint8)
+    full[..., 8 - width :] = rows[:, 8:].reshape(n, d_p, width)
+    vals = full.view("<i8").reshape(n, d_p).astype(np.int64) >> (8 * (8 - width))
+    em._extend(head[:, 0], head[:, 1], np.full(n, shift, dtype=np.int64), vals, vals.copy())
     return em

@@ -10,6 +10,7 @@ from .backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd
 from .errors import (
     InsufficientSamplesError,
     NumericFailureError,
+    SettingValueError,
     ShapeMismatchError,
     ZeroNormError,
 )
@@ -71,11 +72,11 @@ class MetaConfig:
 
     def __post_init__(self):
         if self.meta_samples < 1 or self.iterations < 1:
-            raise ValueError("meta_samples and iterations must be >= 1")
+            raise SettingValueError("meta_samples and iterations must be >= 1")
         if self.lr <= 0 or self.margin <= 0 or self.query_batch < 1:
-            raise ValueError("lr, margin, query_batch must be positive")
+            raise SettingValueError("lr, margin, query_batch must be positive")
         if self.objective not in ("mm", "ce"):
-            raise ValueError("objective must be 'mm' or 'ce'")
+            raise SettingValueError("objective must be 'mm' or 'ce'")
 
 
 def _one_hot_rows(labels, class_ids):

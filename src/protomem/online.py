@@ -12,18 +12,11 @@ from .errors import (
     EmptySampleSetError,
     FormatVersionMismatchError,
     MisalignedMemoriesError,
+    SettingValueError,
     ShapeMismatchError,
     ZeroNormError,
 )
-from .memory import (
-    ACTMEM_MAGIC,
-    SNAPSHOT_VERSION,
-    Prototype,
-    bipolarize,
-    choose_shift,
-    quantize_feature,
-    reduce_precision,
-)
+from .memory import ACTMEM_MAGIC, SNAPSHOT_VERSION, bipolarize, quantize_feature
 from .numerics import ZERO_NORM_FLOOR
 
 
@@ -74,7 +67,7 @@ class FinetuneConfig:
     def __post_init__(self):
         # lr == 0 is allowed: it makes the update a no-op, which tests rely on
         if self.epochs < 1 or self.sub_batch < 1 or self.lr < 0:
-            raise ValueError("epochs, sub_batch must be >= 1 and lr >= 0")
+            raise SettingValueError("epochs, sub_batch must be >= 1 and lr >= 0")
 
 
 def learn_class(em, act_mem, params, samples, class_id: int):
@@ -101,12 +94,7 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     accum = np.zeros(em.d_p, dtype=np.int64)
     for row in theta_p:
         accum += quantize_feature(row, em.quant.feature_bits).values
-    proto = Prototype(class_id, accum, shots, accum.copy(), 0)
-    if em.quant.prototype_bits < em.quant.accum_bits:
-        proto = reduce_precision(
-            proto, em.quant.prototype_bits, choose_shift(proto, em.quant.prototype_bits)
-        )
-    em.add(proto)
+    em.add_accumulated(class_id, accum, shots)
     act_mem.add_batch(class_id, theta_a)
     return em, act_mem
 
@@ -146,7 +134,7 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
             f"memory class sets differ: em={em_ids} act={am_ids}"
         )
     inputs = np.stack([act_mem.mean(c) for c in em_ids])
-    targets = np.stack([bipolarize(em.get(c).quantized).astype(np.float64) for c in em_ids])
+    targets = bipolarize(em.reduced[np.argsort(em.ids)]).astype(np.float64)
     plan = subbatch_plan(len(em_ids), cfg.sub_batch)
     history = []
     for _ in range(cfg.epochs):

@@ -241,6 +241,25 @@ class TestCliCommands:
         assert pred[0] == "index,label,predicted,score"
         assert len(pred) == 4
 
+    def test_invalid_values_exit_2(self, tmp_path, capsys):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path, margin=-1)]) == 2
+        assert "margin must be positive" in capsys.readouterr().err
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        ds = make_blob_dataset(2, 3, grid=TINY["grid"], seed=0)
+        save_dataset(ds, tmp_path / "d.ofds")
+        code = cli.main([
+            "learn-class",
+            *tiny_overrides(tmp_path, params_in=str(tmp_path / "params.ofsc"),
+                            dataset=str(tmp_path / "d.ofds"), class_id=0, feature_bits=1),
+        ])
+        assert code == 2
+        assert "feature_bits" in capsys.readouterr().err
+
+    def test_removed_keys_are_unknown(self):
+        for key in ("threads", "right_shift"):
+            with pytest.raises(ConfigError):
+                load_config(overrides=[f"{key}=1"])
+
     def test_learn_class_requires_class_id(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
         ds = make_blob_dataset(2, 3, grid=4, seed=0)

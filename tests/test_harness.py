@@ -162,7 +162,7 @@ class TestForgetting:
         stream = desk_stream()
         solo = SessionStream(stream.base, [], stream.ways, stream.shots, stream.test)
         report = run_protocol(desk_params(stream), solo, QuantSpec())
-        drops = forgetting_metrics(report, report.base_class_accuracies)
+        drops = forgetting_metrics(report.base_class_accuracies)
         assert drops == [0.0]
 
     def test_frozen_scores_attribute_drop_to_competition(self):
@@ -170,7 +170,7 @@ class TestForgetting:
         params = desk_params(stream, 7)
         probes = [stream.test.inputs[i] for i in range(3)]
         report = run_protocol(params, stream, QuantSpec(), probes=probes)
-        drops = forgetting_metrics(report, report.base_class_accuracies)
+        drops = forgetting_metrics(report.base_class_accuracies)
         assert drops[0] == 0.0
         # base-class scores never moved (checked bitwise above), so any drop
         # can only come from new prototypes winning the argmax

@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protomem.errors import (
@@ -8,6 +10,7 @@ from protomem.errors import (
     EmptyMemoryError,
     FormatVersionMismatchError,
     OverflowAfterShiftError,
+    ShapeMismatchError,
     ZeroNormError,
 )
 from protomem.memory import (
@@ -17,13 +20,16 @@ from protomem.memory import (
     bipolarize,
     choose_shift,
     classify,
+    classify_batch,
     em_memory_bytes,
     load_em,
     precision_sweep,
     quantize_feature,
     reduce_precision,
+    reduce_rows,
     save_em,
 )
+from protomem.numerics import cossim
 
 
 def proto_from(values, class_id=0, count=1):
@@ -217,6 +223,71 @@ class TestClassify:
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
 
+class TestClassifyBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.sampled_from([1, 2, 7, 32, 96, 256, 257]),
+        st.integers(1, 32),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_scores_bitwise_equal_cossim_reference(self, n_classes, d_p, bits, seed):
+        rng = np.random.default_rng(seed)
+        em = ExplicitMemory(d_p, QuantSpec())
+        ids = rng.permutation(1000)[:n_classes]  # inserted out of order
+        for cid in ids:
+            accum = rng.integers(-(2**20), 2**20, size=d_p, dtype=np.int64)
+            draw = rng.random()
+            if draw < 0.15:
+                accum[:] = 0
+            elif draw < 0.4 and len(em):
+                accum = em.accum[rng.integers(len(em))].copy()  # forces ties
+            em.add(Prototype(int(cid), accum, 1, accum.copy(), 0))
+        em_b = em.rebuilt_at_bits(bits)
+        queries = rng.standard_normal((9, d_p)) * rng.uniform(1e-3, 1e3)
+        preds, scores = classify_batch(em_b, queries)
+        assert scores.shape == (9, n_classes)
+        for q, pred, row in zip(queries, preds, scores):
+            ref = [
+                cossim(q, p) if np.any(p) else 0.0
+                for p in em_b.reduced.astype(np.float64)
+            ]
+            assert row.tolist() == ref
+            best = max(ref)
+            assert pred == min(c for c, s in zip(em_b.class_ids(), ref) if s == best)
+
+    def test_tie_goes_to_smallest_id_not_first_column(self):
+        em = ExplicitMemory(2, QuantSpec())
+        em.add(proto_from([3, 4], class_id=9))
+        em.add(proto_from([3, 4], class_id=4))
+        em.add(proto_from([0, 0], class_id=1))
+        preds, scores = classify_batch(em, [[3.0, 4.0], [-1.0, 0.0]])
+        assert preds.tolist() == [4, 1]  # a zero prototype's 0.0 beats negatives
+        assert scores[1].tolist() == [-0.6, -0.6, 0.0]
+
+    def test_classify_is_the_one_row_case(self):
+        rng = np.random.default_rng(12)
+        em = ExplicitMemory(16, QuantSpec())
+        for cid in (7, 3, 11):
+            em.add(proto_from(rng.integers(-99, 99, size=16), class_id=cid))
+        queries = rng.standard_normal((5, 16))
+        preds, scores = classify_batch(em, queries)
+        for q, pred, row in zip(queries, preds, scores):
+            cid, one = classify(em, q)
+            assert cid == pred
+            assert one.tolist() == row.tolist()
+
+    def test_rejects_bad_queries(self):
+        em = ExplicitMemory(2, QuantSpec())
+        em.add(proto_from([1, 0]))
+        with pytest.raises(ZeroNormError):
+            classify_batch(em, [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ShapeMismatchError):
+            classify_batch(em, [[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            classify_batch(em, [[np.nan, 1.0]])
+
+
 class TestMemoryAccounting:
     def test_paper_footprints(self):
         assert em_memory_bytes(100, 256, 3) == 9600
@@ -325,11 +396,47 @@ class TestSnapshot:
         loaded = load_em(path)
         np.testing.assert_array_equal(loaded.get(0).quantized, [65535, -65536, 1])
 
+    def test_round_trip_64_bit(self, tmp_path):
+        em = ExplicitMemory(3, QuantSpec(accum_bits=64, prototype_bits=64))
+        em.add(proto_from([2**62, -(2**63), 5], class_id=4, count=2))
+        path = tmp_path / "full.ofem"
+        save_em(em, path)
+        loaded = load_em(path)
+        assert loaded.quant.prototype_bits == 64
+        assert loaded.class_ids() == [4] and loaded.get(4).count == 2
+        np.testing.assert_array_equal(loaded.get(4).quantized, [2**62, -(2**63), 5])
+
+    def test_bytes_per_entry_and_header_shift(self, tmp_path):
+        # header: magic, version, count, d_p, bits, largest shift; per class:
+        # id, count, then each value in whole little-endian bytes
+        em = ExplicitMemory(2, QuantSpec(prototype_bits=12))
+        em.add(Prototype(7, [3000, -5], 2, [750, -2], 2))
+        em.add(Prototype(1, [-2048, 9], 1, [-2048, 9], 0))
+        path = tmp_path / "w.ofem"
+        save_em(em, path)
+        blob = path.read_bytes()
+        assert blob[:4] == b"OFEM"
+        assert np.frombuffer(blob[4:24], "<u4").tolist() == [1, 2, 2, 12, 2]
+        assert blob[24:] == (
+            (7).to_bytes(4, "little") + (2).to_bytes(4, "little")
+            + (750).to_bytes(2, "little", signed=True) + (-2).to_bytes(2, "little", signed=True)
+            + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+            + (-2048).to_bytes(2, "little", signed=True) + (9).to_bytes(2, "little", signed=True)
+        )
+        np.testing.assert_array_equal(load_em(path).reduced, [[750, -2], [-2048, 9]])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofem"
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(FormatVersionMismatchError):
             load_em(path)
+
+    def test_unsupported_width(self, tmp_path):
+        path = tmp_path / "w.ofem"
+        for bits in (0, 65):
+            path.write_bytes(b"OFEM" + struct.pack("<IIIII", 1, 1, 2, bits, 0) + bytes(40))
+            with pytest.raises(FormatVersionMismatchError):
+                load_em(path)
 
     def test_truncated(self, tmp_path):
         em = ExplicitMemory(8, QuantSpec(prototype_bits=8))
@@ -340,3 +447,18 @@ class TestSnapshot:
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatVersionMismatchError):
             load_em(path)
+
+
+class TestReduceRows:
+    @given(st.integers(0, 2**62), st.integers(2, 64))
+    def test_shift_matches_choose_shift_rule(self, peak, bits):
+        reduced, shifts = reduce_rows(np.array([[peak, -peak]]), bits)
+        lim = (1 << (bits - 1)) - 1
+        s = int(shifts[0])
+        assert (peak >> s) <= lim and (s == 0 or (peak >> (s - 1)) > lim)
+        assert reduced.tolist() == [[peak >> s, -peak >> s]]
+
+    def test_one_bit_is_sign_vector_with_no_shift(self):
+        reduced, shifts = reduce_rows(np.array([[5, 0, -3], [0, 0, 0]]), 1)
+        assert reduced.tolist() == [[1, 1, -1], [1, 1, 1]]
+        assert shifts.tolist() == [0, 0]

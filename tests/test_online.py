@@ -94,6 +94,30 @@ class TestLearnClass:
         learn_class(em, am, params, np.random.default_rng(0).standard_normal((4, 8)), 0)
         assert params_checksum(params) == checksum
 
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_learning_at_bits_equals_full_memory_rebuilt(self, bits):
+        # one reduction rule: storing at b bits while learning gives the
+        # same prototypes, shifts and decisions as reducing afterwards
+        params = net(12)
+        rng = np.random.default_rng(bits)
+        full, am_full = fresh_memories(params)
+        narrow = ExplicitMemory(params.d_p, QuantSpec(prototype_bits=bits))
+        am_narrow = ActivationMemory(params.d_a)
+        for cid in (4, 0, 2):
+            shots = rng.standard_normal((5, 8)) + rng.standard_normal(8)
+            learn_class(full, am_full, params, shots, cid)
+            learn_class(narrow, am_narrow, params, shots, cid)
+        rebuilt = full.rebuilt_at_bits(bits)
+        assert narrow.class_ids() == rebuilt.class_ids() == [4, 0, 2]
+        for cid in (4, 0, 2):
+            got, want = narrow.get(cid), rebuilt.get(cid)
+            np.testing.assert_array_equal(got.accum, full.get(cid).accum)
+            np.testing.assert_array_equal(got.quantized, want.quantized)
+            assert got.scale_shift == want.scale_shift
+        queries = forward_fcr(params, forward_backbone(params, rng.standard_normal((6, 8))))
+        for q in queries:
+            assert classify(narrow, q)[0] == classify(rebuilt, q)[0]
+
     def test_duplicate_class(self):
         params = net(6)
         em, am = fresh_memories(params)
