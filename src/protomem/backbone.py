@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     FormatVersionMismatchError,
+    LayerWidthError,
     NoForwardRecordedError,
     ShapeMismatchError,
 )
@@ -86,13 +87,29 @@ class GradientTape:
     """Forward-pass cache plus gradient buffers mirroring ModelParams.
 
     One tape records one forward chain; create a fresh tape per batch.
+    input_grad is d(loss)/d(input of the lowest layer backward reached):
+    the model input, or theta_a with frozen_backbone. It is computed on
+    its first read from that layer's gradient and the copy of its weight
+    that backward leaves on the tape, so training, which never reads it,
+    skips that product. It holds the value from before any sgd_step.
     """
 
     def __init__(self):
         self.records = []  # (layer_index, input batch, preactivation batch)
         self.grad_w = {}
         self.grad_b = {}
-        self.input_grad = None
+        # (gradient, weight copy still to apply or None, squeeze), from backward
+        self._input_grad = None
+
+    @property
+    def input_grad(self):
+        if self._input_grad is None:
+            return None
+        g, weight, squeeze = self._input_grad
+        if weight is not None:
+            g = matmul(g, weight.T)
+            self._input_grad = (g, None, squeeze)
+        return g[0] if squeeze else g
 
     @property
     def has_grads(self) -> bool:
@@ -155,7 +172,10 @@ def backward(params, tape, upstream, frozen_backbone: bool = False):
 
     With frozen_backbone the walk stops at the projection boundary and
     extractor gradient buffers stay zero. Fills tape.grad_w / tape.grad_b
-    (summed over the batch) and tape.input_grad, and returns the tape.
+    (summed over the batch) and returns the tape. A layer's gradient is
+    carried through its weight only when a lower layer needs it; the
+    product for the lowest layer reached is left to tape.input_grad,
+    which computes it on first read.
     """
     if not tape.records:
         raise NoForwardRecordedError("no forward pass recorded on this tape")
@@ -165,16 +185,20 @@ def backward(params, tape, upstream, frozen_backbone: bool = False):
         raise ShapeMismatchError(
             f"upstream shape {g.shape} != last output shape {tape.records[-1][2].shape}"
         )
+    weight = None  # weight of the layer just walked, not yet applied to g
     for idx, a_in, z in reversed(tape.records):
         if frozen_backbone and idx < params.split_point:
             break
+        if weight is not None:
+            g = matmul(g, weight.T)
         layer = params.layers[idx]
         if layer.activation == "relu":
             g = g * (z > 0)
         grad_w[idx] += matmul(a_in.T, g)
         grad_b[idx] += g.sum(axis=0)
-        g = matmul(g, layer.weight.T)
-    tape.input_grad = g[0] if squeeze else g
+        weight = layer.weight
+    # sgd_step updates weights in place, so the tape keeps its own copy
+    tape._input_grad = (g, None if weight is None else weight.copy(), squeeze)
     return tape
 
 
@@ -197,7 +221,7 @@ def init_model(layer_dims, split_point, seed, activations=None) -> ModelParams:
     on the projection.
     """
     if len(layer_dims) < 3:
-        raise ShapeMismatchError("need at least [input, d_a, d_p] dims")
+        raise LayerWidthError("need at least [input, d_a, d_p] dims")
     n_layers = len(layer_dims) - 1
     if activations is None:
         activations = ["relu"] * (n_layers - 1) + ["identity"]
@@ -210,7 +234,7 @@ def init_model(layer_dims, split_point, seed, activations=None) -> ModelParams:
         layers.append(DenseLayer(w, np.zeros(fan_out), activations[i]))
     params = ModelParams(layers, split_point)
     if params.d_p >= params.d_a:
-        raise ShapeMismatchError(f"d_p ({params.d_p}) must be < d_a ({params.d_a})")
+        raise LayerWidthError(f"d_p ({params.d_p}) must be < d_a ({params.d_a})")
     return params
 
 

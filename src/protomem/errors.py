@@ -75,3 +75,7 @@ class ConfigError(ProtomemError):
 
 class SettingValueError(ConfigError, ValueError):
     """A settings dataclass rejected one of its values."""
+
+
+class LayerWidthError(ShapeMismatchError, SettingValueError):
+    """Requested layer widths do not give an extractor and a reducing projection."""

@@ -117,6 +117,8 @@ def pretrain(
     ortho, train accuracy on the un-augmented labels). Deterministic
     under a fixed seed.
     """
+    if batch_size < 1:
+        raise SettingValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     class_ids = base_dataset.class_ids()
     if len(class_ids) != fcc.num_classes:
@@ -241,12 +243,9 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
     history = []
     for it in range(cfg.iterations):
         meta_rows = []
-        meta_taken = []
         for c in class_ids:
             take = rng.choice(len(pools[c]), size=cfg.meta_samples, replace=False)
-            rows = pools[c][take]
-            meta_rows.append(rows)
-            meta_taken.extend(rows.tolist())
+            meta_rows.append(pools[c][take])
         meta_idx = np.concatenate(meta_rows)
         meta_tape = GradientTape() if cfg.prototype_gradient else None
         theta_meta = forward_fcr(
@@ -255,8 +254,9 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
             meta_tape,
         )
         protos = theta_meta.reshape(len(class_ids), cfg.meta_samples, -1).mean(axis=1)
-        taken = set(meta_taken)
-        pool_rest = np.array([i for i in range(len(base_dataset)) if i not in taken])
+        free = np.ones(len(base_dataset), dtype=bool)
+        free[meta_idx] = False
+        pool_rest = np.flatnonzero(free)
         if len(pool_rest) == 0:
             raise InsufficientSamplesError("no query samples left after meta-sampling")
         q_take = rng.choice(

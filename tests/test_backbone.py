@@ -20,6 +20,7 @@ from protomem.errors import (
     NoForwardRecordedError,
     ShapeMismatchError,
 )
+from protomem.numerics import matmul
 
 
 def tiny_net(seed=0):
@@ -145,6 +146,15 @@ class TestBackward:
         )
         assert rel_err(tape.input_grad, numeric) < 1e-6
 
+    def test_frozen_input_gradient_is_wrt_theta_a(self):
+        params = tiny_net(6)
+        tape = GradientTape()
+        theta_a = forward_backbone(params, np.linspace(-0.3, 0.8, 6), tape)
+        out = forward_fcr(params, theta_a, tape)
+        backward(params, tape, 2.0 * out, frozen_backbone=True)
+        numeric = central_diff(lambda v: float((forward_fcr(params, v) ** 2).sum()), theta_a)
+        assert rel_err(tape.input_grad, numeric) < 1e-6
+
     def test_frozen_backbone_keeps_buffers_zero(self):
         params = tiny_net(2)
         before = params_checksum(params)
@@ -166,6 +176,71 @@ class TestBackward:
         params = tiny_net()
         with pytest.raises(NoForwardRecordedError):
             backward(params, GradientTape(), np.ones(3))
+
+
+def eager_input_grad(params, tape, upstream):
+    """Reference: the input gradient carried through every recorded layer."""
+    g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    for idx, _, z in reversed(tape.records):
+        layer = params.layers[idx]
+        if layer.activation == "relu":
+            g = g * (z > 0)
+        g = matmul(g, layer.weight.T)
+    return g
+
+
+class TestLazyInputGradient:
+    @pytest.mark.parametrize("rows", [None, 1, 4])
+    def test_bitwise_equal_to_eager_product(self, rows):
+        params = tiny_net(8)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(6 if rows is None else (rows, 6))
+        tape = GradientTape()
+        out = forward_fcr(params, forward_backbone(params, x, tape), tape)
+        upstream = rng.standard_normal(out.shape)
+        backward(params, tape, upstream)
+        want = eager_input_grad(params, tape, upstream)
+        np.testing.assert_array_equal(tape.input_grad, want[0] if rows is None else want)
+
+    def test_read_after_sgd_step_gives_pre_step_value(self):
+        x = np.linspace(-1.0, 1.0, 6)
+        grads = []
+        for step in (False, True):
+            params = tiny_net(9)
+            tape = GradientTape()
+            out = forward_fcr(params, forward_backbone(params, x, tape), tape)
+            backward(params, tape, out)
+            if step:
+                before = params_checksum(params)
+                sgd_step(params, tape, 0.5)
+                assert params_checksum(params) != before
+            grads.append(tape.input_grad)
+        np.testing.assert_array_equal(grads[1], grads[0])
+
+    def test_backward_leaves_one_product_unrun(self, monkeypatch):
+        import protomem.backbone as bb
+
+        calls = []
+
+        def counting_matmul(a, b):
+            calls.append((np.shape(a), np.shape(b)))
+            return matmul(a, b)
+
+        monkeypatch.setattr(bb, "matmul", counting_matmul)
+        params = tiny_net(10)
+        layers = len(params.layers)
+        tape = GradientTape()
+        out = forward_fcr(params, forward_backbone(params, np.ones((2, 6)), tape), tape)
+        calls.clear()
+        backward(params, tape, out)
+        assert len(calls) == layers + (layers - 1)
+        first = tape.input_grad
+        assert len(calls) == 2 * layers
+        assert tape.input_grad is first  # cached after the first read
+        assert len(calls) == 2 * layers
+        calls.clear()
+        backward(params, tape, out, frozen_backbone=True)
+        assert len(calls) == 1  # the projection's weight gradient only
 
 
 class TestCompositeLossGradients:

@@ -255,6 +255,15 @@ class TestCliCommands:
         assert code == 2
         assert "feature_bits" in capsys.readouterr().err
 
+    def test_non_reducing_projection_exits_2(self, tmp_path, capsys):
+        code = cli.main(["pretrain", *tiny_overrides(tmp_path, hidden="16,12", d_p=12)])
+        assert code == 2
+        assert "config error: d_p (12) must be < d_a (12)" in capsys.readouterr().err
+
+    def test_zero_batch_size_exits_2(self, tmp_path, capsys):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=0)]) == 2
+        assert "batch_size" in capsys.readouterr().err
+
     def test_removed_keys_are_unknown(self):
         for key in ("threads", "right_shift"):
             with pytest.raises(ConfigError):

@@ -97,6 +97,30 @@ class TestMatmul:
         b = rng.standard_normal((k, n)) * 10
         np.testing.assert_array_equal(matmul(a, b), naive_matmul(a, b))
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # backward passes transposed views: a_in.T @ g and g @ W.T
+            lambda x: np.ascontiguousarray(x.T).T,
+            np.asfortranarray,
+            lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+            lambda x: np.vstack([x, x, x])[len(x) : 2 * len(x)],
+        ],
+        ids=["transposed-view", "fortran", "strided", "row-slice"],
+    )
+    @pytest.mark.parametrize("m,k,n", [(1, 7, 1), (5, 9, 3), (16, 12, 8)])
+    def test_triple_loop_equality_any_layout(self, layout, m, k, n):
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        a = rng.standard_normal((m, k)) * 10
+        b = rng.standard_normal((k, n)) * 10
+        want = naive_matmul(a, b)
+        la, lb = layout(a), layout(b)
+        np.testing.assert_array_equal(la, a)
+        np.testing.assert_array_equal(lb, b)
+        np.testing.assert_array_equal(matmul(la, lb), want)
+        np.testing.assert_array_equal(matmul(la, b), want)
+        np.testing.assert_array_equal(matmul(a, lb), want)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             matmul(np.ones((2, 3)), np.ones((2, 3)))

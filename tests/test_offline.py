@@ -14,7 +14,12 @@ from protomem.backbone import (
     init_model,
     params_checksum,
 )
-from protomem.errors import InsufficientSamplesError, NumericFailureError, ShapeMismatchError
+from protomem.errors import (
+    InsufficientSamplesError,
+    NumericFailureError,
+    SettingValueError,
+    ShapeMismatchError,
+)
 from protomem.harness import make_points_dataset
 from protomem.losses import PretrainLossConfig, multi_margin_loss
 from protomem.memory import QuantSpec, classify, quantize_feature
@@ -94,6 +99,11 @@ class TestPretrain:
         cfg = PretrainLossConfig(lambda_ortho=0.0, mix_probability=0.0)
         with np.errstate(all="ignore"), pytest.raises(NumericFailureError):
             pretrain(params, fcc, ds, cfg, epochs=50, lr=1e6, seed=5, batch_size=32)
+
+    def test_rejects_empty_batches(self):
+        ds, params, fcc = toy_problem(6)
+        with pytest.raises(SettingValueError):
+            pretrain(params, fcc, ds, PretrainLossConfig(), epochs=1, lr=0.01, seed=0, batch_size=0)
 
     def test_class_count_mismatch(self):
         ds, params, _ = toy_problem(6)
