@@ -35,6 +35,7 @@ from .harness import (
     make_blob_dataset,
     make_points_dataset,
     ortho_strength_sweep,
+    pretrain_model,
     run_protocol,
     validate_stream,
 )

@@ -222,6 +222,8 @@ def init_model(layer_dims, split_point, seed, activations=None) -> ModelParams:
     """
     if len(layer_dims) < 3:
         raise LayerWidthError("need at least [input, d_a, d_p] dims")
+    if min(layer_dims) < 1:
+        raise LayerWidthError(f"every layer width must be >= 1, got {list(layer_dims)}")
     n_layers = len(layer_dims) - 1
     if activations is None:
         activations = ["relu"] * (n_layers - 1) + ["identity"]

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import data as dio
-from .backbone import init_model, load_params, save_params
+from .backbone import load_params, save_params
 from .config import DEFAULTS, RunConfig, load_config, parse_kv_file
 from .errors import (
     ConfigError,
@@ -30,12 +30,13 @@ from .harness import (
     ablation_matrix,
     extract_features,
     make_blob_dataset,
+    pretrain_model,
     run_protocol,
     validate_stream,
 )
 from .losses import PretrainLossConfig
 from .memory import ExplicitMemory, QuantSpec, classify_batch, load_em, precision_sweep, save_em
-from .offline import MetaConfig, init_fcc, metalearn, pretrain
+from .offline import MetaConfig, metalearn
 from .online import ActivationMemory, FinetuneConfig, learn_class, load_actmem, save_actmem
 
 _DATA_ERRORS = (
@@ -71,15 +72,6 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _quant(cfg: RunConfig) -> QuantSpec:
-    return QuantSpec(
-        feature_bits=cfg.feature_bits,
-        accum_bits=cfg.accum_bits,
-        prototype_bits=cfg.prototype_bits,
-        max_shots=cfg.max_shots,
-    )
 
 
 def _load_dataset_file(path, fmt: str) -> dio.LabeledDataset:
@@ -153,51 +145,45 @@ def _grid_for(cfg: RunConfig, input_dim: int):
 
 
 def _recipe(cfg: RunConfig, input_dim: int) -> TrainRecipe:
+    """The library settings of a run; input_dim resolves the cutmix grid."""
     return TrainRecipe(
+        loss=PretrainLossConfig(
+            lambda_ortho=cfg.lambda_ortho,
+            mix_probability=cfg.mix_probability,
+            mix_alpha=cfg.mix_alpha,
+            margin=cfg.margin,
+        ),
+        meta=MetaConfig(
+            meta_samples=cfg.meta_samples,
+            iterations=cfg.meta_iterations,
+            lr=cfg.meta_lr,
+            margin=cfg.margin,
+            query_batch=cfg.query_batch,
+            objective=cfg.meta_objective,
+            prototype_gradient=cfg.prototype_gradient,
+        ),
+        finetune=FinetuneConfig(
+            epochs=cfg.finetune_epochs, sub_batch=cfg.finetune_sub_batch, lr=cfg.finetune_lr
+        ),
+        quant=QuantSpec(
+            feature_bits=cfg.feature_bits,
+            accum_bits=cfg.accum_bits,
+            prototype_bits=cfg.prototype_bits,
+            max_shots=cfg.max_shots,
+        ),
         hidden=tuple(cfg.hidden),
         d_p=cfg.d_p,
         pretrain_epochs=cfg.pretrain_epochs,
         pretrain_lr=cfg.pretrain_lr,
         batch_size=cfg.batch_size,
-        lambda_ortho=cfg.lambda_ortho,
-        mix_probability=cfg.mix_probability,
-        mix_alpha=cfg.mix_alpha,
-        margin=cfg.margin,
-        meta_samples=cfg.meta_samples,
-        meta_iterations=cfg.meta_iterations,
-        meta_lr=cfg.meta_lr,
-        query_batch=cfg.query_batch,
-        finetune_epochs=cfg.finetune_epochs,
-        finetune_sub_batch=cfg.finetune_sub_batch,
-        finetune_lr=cfg.finetune_lr,
         seed=cfg.seed,
         grid=_grid_for(cfg, input_dim),
     )
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    stream = _resolve_stream(cfg)
-    base = stream.base
-    dims = [base.input_dim, *cfg.hidden, cfg.d_p]
-    params = init_model(dims, split_point=len(dims) - 2, seed=cfg.seed)
-    fcc = init_fcc(len(base.class_ids()), cfg.d_p, cfg.seed + 1)
-    loss_cfg = PretrainLossConfig(
-        lambda_ortho=cfg.lambda_ortho,
-        mix_probability=cfg.mix_probability,
-        mix_alpha=cfg.mix_alpha,
-        margin=cfg.margin,
-    )
-    _, _, history = pretrain(
-        params,
-        fcc,
-        base,
-        loss_cfg,
-        epochs=cfg.pretrain_epochs,
-        lr=cfg.pretrain_lr,
-        seed=cfg.seed,
-        batch_size=cfg.batch_size,
-        grid=_grid_for(cfg, base.input_dim),
-    )
+    base = _resolve_stream(cfg).base
+    params, history = pretrain_model(base, _recipe(cfg, base.input_dim))
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("epoch", "ce", "ortho", "accuracy"), history)
     print(f"pretrained {cfg.pretrain_epochs} epochs -> {cfg.params_out}")
@@ -206,17 +192,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_metalearn(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
-    stream = _resolve_stream(cfg)
-    meta = MetaConfig(
-        meta_samples=cfg.meta_samples,
-        iterations=cfg.meta_iterations,
-        lr=cfg.meta_lr,
-        margin=cfg.margin,
-        query_batch=cfg.query_batch,
-        objective=cfg.meta_objective,
-        prototype_gradient=cfg.prototype_gradient,
-    )
-    _, history = metalearn(params, stream.base, meta, seed=cfg.seed)
+    base = _resolve_stream(cfg).base
+    _, history = metalearn(params, base, _recipe(cfg, base.input_dim).meta, seed=cfg.seed)
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("iteration", "loss", "accuracy"), history)
     print(f"metalearned {cfg.meta_iterations} iterations -> {cfg.params_out}")
@@ -237,10 +214,10 @@ def _write_report(path, reports):
 def cmd_protocol(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
-    ft_cfg = FinetuneConfig(
-        epochs=cfg.finetune_epochs, sub_batch=cfg.finetune_sub_batch, lr=cfg.finetune_lr
+    recipe = _recipe(cfg, stream.base.input_dim)
+    report = run_protocol(
+        params, stream, recipe.quant, finetune=cfg.finetune, ft_cfg=recipe.finetune
     )
-    report = run_protocol(params, stream, _quant(cfg), finetune=cfg.finetune, ft_cfg=ft_cfg)
     label = f"pb{cfg.prototype_bits}" + ("+FT" if cfg.finetune else "")
     _write_report(cfg.report_out, [(label, report)])
     print(f"protocol avg accuracy {report.average:.4f} -> {cfg.report_out}")
@@ -250,8 +227,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
-    quant = _quant(cfg)
-    em = ExplicitMemory(params.d_p, quant)
+    em = ExplicitMemory(params.d_p, _recipe(cfg, stream.base.input_dim).quant)
     act_mem = ActivationMemory(params.d_a)
     for ds in [stream.base, *stream.sessions]:
         for cid in ds.class_ids():
@@ -297,7 +273,8 @@ def cmd_learn_class(cfg: RunConfig) -> int:
     if cfg.class_id < 0:
         raise ConfigError("learn-class requires class_id=<nonnegative id>")
     rows = dataset.indices_of(cfg.class_id)
-    em = load_em(cfg.em_in) if cfg.em_in else ExplicitMemory(params.d_p, _quant(cfg))
+    quant = _recipe(cfg, dataset.input_dim).quant
+    em = load_em(cfg.em_in) if cfg.em_in else ExplicitMemory(params.d_p, quant)
     act_mem = load_actmem(cfg.actmem_in) if cfg.actmem_in else ActivationMemory(params.d_a)
     learn_class(em, act_mem, params, dataset.inputs[rows], cfg.class_id)
     save_em(em, cfg.em_out)

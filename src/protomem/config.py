@@ -1,13 +1,16 @@
 """Flat key=value run configuration with typed defaults and overrides.
 
-Single source of truth for every tunable named by the library modules;
-a test pins each default against the owning dataclass. Config files are
-diffable text: one key=value per line, '#' comments allowed.
+Every key that sets a library value reads its default from a default
+`harness.TrainRecipe`, whose settings classes own those defaults; the
+table declares only the keys that choose data, streams, files and what
+a command runs. Config files are diffable text: one key=value per line,
+'#' comments allowed.
 """
 
 import os
 
 from .errors import ConfigError
+from .harness import TrainRecipe
 
 ENV_SEED = "OFSCIL_SEED"
 
@@ -25,37 +28,39 @@ def _intlist(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+_RECIPE = TrainRecipe()
+
 # key -> (parser, default)
 DEFAULTS = {
-    "seed": (int, 7),
+    "seed": (int, _RECIPE.seed),
     # model
-    "hidden": (_intlist, (96, 48)),
-    "d_p": (int, 32),
+    "hidden": (_intlist, _RECIPE.hidden),
+    "d_p": (int, _RECIPE.d_p),
     # pretraining
-    "pretrain_epochs": (int, 50),
-    "pretrain_lr": (float, 0.002),
-    "batch_size": (int, 32),
-    "lambda_ortho": (float, 0.1),
-    "mix_probability": (float, 0.4),
-    "mix_alpha": (float, 1.0),
-    # metalearning
-    "margin": (float, 0.1),
-    "meta_samples": (int, 5),
-    "meta_iterations": (int, 500),
-    "meta_lr": (float, 0.01),
-    "query_batch": (int, 64),
-    "meta_objective": (str, "mm"),
-    "prototype_gradient": (_bool, False),
+    "pretrain_epochs": (int, _RECIPE.pretrain_epochs),
+    "pretrain_lr": (float, _RECIPE.pretrain_lr),
+    "batch_size": (int, _RECIPE.batch_size),
+    "lambda_ortho": (float, _RECIPE.loss.lambda_ortho),
+    "mix_probability": (float, _RECIPE.loss.mix_probability),
+    "mix_alpha": (float, _RECIPE.loss.mix_alpha),
+    # metalearning; margin also sets the pretraining loss's margin
+    "margin": (float, _RECIPE.meta.margin),
+    "meta_samples": (int, _RECIPE.meta.meta_samples),
+    "meta_iterations": (int, _RECIPE.meta.iterations),
+    "meta_lr": (float, _RECIPE.meta.lr),
+    "query_batch": (int, _RECIPE.meta.query_batch),
+    "meta_objective": (str, _RECIPE.meta.objective),
+    "prototype_gradient": (_bool, _RECIPE.meta.prototype_gradient),
     # finetuning
     "finetune": (_bool, False),
-    "finetune_epochs": (int, 100),
-    "finetune_sub_batch": (int, 4),
-    "finetune_lr": (float, 0.01),
+    "finetune_epochs": (int, _RECIPE.finetune.epochs),
+    "finetune_sub_batch": (int, _RECIPE.finetune.sub_batch),
+    "finetune_lr": (float, _RECIPE.finetune.lr),
     # quantization
-    "feature_bits": (int, 8),
-    "accum_bits": (int, 32),
-    "prototype_bits": (int, 32),
-    "max_shots": (int, 256),
+    "feature_bits": (int, _RECIPE.quant.feature_bits),
+    "accum_bits": (int, _RECIPE.quant.accum_bits),
+    "prototype_bits": (int, _RECIPE.quant.prototype_bits),
+    "max_shots": (int, _RECIPE.quant.max_shots),
     "sweep_bits": (_intlist, (8, 7, 6, 5, 4, 3, 2, 1)),
     # data source (file, manifest, or synthetic blobs)
     "dataset": (str, ""),

@@ -9,6 +9,7 @@ from .errors import (
     CorruptHeaderError,
     InsufficientClassesError,
     InsufficientSamplesError,
+    SettingValueError,
     ShapeMismatchError,
     SizeNotMultipleOfRecordError,
     TruncatedPayloadError,
@@ -157,7 +158,7 @@ def load_dataset(path, format: str = "raw-binary") -> LabeledDataset:
         return _load_binary_dataset(path)
     if format == "csv":
         return _load_csv_dataset(path)
-    raise ValueError(f"unknown dataset format {format!r}")
+    raise SettingValueError(f"unknown dataset format {format!r}")
 
 
 def load_cifar_batch(path) -> LabeledDataset:
@@ -199,7 +200,7 @@ def split_fscil(
     a session; leftover classes are dropped entirely.
     """
     if ways < 1 or shots < 1 or base_classes < 1:
-        raise ValueError("base_classes, ways, and shots must be positive")
+        raise SettingValueError("base_classes, ways, and shots must be positive")
     classes = dataset.class_ids()
     if sessions is None:
         sessions = (len(classes) - base_classes) // ways

@@ -1,13 +1,13 @@
 """Session protocol: disjoint class streams, union-of-classes evaluation,
 ablation rows, and the synthetic desk-scale datasets."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .backbone import forward_backbone, forward_fcr, init_model
 from .data import LabeledDataset, SessionStream
-from .errors import ConflictingFlagsError
+from .errors import ConflictingFlagsError, SettingValueError
 from .losses import PretrainLossConfig
 from .memory import QuantSpec, classify_batch
 from .offline import MetaConfig, build_base_em, init_fcc, metalearn, pretrain
@@ -148,78 +148,66 @@ def forgetting_metrics(base_only_accuracies) -> list:
 
 @dataclass
 class TrainRecipe:
-    """Desk-scale training hyperparameters shared by ablation rows."""
+    """Run settings: one instance of each settings class, plus the model
+    shape and pretraining schedule that no settings class owns. `grid` is
+    the cutmix grid; None infers a square one from the input width."""
 
+    loss: PretrainLossConfig = field(default_factory=PretrainLossConfig)
+    meta: MetaConfig = field(default_factory=MetaConfig)
+    finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
+    quant: QuantSpec = field(default_factory=QuantSpec)
     hidden: tuple = (96, 48)
     d_p: int = 32
     pretrain_epochs: int = 50
     pretrain_lr: float = 0.002
     batch_size: int = 32
-    lambda_ortho: float = 0.1
-    mix_probability: float = 0.4
-    mix_alpha: float = 1.0
-    margin: float = 0.1
-    meta_samples: int = 5
-    meta_iterations: int = 150
-    meta_lr: float = 0.01
-    query_batch: int = 64
-    finetune_epochs: int = 20
-    finetune_sub_batch: int = 4
-    finetune_lr: float = 0.01
     seed: int = 7
     grid: tuple | None = None
 
 
+def pretrain_model(base: LabeledDataset, recipe: TrainRecipe):
+    """Initialise an extractor and a linear head from the recipe's seed,
+    then pretrain both on the base classes. Returns (params, history)."""
+    dims = [base.input_dim, *recipe.hidden, recipe.d_p]
+    params = init_model(dims, split_point=len(dims) - 2, seed=recipe.seed)
+    fcc = init_fcc(len(base.class_ids()), recipe.d_p, recipe.seed + 1)
+    _, _, history = pretrain(
+        params, fcc, base, recipe.loss,
+        epochs=recipe.pretrain_epochs, lr=recipe.pretrain_lr,
+        seed=recipe.seed, batch_size=recipe.batch_size, grid=recipe.grid,
+    )
+    return params, history
+
+
 def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
     """One full pipeline for an ablation row: init, pretrain, optional
-    metalearning, protocol run. Returns (params, report)."""
+    metalearning, protocol run. The flags switch the recipe's
+    augmentation and orthogonality terms off and pick the metalearning
+    objective. Returns (params, report)."""
     bad = set(flags) - set(ABLATION_FLAGS)
     if bad:
         raise ConflictingFlagsError(f"unknown flags {sorted(bad)}")
     if "MM" in flags and "CE" in flags:
         raise ConflictingFlagsError("MM and CE metalearning are mutually exclusive")
-    dims = [stream.base.input_dim, *recipe.hidden, recipe.d_p]
-    params = init_model(dims, split_point=len(dims) - 2, seed=recipe.seed)
-    base_ids = stream.base.class_ids()
-    fcc = init_fcc(len(base_ids), recipe.d_p, recipe.seed + 1)
-    cfg = PretrainLossConfig(
-        lambda_ortho=recipe.lambda_ortho if "OR" in flags else 0.0,
-        mix_probability=recipe.mix_probability if "AG" in flags else 0.0,
-        mix_alpha=recipe.mix_alpha,
-        margin=recipe.margin,
+    loss = recipe.loss
+    row = replace(
+        recipe,
+        loss=replace(
+            loss,
+            lambda_ortho=loss.lambda_ortho if "OR" in flags else 0.0,
+            mix_probability=loss.mix_probability if "AG" in flags else 0.0,
+        ),
+        meta=replace(recipe.meta, objective="mm" if "MM" in flags else "ce"),
     )
-    pretrain(
-        params,
-        fcc,
-        stream.base,
-        cfg,
-        epochs=recipe.pretrain_epochs,
-        lr=recipe.pretrain_lr,
-        seed=recipe.seed,
-        batch_size=recipe.batch_size,
-        grid=recipe.grid,
-    )
+    params, _ = pretrain_model(stream.base, row)
     if "MM" in flags or "CE" in flags:
-        meta = MetaConfig(
-            meta_samples=recipe.meta_samples,
-            iterations=recipe.meta_iterations,
-            lr=recipe.meta_lr,
-            margin=recipe.margin,
-            query_batch=recipe.query_batch,
-            objective="mm" if "MM" in flags else "ce",
-        )
-        metalearn(params, stream.base, meta, seed=recipe.seed + 2)
-    ft_cfg = FinetuneConfig(
-        epochs=recipe.finetune_epochs,
-        sub_batch=recipe.finetune_sub_batch,
-        lr=recipe.finetune_lr,
-    )
+        metalearn(params, stream.base, row.meta, seed=row.seed + 2)
     report = run_protocol(
-        params, stream, QuantSpec(), finetune="FT" in flags, ft_cfg=ft_cfg
+        params, stream, row.quant, finetune="FT" in flags, ft_cfg=row.finetune
     )
     report.config_echo["flags"] = "+".join(sorted(flags)) if flags else "none"
-    report.config_echo["lambda_ortho"] = cfg.lambda_ortho
-    report.config_echo["mix_probability"] = cfg.mix_probability
+    report.config_echo["lambda_ortho"] = row.loss.lambda_ortho
+    report.config_echo["mix_probability"] = row.loss.mix_probability
     return params, report
 
 
@@ -246,20 +234,8 @@ def ortho_strength_sweep(stream: SessionStream, recipe: TrainRecipe,
     """
     rows = []
     for lam in strengths:
-        dims = [stream.base.input_dim, *recipe.hidden, recipe.d_p]
-        params = init_model(dims, split_point=len(dims) - 2, seed=recipe.seed)
-        fcc = init_fcc(len(stream.base.class_ids()), recipe.d_p, recipe.seed + 1)
-        cfg = PretrainLossConfig(
-            lambda_ortho=lam,
-            mix_probability=recipe.mix_probability,
-            mix_alpha=recipe.mix_alpha,
-            margin=recipe.margin,
-        )
-        _, _, history = pretrain(
-            params, fcc, stream.base, cfg,
-            epochs=recipe.pretrain_epochs, lr=recipe.pretrain_lr,
-            seed=recipe.seed, batch_size=recipe.batch_size, grid=recipe.grid,
-        )
+        loss = replace(recipe.loss, lambda_ortho=lam)
+        params, history = pretrain_model(stream.base, replace(recipe, loss=loss))
         feats = extract_features(params, stream.test)
         u = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         gram = u @ u.T
@@ -278,6 +254,8 @@ def make_blob_dataset(
 ) -> LabeledDataset:
     """Gaussian-bump class templates rendered to a grid, jittered by
     integer shifts and pixel noise; inputs are flattened to [0, 1]."""
+    if grid < 1 or noise < 0:
+        raise SettingValueError(f"grid must be >= 1 and noise >= 0, got {grid} and {noise}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:grid, 0:grid]
     templates = []

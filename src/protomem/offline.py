@@ -162,7 +162,8 @@ def pretrain(
             # same composition as pretrain_loss, kept unpacked so the
             # history can record the two terms separately
             ce_part, grad_logits = softmax_ce_batch(logits, targets)
-            if cfg.lambda_ortho > 0:
+            # one unit row has Gram matrix [1]: zero loss and zero gradient
+            if cfg.lambda_ortho > 0 and len(idx) > 1:
                 ortho_part, ortho_grad = ortho_loss(theta_p)
                 grad_theta = cfg.lambda_ortho * ortho_grad
             else:

@@ -17,6 +17,7 @@ from protomem.backbone import (
 )
 from protomem.errors import (
     FormatVersionMismatchError,
+    LayerWidthError,
     NoForwardRecordedError,
     ShapeMismatchError,
 )
@@ -387,6 +388,11 @@ class TestInit:
     def test_rejects_non_reducing_projection(self):
         with pytest.raises(ShapeMismatchError):
             init_model([6, 4, 8], 1, seed=0)
+
+    @pytest.mark.parametrize("dims", [[6, 0, 4, 3], [6, 4, 0], [0, 4, 3]])
+    def test_rejects_zero_width(self, dims):
+        with pytest.raises(LayerWidthError):
+            init_model(dims, len(dims) - 2, seed=0)
 
     def test_dims(self):
         params = tiny_net()

@@ -1,3 +1,7 @@
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from protomem.backbone import load_params
 from protomem.config import DEFAULTS, ENV_SEED, load_config
 from protomem.data import save_dataset
 from protomem.errors import ConfigError
-from protomem.harness import make_blob_dataset
+from protomem.harness import TrainRecipe, make_blob_dataset
 from protomem.losses import PretrainLossConfig
 from protomem.memory import QuantSpec, load_em
 from protomem.offline import MetaConfig
@@ -73,6 +77,20 @@ class TestConfigDefaults:
         assert cfg.accum_bits == quant.accum_bits
         assert cfg.prototype_bits == quant.prototype_bits
         assert cfg.max_shots == quant.max_shots
+
+    def test_cli_default_recipe_is_train_recipe(self):
+        assert cli._recipe(load_config(), 16 * 16) == replace(TrainRecipe(), grid=(16, 16))
+
+    def test_every_key_is_read_by_the_cli(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
+        }
+        assert sorted(set(DEFAULTS) - read) == []
 
     def test_dump_round_trips(self, tmp_path):
         cfg = load_config()
@@ -263,6 +281,26 @@ class TestCliCommands:
     def test_zero_batch_size_exits_2(self, tmp_path, capsys):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=0)]) == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("pretrain", "ways", 0),
+        ("pretrain", "shots", 0),
+        ("pretrain", "data_noise", -1),
+        ("pretrain", "dataset_format", "bogus"),
+        ("pretrain", "grid", 0),
+        ("pretrain", "d_p", 0),
+        ("pretrain", "hidden", "0,12"),
+        ("ablate", "feature_bits", 1),
+    ])
+    def test_bad_setting_exits_2(self, tmp_path, capsys, command, key, value):
+        extra = {key: value}
+        if key == "dataset_format":
+            extra["dataset"] = str(tmp_path / "d.ofds")
+        assert cli.main([command, *tiny_overrides(tmp_path, **extra)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_pretrain_batch_size_one(self, tmp_path):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0
 
     def test_removed_keys_are_unknown(self):
         for key in ("threads", "right_shift"):

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from protomem.harness import (
     validate_stream,
 )
 from protomem.memory import Prototype, QuantSpec, classify
-from protomem.offline import build_base_em
+from protomem.offline import MetaConfig, build_base_em
 from protomem.online import FinetuneConfig
 
 
@@ -209,8 +210,8 @@ class TestAblation:
     def recipe(self):
         return TrainRecipe(
             hidden=(24, 16), d_p=8, pretrain_epochs=4, pretrain_lr=0.05,
-            batch_size=32, meta_iterations=4, query_batch=16, finetune_epochs=2,
-            seed=3,
+            batch_size=32, meta=MetaConfig(iterations=4, query_batch=16),
+            finetune=FinetuneConfig(epochs=2), seed=3,
         )
 
     def test_flag_echo_differs_only_in_augmentation(self):
@@ -231,6 +232,13 @@ class TestAblation:
         stream = desk_stream(10, classes=7, base=5, ways=1, sessions=2)
         with pytest.raises(ConflictingFlagsError):
             train_pipeline(stream, self.recipe(), {"XX"})
+
+    def test_row_uses_recipe_quantization(self):
+        stream = desk_stream(10, classes=7, base=5, ways=1, sessions=1)
+        recipe = replace(self.recipe(), quant=QuantSpec(feature_bits=6, prototype_bits=4))
+        _, report = train_pipeline(stream, recipe, set())
+        assert report.config_echo["prototype_bits"] == 4
+        assert report.config_echo["feature_bits"] == 6
 
     def test_ce_row_produces_report(self):
         stream = desk_stream(11, classes=7, base=5, ways=1, sessions=2)

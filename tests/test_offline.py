@@ -100,6 +100,13 @@ class TestPretrain:
         with np.errstate(all="ignore"), pytest.raises(NumericFailureError):
             pretrain(params, fcc, ds, cfg, epochs=50, lr=1e6, seed=5, batch_size=32)
 
+    def test_one_row_final_batch_with_ortho_penalty(self):
+        ds, params, fcc = toy_problem(7, classes=3, per_class=11)  # 33 rows: 32 + 1
+        cfg = PretrainLossConfig(lambda_ortho=0.1, mix_probability=0.0)
+        _, _, history = pretrain(params, fcc, ds, cfg, epochs=2, lr=0.002, seed=7, batch_size=32)
+        assert len(history) == 2
+        assert all(np.isfinite(row[2]) for row in history)
+
     def test_rejects_empty_batches(self):
         ds, params, fcc = toy_problem(6)
         with pytest.raises(SettingValueError):
