@@ -1,5 +1,6 @@
-"""Tour of the explicit prototype memory: quantize features, pick a right
-shift, reduce precision, bipolarize, classify, and account for footprint.
+"""Tour of the explicit prototype memory: quantize features, learn a class
+from its integer sum, reduce precision by the minimal right shift,
+bipolarize, classify, and account for footprint.
 
 Run: python3 demos/01_prototype_memory_basics.py
 """
@@ -8,14 +9,12 @@ import numpy as np
 
 from protomem import (
     ExplicitMemory,
-    Prototype,
     QuantSpec,
     bipolarize,
-    choose_shift,
     classify,
     em_memory_bytes,
     quantize_feature,
-    reduce_precision,
+    reduce_rows,
 )
 
 rng = np.random.default_rng(0)
@@ -32,27 +31,31 @@ shots = [rng.standard_normal(8) * 0.6 + theta for _ in range(5)]
 accum = np.zeros(8, dtype=np.int64)
 for s in shots:
     accum += quantize_feature(s, 8).values
-proto = Prototype(class_id=0, accum=accum, count=5, quantized=accum.copy())
+tour = ExplicitMemory(d_p=8, quant=QuantSpec())
+tour.add_accumulated(0, accum, count=5)
+proto = tour.get(0)
 print("accumulator  :", proto.accum)
 print("class mean   :", np.round(proto.mean_vector(), 2), "(never materialized on device)")
 
 print("\n== 3. right-shift precision reduction ==")
-wide = Prototype(1, np.array([65535, -40000, 123, -7], dtype=np.int64), 1,
-                 np.array([65535, -40000, 123, -7], dtype=np.int64))
-shift = choose_shift(wide, 8)
-reduced = reduce_precision(wide, 8, shift)
-print("accumulator  :", wide.accum, "(17-bit peak)")
-print(f"minimal shift: {shift} -> 8-bit values {reduced.quantized}")
+wide = np.array([65535, -40000, 123, -7], dtype=np.int64)
+reduced, shifts = reduce_rows(wide[None, :], 8)
+reduced, shift = reduced[0], int(shifts[0])
+print("accumulator  :", wide, "(17-bit peak)")
+print(f"minimal shift: {shift} -> 8-bit values {reduced}")
 print("direction preserved: cosine to the wide vector =",
-      f"{float(wide.accum @ reduced.quantized) / (np.linalg.norm(wide.accum) * np.linalg.norm(reduced.quantized)):.5f}")
+      f"{float(wide @ reduced) / (np.linalg.norm(wide) * np.linalg.norm(reduced)):.5f}")
+narrow = ExplicitMemory(d_p=4, quant=QuantSpec(prototype_bits=8))
+narrow.add_accumulated(1, wide, count=1)
+print("learning at 8 bits stores the same:", narrow.get(1).quantized, "shift", narrow.get(1).scale_shift)
 
 print("\n== 4. one-bit storage is the sign vector ==")
-print("bipolarized  :", bipolarize(wide.accum))
+print("bipolarized  :", bipolarize(wide))
 
 print("\n== 5. cosine classification with tie-breaking ==")
 em = ExplicitMemory(d_p=2, quant=QuantSpec())
-em.add(Prototype(0, np.array([10, 0]), 1, np.array([10, 0])))
-em.add(Prototype(1, np.array([0, 10]), 1, np.array([0, 10])))
+em.add_accumulated(0, [10, 0], count=1)
+em.add_accumulated(1, [0, 10], count=1)
 for query in ([1.0, 0.1], [0.1, 1.0], [1.0, 1.0]):
     cid, scores = classify(em, query)
     print(f"query {query} -> class {cid}  scores {np.round(scores, 3)}")

@@ -53,14 +53,12 @@ from .memory import (
     Prototype,
     QuantSpec,
     bipolarize,
-    choose_shift,
     classify,
     classify_batch,
     em_memory_bytes,
     load_em,
     precision_sweep,
     quantize_feature,
-    reduce_precision,
     reduce_rows,
     save_em,
 )

@@ -151,7 +151,6 @@ def _recipe(cfg: RunConfig, input_dim: int) -> TrainRecipe:
             lambda_ortho=cfg.lambda_ortho,
             mix_probability=cfg.mix_probability,
             mix_alpha=cfg.mix_alpha,
-            margin=cfg.margin,
         ),
         meta=MetaConfig(
             meta_samples=cfg.meta_samples,
@@ -275,6 +274,12 @@ def cmd_learn_class(cfg: RunConfig) -> int:
     rows = dataset.indices_of(cfg.class_id)
     quant = _recipe(cfg, dataset.input_dim).quant
     em = load_em(cfg.em_in) if cfg.em_in else ExplicitMemory(params.d_p, quant)
+    if em.quant.prototype_bits != quant.prototype_bits:
+        raise ConfigError(
+            f"{cfg.em_in} stores {em.quant.prototype_bits}-bit prototypes, "
+            f"prototype_bits is {quant.prototype_bits}"
+        )
+    em.quant = quant  # a snapshot keeps only its width; the config sets the rest
     act_mem = load_actmem(cfg.actmem_in) if cfg.actmem_in else ActivationMemory(params.d_a)
     learn_class(em, act_mem, params, dataset.inputs[rows], cfg.class_id)
     save_em(em, cfg.em_out)

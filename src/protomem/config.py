@@ -43,7 +43,7 @@ DEFAULTS = {
     "lambda_ortho": (float, _RECIPE.loss.lambda_ortho),
     "mix_probability": (float, _RECIPE.loss.mix_probability),
     "mix_alpha": (float, _RECIPE.loss.mix_alpha),
-    # metalearning; margin also sets the pretraining loss's margin
+    # metalearning
     "margin": (float, _RECIPE.meta.margin),
     "meta_samples": (int, _RECIPE.meta.meta_samples),
     "meta_iterations": (int, _RECIPE.meta.iterations),

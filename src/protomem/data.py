@@ -199,8 +199,8 @@ def split_fscil(
     When `sessions` is None every remaining full block of classes forms
     a session; leftover classes are dropped entirely.
     """
-    if ways < 1 or shots < 1 or base_classes < 1:
-        raise SettingValueError("base_classes, ways, and shots must be positive")
+    if ways < 1 or shots < 1 or base_classes < 1 or per_class_cap < 1:
+        raise SettingValueError("base_classes, ways, shots and per_class_cap must be positive")
     classes = dataset.class_ids()
     if sessions is None:
         sessions = (len(classes) - base_classes) // ways

@@ -254,8 +254,11 @@ def make_blob_dataset(
 ) -> LabeledDataset:
     """Gaussian-bump class templates rendered to a grid, jittered by
     integer shifts and pixel noise; inputs are flattened to [0, 1]."""
-    if grid < 1 or noise < 0:
-        raise SettingValueError(f"grid must be >= 1 and noise >= 0, got {grid} and {noise}")
+    if min(num_classes, per_class, grid) < 1 or noise < 0:
+        raise SettingValueError(
+            f"num_classes {num_classes}, per_class {per_class} and grid {grid} "
+            f"must be >= 1, noise {noise} >= 0"
+        )
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:grid, 0:grid]
     templates = []

@@ -14,13 +14,10 @@ class PretrainLossConfig:
     lambda_ortho: float = 0.1
     mix_probability: float = 0.4
     mix_alpha: float = 1.0
-    margin: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.mix_probability <= 1.0:
             raise SettingValueError("mix_probability must be in [0, 1]")
-        if self.margin <= 0:
-            raise SettingValueError("margin must be positive")
         if self.lambda_ortho < 0:
             raise SettingValueError("lambda_ortho must be nonnegative")
         if self.mix_alpha <= 0:

@@ -87,47 +87,20 @@ def quantize_feature(theta_p, feature_bits: int) -> QuantizedFeature:
     return QuantizedFeature(q, scale, False)
 
 
-@dataclass
-class Prototype:
-    """Per-class aggregate: exact integer sum of quantized features plus
-    the reduced-precision representation actually used by the classifier."""
+class Prototype(NamedTuple):
+    """Read view of one stored class (`ExplicitMemory.get`): the exact
+    integer sum of its quantized features and the reduced values that
+    classification scores."""
 
     class_id: int
     accum: np.ndarray  # int64 sum of quantized features
     count: int
     quantized: np.ndarray  # int64 values fitting in prototype_bits
-    scale_shift: int = 0
-
-    def __post_init__(self):
-        self.accum = np.asarray(self.accum, dtype=np.int64)
-        self.quantized = np.asarray(self.quantized, dtype=np.int64)
-        if self.accum.shape != self.quantized.shape:
-            raise ShapeMismatchError("accumulator and quantized vectors differ in shape")
-        if self.count < 1:
-            raise ValueError("a usable prototype needs count >= 1")
+    scale_shift: int
 
     def mean_vector(self) -> np.ndarray:
         """Full-precision class mean of the quantized features."""
         return self.accum.astype(np.float64) / self.count
-
-
-def reduce_precision(proto: Prototype, target_bits: int, shift: int) -> Prototype:
-    """Arithmetic right shift of the accumulator into target_bits storage.
-
-    Negative values round toward -inf (hardware shift semantics). Raises
-    OverflowAfterShiftError when a shifted entry still falls outside the
-    signed target range, signalling that the shift was too small.
-    """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    shifted = proto.accum >> shift
-    lo = -(1 << (target_bits - 1))
-    hi = (1 << (target_bits - 1)) - 1
-    if shifted.min() < lo or shifted.max() > hi:
-        raise OverflowAfterShiftError(
-            f"entries exceed {target_bits}-bit range after shift {shift}"
-        )
-    return Prototype(proto.class_id, proto.accum, proto.count, shifted, shift)
 
 
 def bipolarize(x) -> np.ndarray:
@@ -150,16 +123,12 @@ def reduce_rows(accum, bits: int):
     return accum >> shifts[:, None], shifts
 
 
-def choose_shift(proto: Prototype, target_bits: int) -> int:
-    """The right shift that `reduce_rows` gives the prototype's accumulator."""
-    return int(reduce_rows(proto.accum.reshape(1, -1), target_bits)[1][0])
-
-
 class ExplicitMemory:
     """The classifier's entire state, one row per class in insertion
     order: class ids, shot counts, right shifts, and (C, d_p) int64
     matrices of exact accumulators and of the reduced values that
-    classification scores."""
+    classification scores. Learning (`add_accumulated`) and `load_em`
+    are the only writers; `get` returns a read-only view of one row."""
 
     def __init__(self, d_p: int, quant: QuantSpec | None = None):
         if d_p < 1:
@@ -182,18 +151,16 @@ class ExplicitMemory:
         return self.ids.tolist()
 
     def get(self, class_id: int) -> Prototype:
+        """Read-only view of one stored class."""
         if class_id not in self:
             raise KeyError(class_id)
         i = self.class_ids().index(class_id)
-        return Prototype(
-            int(self.ids[i]), self.accum[i], int(self.counts[i]), self.reduced[i], int(self.shifts[i])
-        )
-
-    def prototypes(self) -> list:
-        return [self.get(cid) for cid in self.class_ids()]
+        accum, reduced = self.accum[i], self.reduced[i]
+        accum.flags.writeable = reduced.flags.writeable = False
+        return Prototype(int(self.ids[i]), accum, int(self.counts[i]), reduced, int(self.shifts[i]))
 
     def _extend(self, ids, counts, shifts, accum, reduced):
-        """Append checked rows: `add`, `add_accumulated` and `load_em` all come here."""
+        """Append checked rows: the one write path (`add_accumulated`, `load_em`)."""
         ids = np.asarray(ids, dtype=np.int64)
         both = self.ids.tolist() + ids.tolist()
         if len(set(both)) < len(both):
@@ -208,13 +175,6 @@ class ExplicitMemory:
         self.shifts = np.concatenate([self.shifts, shifts])
         self.accum = np.concatenate([self.accum, accum])
         self.reduced = np.concatenate([self.reduced, reduced])
-
-    def add(self, proto: Prototype):
-        """Store a prototype as given, reduced values and shift included."""
-        self._extend(
-            [proto.class_id], [proto.count], [proto.scale_shift],
-            proto.accum[None], proto.quantized[None],
-        )
 
     def add_accumulated(self, class_id: int, accum, count: int):
         """Store a class from its exact sum, reduced by `reduce_rows`."""
@@ -324,7 +284,7 @@ def save_em(em: ExplicitMemory, path):
         fh.write(
             struct.pack("<IIIII", SNAPSHOT_VERSION, len(em), em.d_p, em.quant.prototype_bits, shift)
         )
-        fh.write(np.concatenate([head, payload.reshape(len(em), -1)], axis=1).tobytes())
+        fh.write(np.concatenate([head, payload.reshape(len(em), em.d_p * width)], axis=1).tobytes())
 
 
 def load_em(path) -> ExplicitMemory:

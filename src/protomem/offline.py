@@ -74,7 +74,7 @@ class MetaConfig:
         if self.meta_samples < 1 or self.iterations < 1:
             raise SettingValueError("meta_samples and iterations must be >= 1")
         if self.lr <= 0 or self.margin <= 0 or self.query_batch < 1:
-            raise SettingValueError("lr, margin, query_batch must be positive")
+            raise SettingValueError("lr, query_batch and margin must be positive")
         if self.objective not in ("mm", "ce"):
             raise SettingValueError("objective must be 'mm' or 'ce'")
 

@@ -32,13 +32,12 @@ from protomem.losses import (
 )
 from protomem.memory import (
     ExplicitMemory,
-    Prototype,
     QuantSpec,
-    choose_shift,
     classify,
     em_memory_bytes,
     precision_sweep,
     quantize_feature,
+    reduce_rows,
 )
 from protomem.numerics import softmax_ce
 from protomem.offline import MetaConfig, _scores_and_grad, init_fcc, meta_score, metalearn, pretrain
@@ -275,7 +274,7 @@ class TestCriterion2Oracles:
         vecs = {}
         for cid in range(50):
             accum = rng.integers(-50000, 50000, size=d_p, dtype=np.int64)
-            em.add(Prototype(cid, accum, 5, accum.copy(), 0))
+            em.add_accumulated(cid, accum, 5)
             vecs[cid] = accum.astype(np.float64)
         agree = 0
         for _ in range(1000):
@@ -295,9 +294,7 @@ class TestCriterion2Oracles:
 
 class TestCriterion3Quantization:
     def test_shift_and_footprint_vectors(self):
-        proto = Prototype(0, np.array([65535, -3, 17], dtype=np.int64), 1,
-                          np.array([65535, -3, 17], dtype=np.int64), 0)
-        shift = choose_shift(proto, 8)
+        shift = int(reduce_rows(np.array([[65535, -3, 17]]), 8)[1][0])
         bytes_3bit = em_memory_bytes(100, 256, 3)
         ok = shift == 9 and bytes_3bit == 9600
         report(3, ok, f"17-bit max entry -> shift {shift} (expect 9); "
@@ -309,7 +306,7 @@ class TestCriterion3Quantization:
         em = ExplicitMemory(d_p, QuantSpec())
         for cid in range(50):
             accum = rng.integers(-60000, 60000, size=d_p, dtype=np.int64)
-            em.add(Prototype(cid, accum, 5, accum.copy(), 0))
+            em.add_accumulated(cid, accum, 5)
         em8 = em.rebuilt_at_bits(8)
         agree = sum(
             int(classify(em, q)[0] == classify(em8, q)[0])

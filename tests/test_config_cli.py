@@ -64,7 +64,7 @@ class TestConfigDefaults:
         assert cfg.lambda_ortho == loss.lambda_ortho
         assert cfg.mix_probability == loss.mix_probability
         assert cfg.mix_alpha == loss.mix_alpha
-        assert cfg.margin == loss.margin == meta.margin
+        assert cfg.margin == meta.margin
         assert cfg.meta_samples == meta.meta_samples
         assert cfg.meta_iterations == meta.iterations
         assert cfg.meta_lr == meta.lr
@@ -259,6 +259,40 @@ class TestCliCommands:
         assert pred[0] == "index,label,predicted,score"
         assert len(pred) == 4
 
+    def learn_from_file(self, tmp_path, class_id, em_out, **extra):
+        ds = make_blob_dataset(TINY["classes"], 4, grid=TINY["grid"], seed=9)
+        path = tmp_path / f"class{class_id}.ofds"
+        save_dataset(ds.take(ds.indices_of(class_id)), path)
+        return cli.main([
+            "learn-class",
+            *tiny_overrides(tmp_path, params_in=str(tmp_path / "params.ofsc"),
+                            dataset=str(path), class_id=class_id,
+                            em_out=str(tmp_path / em_out), **extra),
+        ])
+
+    def test_learn_class_from_snapshot_keeps_config_quantization(self, tmp_path):
+        # a class learned into a reloaded memory is stored as it would be
+        # in a fresh memory with the same quantization keys
+        quant = dict(feature_bits=4, prototype_bits=6, accum_bits=16, max_shots=4)
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        assert self.learn_from_file(tmp_path, 0, "first.ofem", **quant) == 0
+        assert self.learn_from_file(
+            tmp_path, 1, "continued.ofem", em_in=str(tmp_path / "first.ofem"), **quant
+        ) == 0
+        assert self.learn_from_file(tmp_path, 1, "fresh.ofem", **quant) == 0
+        continued = load_em(tmp_path / "continued.ofem")
+        fresh = load_em(tmp_path / "fresh.ofem")
+        assert continued.class_ids() == [0, 1]
+        assert continued.get(1).quantized.tolist() == fresh.get(1).quantized.tolist()
+
+    def test_learn_class_snapshot_width_mismatch_exits_2(self, tmp_path, capsys):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        assert self.learn_from_file(tmp_path, 0, "first.ofem", prototype_bits=6) == 0
+        assert self.learn_from_file(
+            tmp_path, 1, "next.ofem", em_in=str(tmp_path / "first.ofem"), prototype_bits=8
+        ) == 2
+        assert "6-bit prototypes, prototype_bits is 8" in capsys.readouterr().err
+
     def test_invalid_values_exit_2(self, tmp_path, capsys):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, margin=-1)]) == 2
         assert "margin must be positive" in capsys.readouterr().err
@@ -291,6 +325,8 @@ class TestCliCommands:
         ("pretrain", "d_p", 0),
         ("pretrain", "hidden", "0,12"),
         ("ablate", "feature_bits", 1),
+        ("pretrain", "per_class_cap", 0),
+        ("pretrain", "classes", 0),
     ])
     def test_bad_setting_exits_2(self, tmp_path, capsys, command, key, value):
         extra = {key: value}

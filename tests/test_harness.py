@@ -18,7 +18,7 @@ from protomem.harness import (
     train_pipeline,
     validate_stream,
 )
-from protomem.memory import Prototype, QuantSpec, classify
+from protomem.memory import QuantSpec, classify
 from protomem.offline import MetaConfig, build_base_em
 from protomem.online import FinetuneConfig
 
@@ -199,9 +199,7 @@ class TestForgetting:
         for i, cid in enumerate(base_ids):
             src = em.get(cid)
             jitter = rng.integers(-2, 3, size=src.accum.shape)
-            clone = Prototype(1000 + i, src.accum + jitter, src.count,
-                              src.quantized + jitter, src.scale_shift)
-            em.add(clone)
+            em.add_accumulated(1000 + i, src.accum + jitter, src.count)
         after = base_accuracy()
         assert before - after > 0
 

@@ -16,6 +16,7 @@ from protomem.losses import (
     softmax_ce_batch,
 )
 from protomem.numerics import softmax_ce
+from protomem.offline import MetaConfig
 
 
 class TestOrthoLoss:
@@ -251,8 +252,9 @@ class TestConfigValidation:
             PretrainLossConfig(mix_probability=1.5)
 
     def test_bad_margin(self):
+        # the margin setting belongs to metalearning; pretraining has none
         with pytest.raises(ValueError):
-            PretrainLossConfig(margin=0.0)
+            MetaConfig(margin=0.0)
 
     @settings(max_examples=20)
     @given(st.floats(0, 1), st.floats(0.001, 10))

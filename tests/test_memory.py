@@ -9,32 +9,28 @@ from protomem.errors import (
     DuplicateClassError,
     EmptyMemoryError,
     FormatVersionMismatchError,
-    OverflowAfterShiftError,
     ShapeMismatchError,
     ZeroNormError,
 )
 from protomem.memory import (
     ExplicitMemory,
-    Prototype,
     QuantSpec,
     bipolarize,
-    choose_shift,
     classify,
     classify_batch,
     em_memory_bytes,
     load_em,
     precision_sweep,
     quantize_feature,
-    reduce_precision,
     reduce_rows,
     save_em,
 )
 from protomem.numerics import cossim
 
 
-def proto_from(values, class_id=0, count=1):
-    vals = np.asarray(values, dtype=np.int64)
-    return Prototype(class_id, vals, count, vals.copy(), 0)
+def shift_for(values, bits):
+    """The right shift that `reduce_rows` gives one accumulator."""
+    return int(reduce_rows(np.array([values], dtype=np.int64), bits)[1][0])
 
 
 def brute_force_argmax(query, id_vectors):
@@ -81,55 +77,62 @@ class TestQuantizeFeature:
 
 
 class TestChooseShift:
+    """The shift rule of `reduce_rows`."""
+
     def test_paper_vector_17bit_to_8bit(self):
-        proto = proto_from([65535, -100, 3])
-        assert choose_shift(proto, 8) == 9
+        assert shift_for([65535, -100, 3], 8) == 9
 
     def test_already_fits(self):
-        assert choose_shift(proto_from([3, -2, 1]), 8) == 0
+        assert shift_for([3, -2, 1], 8) == 0
 
     def test_minimal_and_fitting_exhaustive(self):
         limit8 = (1 << 7) - 1
         for peak in list(range(0, 4096, 7)) + [2**20, 2**20 - 1, 65535, 65536]:
-            proto = proto_from([peak, -1, 0])
-            s = choose_shift(proto, 8)
+            s = shift_for([peak, -1, 0], 8)
             assert (peak >> s) <= limit8
             if s > 0:
                 assert (peak >> (s - 1)) > limit8
 
     @given(st.integers(0, 2**40), st.integers(2, 20))
     def test_invariant_random(self, peak, bits):
-        proto = proto_from([peak])
-        s = choose_shift(proto, bits)
+        s = shift_for([peak], bits)
         lim = (1 << (bits - 1)) - 1
         assert (peak >> s) <= lim
         assert s == 0 or (peak >> (s - 1)) > lim
 
 
 class TestReducePrecision:
-    def test_identity_when_wide(self):
-        proto = proto_from([100, -50, 3])
-        out = reduce_precision(proto, 16, 0)
-        np.testing.assert_array_equal(out.quantized, proto.accum)
-        assert out.scale_shift == 0
+    """Storing a class through `add_accumulated`, which reduces by `reduce_rows`."""
 
-    def test_shift_nine(self):
-        out = reduce_precision(proto_from([512, -512, 0]), 8, 9)
-        np.testing.assert_array_equal(out.quantized, [1, -1, 0])
+    def test_identity_when_wide(self):
+        em = ExplicitMemory(3, QuantSpec(prototype_bits=16))
+        em.add_accumulated(0, [100, -50, 3], 1)
+        np.testing.assert_array_equal(em.get(0).quantized, [100, -50, 3])
+        assert em.get(0).scale_shift == 0
 
     def test_negative_rounds_toward_minus_inf(self):
-        out = reduce_precision(proto_from([-1, -1000]), 8, 9)
-        np.testing.assert_array_equal(out.quantized, [-1, -2])
-
-    def test_overflow_detected(self):
-        with pytest.raises(OverflowAfterShiftError):
-            reduce_precision(proto_from([65535]), 8, 2)
+        em = ExplicitMemory(3, QuantSpec(prototype_bits=8))
+        em.add_accumulated(0, [-1, -1000, 65535], 1)
+        assert em.get(0).scale_shift == 9
+        np.testing.assert_array_equal(em.get(0).quantized, [-1, -2, 127])
 
     def test_preserves_accumulator(self):
-        proto = proto_from([512, -512, 7])
-        out = reduce_precision(proto, 8, 9)
-        np.testing.assert_array_equal(out.accum, proto.accum)
-        assert out.count == proto.count
+        em = ExplicitMemory(3, QuantSpec(prototype_bits=8))
+        em.add_accumulated(0, [512, -512, 7], 4)
+        proto = em.get(0)
+        assert proto.scale_shift == 3
+        np.testing.assert_array_equal(proto.quantized, [64, -64, 0])
+        np.testing.assert_array_equal(proto.accum, [512, -512, 7])
+        assert proto.count == 4
+
+    def test_view_is_read_only(self):
+        em = ExplicitMemory(2, QuantSpec())
+        em.add_accumulated(0, [5, -6], 1)
+        with pytest.raises(ValueError):
+            em.get(0).accum[0] = 1
+        with pytest.raises(ValueError):
+            em.get(0).quantized[0] = 1
+        assert em.accum.tolist() == em.reduced.tolist() == [[5, -6]]
 
     def test_decision_agreement_at_8_bits(self):
         # 50 classes x 200 queries: at least 99% of argmax decisions match
@@ -139,7 +142,7 @@ class TestReducePrecision:
         em = ExplicitMemory(d_p, QuantSpec())
         for cid in range(50):
             accum = rng.integers(-60000, 60000, size=d_p, dtype=np.int64)
-            em.add(Prototype(cid, accum, 5, accum.copy(), 0))
+            em.add_accumulated(cid, accum, 5)
         em8 = em.rebuilt_at_bits(8)
         agree = 0
         for _ in range(200):
@@ -173,8 +176,8 @@ class TestBipolarize:
 class TestClassify:
     def em_two_axes(self):
         em = ExplicitMemory(2, QuantSpec())
-        em.add(proto_from([1, 0], class_id=0))
-        em.add(proto_from([0, 1], class_id=1))
+        em.add_accumulated(0, [1, 0], 1)
+        em.add_accumulated(1, [0, 1], 1)
         return em
 
     def test_axis_query(self):
@@ -198,7 +201,7 @@ class TestClassify:
     def test_duplicate_class_rejected(self):
         em = self.em_two_axes()
         with pytest.raises(DuplicateClassError):
-            em.add(proto_from([1, 1], class_id=0))
+            em.add_accumulated(0, [1, 1], 1)
 
     def test_matches_brute_force_at_full_precision(self):
         rng = np.random.default_rng(99)
@@ -207,7 +210,7 @@ class TestClassify:
         vectors = []
         for cid in range(10):
             accum = rng.integers(-30000, 30000, size=d_p, dtype=np.int64)
-            em.add(Prototype(cid, accum, 3, accum.copy(), 0))
+            em.add_accumulated(cid, accum, 3)
             vectors.append((cid, accum))
         for _ in range(100):
             q = rng.standard_normal(d_p)
@@ -242,7 +245,7 @@ class TestClassifyBatch:
                 accum[:] = 0
             elif draw < 0.4 and len(em):
                 accum = em.accum[rng.integers(len(em))].copy()  # forces ties
-            em.add(Prototype(int(cid), accum, 1, accum.copy(), 0))
+            em.add_accumulated(int(cid), accum, 1)
         em_b = em.rebuilt_at_bits(bits)
         queries = rng.standard_normal((9, d_p)) * rng.uniform(1e-3, 1e3)
         preds, scores = classify_batch(em_b, queries)
@@ -258,9 +261,9 @@ class TestClassifyBatch:
 
     def test_tie_goes_to_smallest_id_not_first_column(self):
         em = ExplicitMemory(2, QuantSpec())
-        em.add(proto_from([3, 4], class_id=9))
-        em.add(proto_from([3, 4], class_id=4))
-        em.add(proto_from([0, 0], class_id=1))
+        em.add_accumulated(9, [3, 4], 1)
+        em.add_accumulated(4, [3, 4], 1)
+        em.add_accumulated(1, [0, 0], 1)
         preds, scores = classify_batch(em, [[3.0, 4.0], [-1.0, 0.0]])
         assert preds.tolist() == [4, 1]  # a zero prototype's 0.0 beats negatives
         assert scores[1].tolist() == [-0.6, -0.6, 0.0]
@@ -269,7 +272,7 @@ class TestClassifyBatch:
         rng = np.random.default_rng(12)
         em = ExplicitMemory(16, QuantSpec())
         for cid in (7, 3, 11):
-            em.add(proto_from(rng.integers(-99, 99, size=16), class_id=cid))
+            em.add_accumulated(cid, rng.integers(-99, 99, size=16), 1)
         queries = rng.standard_normal((5, 16))
         preds, scores = classify_batch(em, queries)
         for q, pred, row in zip(queries, preds, scores):
@@ -279,7 +282,7 @@ class TestClassifyBatch:
 
     def test_rejects_bad_queries(self):
         em = ExplicitMemory(2, QuantSpec())
-        em.add(proto_from([1, 0]))
+        em.add_accumulated(0, [1, 0], 1)
         with pytest.raises(ZeroNormError):
             classify_batch(em, [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ShapeMismatchError):
@@ -306,7 +309,7 @@ class TestPrecisionSweep:
         protos = []
         for cid in range(n_classes):
             accum = rng.integers(-40000, 40000, size=d_p, dtype=np.int64)
-            em.add(Prototype(cid, accum, 4, accum.copy(), 0))
+            em.add_accumulated(cid, accum, 4)
             protos.append(accum.astype(np.float64))
         return em, protos
 
@@ -335,10 +338,8 @@ class TestPrecisionSweep:
         rng = np.random.default_rng(7)
         em, _ = self.build_em(rng)
         em1 = em.rebuilt_at_bits(1)
-        for proto in em1.prototypes():
-            np.testing.assert_array_equal(
-                proto.quantized, bipolarize(em.get(proto.class_id).accum)
-            )
+        for cid in em1.class_ids():
+            np.testing.assert_array_equal(em1.get(cid).quantized, bipolarize(em.get(cid).accum))
 
 
 class TestQuantSpec:
@@ -375,8 +376,7 @@ class TestSnapshot:
         em = ExplicitMemory(8, QuantSpec(prototype_bits=8))
         for cid in (2, 5, 9):
             accum = rng.integers(-30000, 30000, size=8, dtype=np.int64)
-            proto = Prototype(cid, accum, 7, accum.copy(), 0)
-            em.add(reduce_precision(proto, 8, choose_shift(proto, 8)))
+            em.add_accumulated(cid, accum, 7)
         path = tmp_path / "mem.ofem"
         save_em(em, path)
         loaded = load_em(path)
@@ -390,15 +390,15 @@ class TestSnapshot:
 
     def test_round_trip_17_bit(self, tmp_path):
         em = ExplicitMemory(3, QuantSpec(prototype_bits=17))
-        em.add(proto_from([65535, -65536, 1]))
+        em.add_accumulated(0, [65535, -65535, 1], 1)
         path = tmp_path / "wide.ofem"
         save_em(em, path)
         loaded = load_em(path)
-        np.testing.assert_array_equal(loaded.get(0).quantized, [65535, -65536, 1])
+        np.testing.assert_array_equal(loaded.get(0).quantized, [65535, -65535, 1])
 
     def test_round_trip_64_bit(self, tmp_path):
         em = ExplicitMemory(3, QuantSpec(accum_bits=64, prototype_bits=64))
-        em.add(proto_from([2**62, -(2**63), 5], class_id=4, count=2))
+        em.add_accumulated(4, [2**62, -(2**63), 5], 2)
         path = tmp_path / "full.ofem"
         save_em(em, path)
         loaded = load_em(path)
@@ -410,8 +410,8 @@ class TestSnapshot:
         # header: magic, version, count, d_p, bits, largest shift; per class:
         # id, count, then each value in whole little-endian bytes
         em = ExplicitMemory(2, QuantSpec(prototype_bits=12))
-        em.add(Prototype(7, [3000, -5], 2, [750, -2], 2))
-        em.add(Prototype(1, [-2048, 9], 1, [-2048, 9], 0))
+        em.add_accumulated(7, [6000, -9], 2)  # shift 2: [1500, -3]
+        em.add_accumulated(1, [-2047, 9], 1)  # shift 0
         path = tmp_path / "w.ofem"
         save_em(em, path)
         blob = path.read_bytes()
@@ -419,11 +419,20 @@ class TestSnapshot:
         assert np.frombuffer(blob[4:24], "<u4").tolist() == [1, 2, 2, 12, 2]
         assert blob[24:] == (
             (7).to_bytes(4, "little") + (2).to_bytes(4, "little")
-            + (750).to_bytes(2, "little", signed=True) + (-2).to_bytes(2, "little", signed=True)
+            + (1500).to_bytes(2, "little", signed=True) + (-3).to_bytes(2, "little", signed=True)
             + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
-            + (-2048).to_bytes(2, "little", signed=True) + (9).to_bytes(2, "little", signed=True)
+            + (-2047).to_bytes(2, "little", signed=True) + (9).to_bytes(2, "little", signed=True)
         )
-        np.testing.assert_array_equal(load_em(path).reduced, [[750, -2], [-2048, 9]])
+        np.testing.assert_array_equal(load_em(path).reduced, [[1500, -3], [-2047, 9]])
+
+    def test_empty_memory_round_trip(self, tmp_path):
+        path = tmp_path / "empty.ofem"
+        save_em(ExplicitMemory(4, QuantSpec(prototype_bits=8)), path)
+        assert path.read_bytes() == b"OFEM" + struct.pack("<IIIII", 1, 0, 4, 8, 0)
+        loaded = load_em(path)
+        assert len(loaded) == 0 and loaded.d_p == 4 and loaded.quant.prototype_bits == 8
+        loaded.add_accumulated(3, [1, -2, 3, 0], 1)
+        assert loaded.class_ids() == [3]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofem"
@@ -440,7 +449,7 @@ class TestSnapshot:
 
     def test_truncated(self, tmp_path):
         em = ExplicitMemory(8, QuantSpec(prototype_bits=8))
-        em.add(proto_from(list(range(8))))
+        em.add_accumulated(0, list(range(8)), 1)
         path = tmp_path / "t.ofem"
         save_em(em, path)
         blob = path.read_bytes()
