@@ -33,8 +33,6 @@ from .harness import (
     extract_features,
     forgetting_metrics,
     make_blob_dataset,
-    make_points_dataset,
-    ortho_strength_sweep,
     pretrain_model,
     run_protocol,
     validate_stream,
@@ -68,7 +66,6 @@ from .offline import (
     MetaConfig,
     build_base_em,
     init_fcc,
-    meta_score,
     metalearn,
     pretrain,
 )

@@ -1,7 +1,7 @@
 """Dataset containers, binary/CSV ingestion, and the session-stream split."""
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,12 +54,11 @@ class LabeledDataset:
 
     def take(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.inputs[idx].copy(), self.labels[idx].copy())
+        return LabeledDataset(self.inputs[idx], self.labels[idx])
 
     def subset_by_classes(self, class_ids) -> "LabeledDataset":
-        wanted = set(int(c) for c in class_ids)
-        mask = np.array([int(l) in wanted for l in self.labels], dtype=bool)
-        return LabeledDataset(self.inputs[mask].copy(), self.labels[mask].copy())
+        mask = np.isin(self.labels, [int(c) for c in class_ids])
+        return LabeledDataset(self.inputs[mask], self.labels[mask])
 
 
 @dataclass
@@ -144,13 +143,6 @@ def _load_csv_dataset(path) -> LabeledDataset:
     if not xs:
         return LabeledDataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
     return LabeledDataset(np.array(xs), np.array(ys, dtype=np.int64))
-
-
-def save_dataset_csv(ds: LabeledDataset, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label," + ",".join(f"f{i}" for i in range(ds.input_dim)) + "\n")
-        for row, lab in zip(ds.inputs, ds.labels):
-            fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_dataset(path, format: str = "raw-binary") -> LabeledDataset:

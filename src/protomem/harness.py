@@ -225,25 +225,6 @@ def ablation_matrix(stream: SessionStream, rows, recipe: TrainRecipe) -> list:
     return out
 
 
-def ortho_strength_sweep(stream: SessionStream, recipe: TrainRecipe,
-                         strengths=(0.01, 0.1, 1.0)) -> list:
-    """Pretrain once per regularization strength and measure the effect.
-
-    Returns rows (strength, train accuracy, mean off-diagonal |Gram| on
-    held-out features); the desk-scale picture behind the default 0.1.
-    """
-    rows = []
-    for lam in strengths:
-        loss = replace(recipe.loss, lambda_ortho=lam)
-        params, history = pretrain_model(stream.base, replace(recipe, loss=loss))
-        feats = extract_features(params, stream.test)
-        u = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        gram = u @ u.T
-        off = float(np.abs(gram[~np.eye(len(gram), dtype=bool)]).mean())
-        rows.append((lam, history[-1][3], off))
-    return rows
-
-
 def make_blob_dataset(
     num_classes: int,
     per_class: int,
@@ -281,28 +262,4 @@ def make_blob_dataset(
             inputs[row] = np.clip(img, 0.0, 1.0).reshape(-1)
             labels[row] = cid
             row += 1
-    return LabeledDataset(inputs, labels)
-
-
-def make_points_dataset(
-    num_classes: int, per_class: int, dim: int = 2, separation: float = 6.0, seed=0
-) -> LabeledDataset:
-    """Gaussian point clouds with centers at equal angles on a circle of
-    radius `separation`; linearly separable when the radius dominates the
-    unit noise."""
-    if dim < 2:
-        raise ValueError("point clouds need dim >= 2")
-    rng = np.random.default_rng(seed)
-    angles = 2 * np.pi * np.arange(num_classes) / num_classes
-    centers = np.zeros((num_classes, dim))
-    centers[:, 0] = separation * np.cos(angles)
-    centers[:, 1] = separation * np.sin(angles)
-    inputs = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    row = 0
-    for cid in range(num_classes):
-        pts = centers[cid] + rng.standard_normal((per_class, dim))
-        inputs[row : row + per_class] = pts
-        labels[row : row + per_class] = cid
-        row += per_class
     return LabeledDataset(inputs, labels)

@@ -55,26 +55,43 @@ def softmax_ce_batch(logits, targets):
     Summed, not averaged: the composite pretraining objective adds a
     Gram penalty that is itself a sum over batch pairs, and the two
     terms must share the batch scaling for one weight to balance them.
+    Each row's loss and gradient are bitwise those of `softmax_ce` on
+    that row, and the total adds the row losses in row order.
     """
     z = as_matrix(logits)
-    b = z.shape[0]
-    grad = np.zeros_like(z)
-    total = 0.0
-    t_arr = np.asarray(targets)
-    for i in range(b):
-        t_i = t_arr[i] if t_arr.ndim else t_arr
-        loss_i, g_i = softmax_ce(z[i], t_i)
-        total += loss_i
-        grad[i] = g_i
-    return total, grad
+    shifted = z - z.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    logp = shifted - np.log(total)
+    grad = exp / total
+    t = np.asarray(targets)
+    if t.ndim < 2:
+        idx = (np.full(len(z), t) if t.ndim == 0 else t).astype(np.int64)
+        if idx.shape != z.shape[:1] or np.any((idx < 0) | (idx >= z.shape[1])):
+            raise ShapeMismatchError(f"target indices {t} do not fit {z.shape} logits")
+        rows = np.arange(len(z))
+        losses = -logp[rows, idx]
+        grad[rows, idx] -= 1.0
+    else:
+        t = t.astype(np.float64)
+        if t.shape != z.shape:
+            raise ShapeMismatchError("soft target rows differ from logits")
+        # per-row dot products, see numerics.row_norms
+        losses = -np.matmul(t[:, None, :], logp[:, :, None])[:, 0, 0]
+        grad -= t
+    loss = 0.0
+    for row_loss in losses.tolist():
+        loss += row_loss
+    return loss, grad
 
 
 def pretrain_loss(logits, targets, theta_pb, cfg: PretrainLossConfig):
-    """Composite pretraining objective: mean CE + lambda_ortho * ortho penalty.
+    """Composite pretraining objective: CE + lambda_ortho * ortho penalty.
 
-    Returns (loss, grad_logits, grad_theta). With lambda_ortho == 0 the
-    orthogonality branch is skipped entirely and the result equals the CE
-    term alone.
+    Returns (loss, grad_logits, grad_theta, (ce, ortho)). The penalty is
+    skipped, with ortho 0.0 and a zero theta gradient, when lambda_ortho
+    is 0 or the batch has one row: one unit row has Gram matrix [1], so
+    zero loss and zero gradient.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 1:
@@ -82,47 +99,56 @@ def pretrain_loss(logits, targets, theta_pb, cfg: PretrainLossConfig):
     else:
         ce, grad_logits = softmax_ce_batch(z, targets)
     theta = np.asarray(theta_pb, dtype=np.float64)
-    if cfg.lambda_ortho > 0:
-        ol, grad_theta = ortho_loss(theta)
-        return ce + cfg.lambda_ortho * ol, grad_logits, cfg.lambda_ortho * grad_theta
-    return ce, grad_logits, np.zeros_like(theta, dtype=np.float64)
+    if cfg.lambda_ortho > 0 and len(as_matrix(theta)) > 1:
+        ortho, grad_theta = ortho_loss(theta)
+        loss = ce + cfg.lambda_ortho * ortho
+        return loss, grad_logits, cfg.lambda_ortho * grad_theta, (ce, ortho)
+    return ce, grad_logits, np.zeros_like(theta), (ce, 0.0)
 
 
-def multi_margin_loss(scores, gt: int, m: float):
+def multi_margin_loss(scores, gt, m: float):
     """Squared-hinge margin loss over class scores, averaged by class count.
 
     loss = sum_{i != gt} max(0, m - l_gt + l_i)^2 / C. The subgradient at
-    the hinge kink is 0. Returns (loss, grad).
+    the hinge kink is 0. Takes one row of scores with its index, or a
+    (B, C) batch with one index per row, whose loss is the sum of the row
+    losses in row order. Returns (loss, grad).
     """
-    l = as_vector(scores)
-    c = l.size
-    if not 0 <= gt < c:
+    l = np.asarray(scores, dtype=np.float64)
+    rows = as_matrix(l[None] if l.ndim == 1 else l)
+    c = rows.shape[1]
+    gts = np.asarray(gt).reshape(-1)
+    if len(gts) != len(rows) or np.any((gts < 0) | (gts >= c)):
         raise ShapeMismatchError(f"ground-truth index {gt} out of range for {c} scores")
-    h = m - l[gt] + l
-    h[gt] = 0.0
+    r = np.arange(len(rows))
+    h = (m - rows[r, gts])[:, None] + rows
+    h[r, gts] = 0.0
     active = h > 0
-    loss = float((h[active] ** 2).sum()) / c
-    grad = np.zeros_like(l)
-    grad[active] = 2.0 * h[active] / c
-    grad[gt] = -float(grad[active].sum())
-    return loss, grad
+    grad = np.where(active, 2.0 * h / c, 0.0)
+    loss = 0.0
+    # each row sums only its active terms: zero padding would change
+    # numpy's pairwise blocking
+    for h_i, grad_i, active_i, gt_i in zip(h, grad, active, gts.tolist()):
+        loss += float((h_i[active_i] ** 2).sum()) / c
+        grad_i[gt_i] = -float(grad_i[active_i].sum())
+    return loss, grad if l.ndim == 2 else grad[0]
 
 
-def mixup(x1, x2, y1, y2, alpha: float, rng, lam: float | None = None):
-    """Convex interpolation of two samples and their soft labels.
+def mixup(x1, x2, y1, y2, alpha: float, rng, lam=None):
+    """Convex interpolation of two samples and their soft labels, or of
+    two batches row by row.
 
-    lam ~ Beta(alpha, alpha) unless forced explicitly (tests and replay).
+    lam ~ Beta(alpha, alpha), one draw per row in row order, unless
+    forced explicitly (tests and replay).
     """
-    a = as_vector(x1)
-    b = as_vector(x2)
-    if a.shape != b.shape:
+    a, b, ya, yb = (np.asarray(v, dtype=np.float64) for v in (x1, x2, y1, y2))
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.size == 0:
         raise ShapeMismatchError("mixup inputs differ in dimension")
-    ya = as_vector(y1)
-    yb = as_vector(y2)
-    if ya.shape != yb.shape:
+    if ya.shape != yb.shape or ya.shape[:-1] != a.shape[:-1]:
         raise ShapeMismatchError("mixup labels differ in dimension")
     if lam is None:
-        lam = float(rng.beta(alpha, alpha))
+        lam = rng.beta(alpha, alpha, size=a.shape[:-1])
+    lam = np.asarray(lam, dtype=np.float64)[..., None] if a.ndim == 2 else float(lam)
     return lam * a + (1.0 - lam) * b, lam * ya + (1.0 - lam) * yb
 
 

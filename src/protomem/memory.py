@@ -22,13 +22,13 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .numerics import ZERO_NORM_FLOOR, as_vector, check_finite
+from .numerics import ZERO_NORM_FLOOR, as_vector, check_finite, row_norms
 
 EM_MAGIC = b"OFEM"
 ACTMEM_MAGIC = b"OFAM"
 SNAPSHOT_VERSION = 1
 
-_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+_POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @dataclass
@@ -118,8 +118,11 @@ def reduce_rows(accum, bits: int):
     accum = np.asarray(accum, dtype=np.int64)
     if bits == 1:
         return bipolarize(accum), np.zeros(len(accum), dtype=np.int64)
-    bit_length = _POWERS_OF_TWO.searchsorted(np.abs(accum).max(axis=1, initial=0), side="right")
-    shifts = np.maximum(bit_length - (bits - 1), 0)
+    # unsigned, so that |-2**63| is 2**63 rather than wrapping to -2**63
+    magnitude = np.abs(accum).view(np.uint64).max(axis=1, initial=0)
+    bit_length = _POWERS_OF_TWO.searchsorted(magnitude, side="right")
+    # every int64 fits 64-bit storage as it is
+    shifts = np.maximum(bit_length - (bits - 1), 0) if bits < 64 else np.zeros_like(bit_length)
     return accum >> shifts[:, None], shifts
 
 
@@ -191,13 +194,6 @@ class ExplicitMemory:
         return out
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Per-row sqrt(dot(row, row)), bitwise equal to np.linalg.norm(row):
-    numpy runs each 1 x d by d x 1 product of a stack through the same dot
-    kernel as np.dot on two vectors, where x @ x.T would sum in BLAS blocks."""
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-
-
 def classify_batch(em: ExplicitMemory, features):
     """Nearest-prototype cosine scoring of N queries at once, the one
     scoring path: (N,) predictions and (N, C) scores, columns ordered like
@@ -210,12 +206,12 @@ def classify_batch(em: ExplicitMemory, features):
     q = check_finite(features, "query features")
     if q.ndim != 2 or q.shape[1] != em.d_p:
         raise ShapeMismatchError(f"query shape {q.shape} does not match memory d_p {em.d_p}")
-    q_norm = _row_norms(q)
+    q_norm = row_norms(q)
     if np.any(q_norm < ZERO_NORM_FLOOR):
         raise ZeroNormError("query feature has near-zero norm")
     protos = em.reduced.astype(np.float64)
-    p_norm = _row_norms(protos)
-    dots = np.matmul(q[:, None, None, :], protos[:, :, None])[..., 0, 0]  # see _row_norms
+    p_norm = row_norms(protos)
+    dots = np.matmul(q[:, None, None, :], protos[:, :, None])[..., 0, 0]  # see row_norms
     scores = np.divide(
         dots, q_norm[:, None] * p_norm, out=np.zeros(dots.shape), where=p_norm >= ZERO_NORM_FLOOR
     )

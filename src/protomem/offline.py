@@ -19,12 +19,12 @@ from .losses import (
     cutmix,
     mixup,
     multi_margin_loss,
-    ortho_loss,
+    pretrain_loss,
     sample_augmentation,
     softmax_ce_batch,
 )
 from .memory import ExplicitMemory, QuantSpec
-from .numerics import ZERO_NORM_FLOOR, matmul, relu, softmax_ce
+from .numerics import ZERO_NORM_FLOOR, matmul, relu, row_norms
 from .online import ActivationMemory, learn_class
 
 
@@ -80,10 +80,9 @@ class MetaConfig:
 
 
 def _one_hot_rows(labels, class_ids):
-    col = {c: i for i, c in enumerate(class_ids)}
+    """One-hot rows over the sorted class_ids."""
     out = np.zeros((len(labels), len(class_ids)))
-    for i, lab in enumerate(labels):
-        out[i, col[int(lab)]] = 1.0
+    out[np.arange(len(labels)), np.searchsorted(class_ids, labels)] = 1.0
     return out
 
 
@@ -134,42 +133,30 @@ def pretrain(
         nbatches = 0
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            x = base_dataset.inputs[idx].copy()
+            x = base_dataset.inputs[idx]
             hard = base_dataset.labels[idx]
             targets = _one_hot_rows(hard, class_ids)
             mode = sample_augmentation(cfg, rng)
             if mode != "none" and len(idx) > 1:
                 partner = rng.permutation(len(idx))
-                if mode == "cutmix":
+                if mode == "mixup":
+                    x, targets = mixup(
+                        x, x[partner], targets, targets[partner], cfg.mix_alpha, rng
+                    )
+                else:
                     g = grid if grid is not None else _infer_grid(x.shape[1])
-                mixed_x = np.empty_like(x)
-                mixed_t = np.empty_like(targets)
-                for i in range(len(idx)):
-                    j = int(partner[i])
-                    if mode == "mixup":
-                        mixed_x[i], mixed_t[i] = mixup(
-                            x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng
-                        )
-                    else:
-                        mixed_x[i], mixed_t[i] = cutmix(
-                            x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, g
-                        )
-                x, targets = mixed_x, mixed_t
+                    mixed = [
+                        cutmix(x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, g)
+                        for i, j in enumerate(partner.tolist())
+                    ]
+                    x, targets = (np.array(rows) for rows in zip(*mixed))
             tape = GradientTape()
             theta_a = forward_backbone(params, x, tape)
             theta_p = forward_fcr(params, theta_a, tape)
             logits = fcc_forward(fcc, theta_p)
-            # same composition as pretrain_loss, kept unpacked so the
-            # history can record the two terms separately
-            ce_part, grad_logits = softmax_ce_batch(logits, targets)
-            # one unit row has Gram matrix [1]: zero loss and zero gradient
-            if cfg.lambda_ortho > 0 and len(idx) > 1:
-                ortho_part, ortho_grad = ortho_loss(theta_p)
-                grad_theta = cfg.lambda_ortho * ortho_grad
-            else:
-                ortho_part = 0.0
-                grad_theta = np.zeros_like(theta_p)
-            loss = ce_part + cfg.lambda_ortho * ortho_part
+            loss, grad_logits, grad_theta, (ce_part, ortho_part) = pretrain_loss(
+                logits, targets, theta_p, cfg
+            )
             if not np.isfinite(loss):
                 raise NumericFailureError(f"non-finite loss at epoch {epoch}")
             ce_sum += ce_part
@@ -189,38 +176,64 @@ def pretrain(
     return params, fcc, history
 
 
-def meta_score(params, x, proto_matrix, tape: GradientTape | None = None):
-    """Per-class scores relu(cossim(theta_p(x), prototype_c)).
-
-    proto_matrix holds one full-precision prototype per row. With a tape
-    attached the forward activations are recorded for backprop.
-    """
-    protos = np.asarray(proto_matrix, dtype=np.float64)
-    theta_p = forward_fcr(params, forward_backbone(params, x, tape), tape)
-    scores, _ = _scores_and_grad(theta_p, protos)
-    return scores
-
-
-def _scores_and_grad(theta_p: np.ndarray, protos: np.ndarray):
-    """ReLU-sharpened cosine scores plus the pieces needed for gradients.
-
-    Returns (scores, aux) where aux carries, per class, d(score)/d(theta_p)
-    and d(score)/d(proto) rows (zero where the ReLU gate is closed).
-    """
-    nq = float(np.linalg.norm(theta_p))
-    if nq < ZERO_NORM_FLOOR:
-        raise ZeroNormError("query feature has near-zero norm")
-    pnorms = np.linalg.norm(protos, axis=1)
-    if np.any(pnorms < ZERO_NORM_FLOOR):
+def _cosines(theta_q, protos):
+    """Cosine of each query row against each prototype row: (cos, q_hat,
+    q_norm, p_hat, p_norm), each query's values bitwise those of scoring
+    it alone."""
+    p_norm = np.linalg.norm(protos, axis=1)
+    if np.any(p_norm < ZERO_NORM_FLOOR):
         raise ZeroNormError("a prototype has near-zero norm")
-    q_hat = theta_p / nq
-    p_hat = protos / pnorms[:, None]
-    cos = p_hat @ q_hat
+    q_norm = row_norms(theta_q)
+    if np.any(q_norm < ZERO_NORM_FLOOR):
+        raise ZeroNormError("query feature has near-zero norm")
+    q_hat = theta_q / q_norm[:, None]
+    p_hat = protos / p_norm[:, None]
+    # one matrix-vector product per query, the kernel of p_hat @ q_hat
+    cos = np.matmul(p_hat, q_hat[:, :, None])[:, :, 0]
+    return cos, q_hat, q_norm, p_hat, p_norm
+
+
+def _score_jacobians(cos, q_hat, q_norm, p_hat, p_norm, with_dproto: bool):
+    """Per query and class, d(score)/d(theta_p) and d(score)/d(proto) rows
+    of the ReLU-sharpened cosine scores, zero where the ReLU gate is
+    closed: two (B, C, d) arrays, the second None unless with_dproto."""
+    gate = (cos > 0).astype(np.float64)[:, :, None]
+    cos = cos[:, :, None]
+    dtheta = gate * (p_hat - cos * q_hat[:, None, :]) / q_norm[:, None, None]
+    if not with_dproto:
+        return dtheta, None
+    return dtheta, gate * (q_hat[:, None, :] - cos * p_hat) / p_norm[:, None]
+
+
+# elements in each (queries, classes, d_p) gradient temporary of metalearn
+_JACOBIAN_CHUNK = 1 << 15
+
+
+def _query_step(theta_q, protos, gts, cfg: MetaConfig):
+    """Objective and gradients of one query batch against fixed
+    prototypes: (loss summed over the queries in order, hits,
+    d loss / d theta_q, d loss / d protos or None), each query's terms
+    bitwise those of scoring it alone."""
+    cos, q_hat, q_norm, p_hat, p_norm = _cosines(theta_q, protos)
     scores = relu(cos)
-    gate = (cos > 0).astype(np.float64)
-    dtheta = gate[:, None] * (p_hat - cos[:, None] * q_hat[None, :]) / nq
-    dproto = gate[:, None] * (q_hat[None, :] - cos[:, None] * p_hat) / pnorms[:, None]
-    return scores, (dtheta, dproto)
+    if cfg.objective == "mm":
+        loss_sum, dl = multi_margin_loss(scores, gts, cfg.margin)
+    else:
+        loss_sum, dl = softmax_ce_batch(scores, gts)
+    hits = int(np.count_nonzero(scores.argmax(axis=1) == gts))
+    upstream_q = np.empty_like(theta_q)
+    grad_protos = np.zeros_like(protos) if cfg.prototype_gradient else None
+    step = max(1, _JACOBIAN_CHUNK // protos.size)
+    for lo in range(0, len(theta_q), step):
+        rows = slice(lo, lo + step)
+        dtheta, dproto = _score_jacobians(
+            cos[rows], q_hat[rows], q_norm[rows], p_hat, p_norm, cfg.prototype_gradient
+        )
+        upstream_q[rows] = np.matmul(dl[rows, None, :], dtheta)[:, 0]
+        if dproto is not None:
+            for term in dl[rows, :, None] * dproto:  # queries in order
+                grad_protos += term
+    return loss_sum, hits, upstream_q, grad_protos
 
 
 def metalearn(params, base_dataset, cfg: MetaConfig, seed):
@@ -240,7 +253,6 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
             raise InsufficientSamplesError(
                 f"class {c} has {len(pool)} samples, needs {cfg.meta_samples} meta-samples"
             )
-    col = {c: i for i, c in enumerate(class_ids)}
     history = []
     for it in range(cfg.iterations):
         meta_rows = []
@@ -268,23 +280,9 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
         theta_q = forward_fcr(
             params, forward_backbone(params, base_dataset.inputs[q_idx], q_tape), q_tape
         )
-        upstream_q = np.zeros_like(theta_q)
-        grad_protos = np.zeros_like(protos)
-        loss_sum = 0.0
-        hits = 0
+        gts = np.searchsorted(class_ids, base_dataset.labels[q_idx])
+        loss_sum, hits, upstream_q, grad_protos = _query_step(theta_q, protos, gts, cfg)
         nq = len(q_idx)
-        for qi in range(nq):
-            scores, (dtheta, dproto) = _scores_and_grad(theta_q[qi], protos)
-            gt = col[int(base_dataset.labels[q_idx[qi]])]
-            if cfg.objective == "mm":
-                loss, dl = multi_margin_loss(scores, gt, cfg.margin)
-            else:
-                loss, dl = softmax_ce(scores, gt)
-            loss_sum += loss
-            hits += int(scores.argmax() == gt)
-            upstream_q[qi] = dl @ dtheta
-            if cfg.prototype_gradient:
-                grad_protos += dl[:, None] * dproto
         mean_loss = loss_sum / nq
         if not np.isfinite(mean_loss):
             raise NumericFailureError(f"non-finite metalearning loss at iteration {it}")

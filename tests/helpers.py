@@ -1,6 +1,16 @@
-"""Shared test oracles: finite differences and naive reference implementations."""
+"""Shared test oracles: finite differences, naive and per-row reference
+implementations, and the synthetic datasets and sweeps that only tests use."""
+
+from dataclasses import replace
 
 import numpy as np
+
+from protomem.backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd_step
+from protomem.data import LabeledDataset
+from protomem.errors import NumericFailureError, ZeroNormError
+from protomem.harness import extract_features, pretrain_model
+from protomem.numerics import ZERO_NORM_FLOOR, as_vector, relu, softmax_ce
+from protomem.offline import _cosines
 
 
 def central_diff(f, x, step=1e-5):
@@ -69,3 +79,190 @@ def param_grad_flat(tape, params):
         chunks.append(tape.grad_w[idx].ravel().copy())
         chunks.append(tape.grad_b[idx].copy())
     return np.concatenate(chunks)
+
+
+# ------------------------------------------- datasets and sweeps for tests
+
+
+def ortho_strength_sweep(stream, recipe, strengths=(0.01, 0.1, 1.0)) -> list:
+    """Pretrain once per regularization strength and measure the effect.
+
+    Returns rows (strength, train accuracy, mean off-diagonal |Gram| on
+    held-out features); the desk-scale picture behind the default 0.1.
+    """
+    rows = []
+    for lam in strengths:
+        loss = replace(recipe.loss, lambda_ortho=lam)
+        params, history = pretrain_model(stream.base, replace(recipe, loss=loss))
+        feats = extract_features(params, stream.test)
+        u = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        gram = u @ u.T
+        off = float(np.abs(gram[~np.eye(len(gram), dtype=bool)]).mean())
+        rows.append((lam, history[-1][3], off))
+    return rows
+
+
+def make_points_dataset(
+    num_classes: int, per_class: int, dim: int = 2, separation: float = 6.0, seed=0
+) -> LabeledDataset:
+    """Gaussian point clouds with centers at equal angles on a circle of
+    radius `separation`; linearly separable when the radius dominates the
+    unit noise."""
+    if dim < 2:
+        raise ValueError("point clouds need dim >= 2")
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * np.arange(num_classes) / num_classes
+    centers = np.zeros((num_classes, dim))
+    centers[:, 0] = separation * np.cos(angles)
+    centers[:, 1] = separation * np.sin(angles)
+    inputs = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    row = 0
+    for cid in range(num_classes):
+        pts = centers[cid] + rng.standard_normal((per_class, dim))
+        inputs[row : row + per_class] = pts
+        labels[row : row + per_class] = cid
+        row += per_class
+    return LabeledDataset(inputs, labels)
+
+
+def save_dataset_csv(ds: LabeledDataset, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("label," + ",".join(f"f{i}" for i in range(ds.input_dim)) + "\n")
+        for row, lab in zip(ds.inputs, ds.labels):
+            fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def meta_score(params, x, proto_matrix, tape: GradientTape | None = None):
+    """Per-class scores relu(cossim(theta_p(x), prototype_c)).
+
+    proto_matrix holds one full-precision prototype per row. With a tape
+    attached the forward activations are recorded for backprop.
+    """
+    protos = np.asarray(proto_matrix, dtype=np.float64)
+    theta_p = forward_fcr(params, forward_backbone(params, x, tape), tape)
+    cos = _cosines(theta_p.reshape(-1, theta_p.shape[-1]), protos)[0]
+    return relu(cos.reshape(theta_p.shape[:-1] + (len(protos),)))
+
+
+# --------------------------- per-row references for the batched training math
+
+
+def softmax_ce_rows(logits, targets):
+    """Batch cross-entropy as one `softmax_ce` call per row, summed in order."""
+    z = np.asarray(logits, dtype=np.float64)
+    grad = np.zeros_like(z)
+    total = 0.0
+    t_arr = np.asarray(targets)
+    for i in range(z.shape[0]):
+        loss_i, grad[i] = softmax_ce(z[i], t_arr[i] if t_arr.ndim else t_arr)
+        total += loss_i
+    return total, grad
+
+
+def mixup_per_row(x, targets, partner, alpha, rng):
+    """Mixup of each row with its partner row, one Beta draw per row."""
+    mixed_x = np.empty_like(x)
+    mixed_t = np.empty_like(targets)
+    for i, j in enumerate(partner):
+        lam = float(rng.beta(alpha, alpha))
+        mixed_x[i] = lam * x[i] + (1.0 - lam) * x[j]
+        mixed_t[i] = lam * targets[i] + (1.0 - lam) * targets[j]
+    return mixed_x, mixed_t
+
+
+def multi_margin_loss_row(scores, gt: int, m: float):
+    """Squared-hinge margin loss of one row of scores."""
+    l = as_vector(scores)
+    c = l.size
+    h = m - l[gt] + l
+    h[gt] = 0.0
+    active = h > 0
+    loss = float((h[active] ** 2).sum()) / c
+    grad = np.zeros_like(l)
+    grad[active] = 2.0 * h[active] / c
+    grad[gt] = -float(grad[active].sum())
+    return loss, grad
+
+
+def scores_and_grad_row(theta_p, protos):
+    """ReLU-cosine scores of one query, with d(score)/d(theta_p) and
+    d(score)/d(proto) rows."""
+    nq = float(np.linalg.norm(theta_p))
+    if nq < ZERO_NORM_FLOOR:
+        raise ZeroNormError("query feature has near-zero norm")
+    pnorms = np.linalg.norm(protos, axis=1)
+    q_hat = theta_p / nq
+    p_hat = protos / pnorms[:, None]
+    cos = p_hat @ q_hat
+    gate = (cos > 0).astype(np.float64)
+    dtheta = gate[:, None] * (p_hat - cos[:, None] * q_hat[None, :]) / nq
+    dproto = gate[:, None] * (q_hat[None, :] - cos[:, None] * p_hat) / pnorms[:, None]
+    return relu(cos), (dtheta, dproto)
+
+
+def query_step_per_row(theta_q, protos, gts, cfg):
+    """Metalearning query-batch step, one query at a time: (loss sum,
+    hits, upstream, prototype gradient)."""
+    upstream_q = np.zeros_like(theta_q)
+    grad_protos = np.zeros_like(protos)
+    loss_sum = 0.0
+    hits = 0
+    for qi in range(len(theta_q)):
+        scores, (dtheta, dproto) = scores_and_grad_row(theta_q[qi], protos)
+        gt = int(gts[qi])
+        if cfg.objective == "mm":
+            loss, dl = multi_margin_loss_row(scores, gt, cfg.margin)
+        else:
+            loss, dl = softmax_ce(scores, gt)
+        loss_sum += loss
+        hits += int(scores.argmax() == gt)
+        upstream_q[qi] = dl @ dtheta
+        if cfg.prototype_gradient:
+            grad_protos += dl[:, None] * dproto
+    return loss_sum, hits, upstream_q, grad_protos
+
+
+def metalearn_per_query(params, base_dataset, cfg, seed):
+    """`offline.metalearn` with its query batch scored one query at a time."""
+    rng = np.random.default_rng(seed)
+    class_ids = base_dataset.class_ids()
+    pools = {c: base_dataset.indices_of(c) for c in class_ids}
+    col = {c: i for i, c in enumerate(class_ids)}
+    history = []
+    for it in range(cfg.iterations):
+        meta_idx = np.concatenate([
+            pools[c][rng.choice(len(pools[c]), size=cfg.meta_samples, replace=False)]
+            for c in class_ids
+        ])
+        meta_tape = GradientTape() if cfg.prototype_gradient else None
+        theta_meta = forward_fcr(
+            params, forward_backbone(params, base_dataset.inputs[meta_idx], meta_tape), meta_tape
+        )
+        protos = theta_meta.reshape(len(class_ids), cfg.meta_samples, -1).mean(axis=1)
+        free = np.ones(len(base_dataset), dtype=bool)
+        free[meta_idx] = False
+        pool_rest = np.flatnonzero(free)
+        q_size = min(cfg.query_batch, len(pool_rest))
+        q_idx = pool_rest[rng.choice(len(pool_rest), size=q_size, replace=False)]
+        q_tape = GradientTape()
+        theta_q = forward_fcr(
+            params, forward_backbone(params, base_dataset.inputs[q_idx], q_tape), q_tape
+        )
+        gts = [col[int(l)] for l in base_dataset.labels[q_idx]]
+        loss_sum, hits, upstream_q, grad_protos = query_step_per_row(theta_q, protos, gts, cfg)
+        nq = len(q_idx)
+        mean_loss = loss_sum / nq
+        if not np.isfinite(mean_loss):
+            raise NumericFailureError(f"non-finite metalearning loss at iteration {it}")
+        backward(params, q_tape, upstream_q / nq)
+        if cfg.prototype_gradient:
+            upstream_meta = np.repeat(
+                grad_protos / (cfg.meta_samples * nq), cfg.meta_samples, axis=0
+            )
+            backward(params, meta_tape, upstream_meta)
+        sgd_step(params, q_tape, cfg.lr)
+        if cfg.prototype_gradient:
+            sgd_step(params, meta_tape, cfg.lr)
+        history.append((it, mean_loss, hits / nq))
+    return params, history

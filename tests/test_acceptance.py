@@ -8,7 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import central_diff, flatten_params, param_grad_flat, rel_err, set_params_from_flat
+from helpers import (
+    central_diff,
+    flatten_params,
+    meta_score,
+    param_grad_flat,
+    rel_err,
+    set_params_from_flat,
+)
 from protomem import cli
 from protomem.backbone import (
     GradientTape,
@@ -40,7 +47,7 @@ from protomem.memory import (
     reduce_rows,
 )
 from protomem.numerics import softmax_ce
-from protomem.offline import MetaConfig, _scores_and_grad, init_fcc, meta_score, metalearn, pretrain
+from protomem.offline import MetaConfig, _query_step, init_fcc, metalearn, pretrain
 from protomem.online import ActivationMemory, _cosine_target_grad, learn_class
 
 
@@ -150,7 +157,7 @@ class TestCriterion1Gradients:
             logits = rng.standard_normal((b, c))
             theta = rng.standard_normal((b, d)) + 0.2
             targets = rng.integers(0, c, b)
-            _, gl, gt = pretrain_loss(logits, targets, theta, cfg)
+            _, gl, gt, _ = pretrain_loss(logits, targets, theta, cfg)
             packed = np.concatenate([logits.ravel(), theta.ravel()])
 
             def loss_at(flat):
@@ -185,25 +192,27 @@ class TestCriterion1Gradients:
             x = rng.standard_normal(5)
             protos = rng.standard_normal((4, 3))
             gt = int(rng.integers(0, 4))
+            cfg = MetaConfig(margin=0.1)
             tape = GradientTape()
-            theta = forward_fcr(params, forward_backbone(params, x, tape), tape)
+            theta = forward_fcr(params, forward_backbone(params, x[None], tape), tape)
             if np.linalg.norm(theta) < 1e-3:
                 continue
-            scores, (dtheta, _) = _scores_and_grad(theta, protos)
-            cos_raw = protos @ theta / (np.linalg.norm(protos, axis=1) * np.linalg.norm(theta))
+            scores = meta_score(params, x, protos)
+            cos_raw = protos @ theta[0] / (np.linalg.norm(protos, axis=1) * np.linalg.norm(theta))
             margins = 0.1 - scores[gt] + np.delete(scores, gt)
             if np.any(np.abs(cos_raw) < 1e-3) or np.any(np.abs(margins) < 1e-3):
                 continue
             done += 1
-            _, dl = multi_margin_loss(scores, gt, 0.1)
-            backward(params, tape, dl @ dtheta)
+            # metalearn's query step on a one-query batch
+            _, _, upstream, _ = _query_step(theta, protos, np.array([gt]), cfg)
+            backward(params, tape, upstream)
             analytic = param_grad_flat(tape, params)
             flat0 = flatten_params(params)
 
             def meta_loss(flat):
                 set_params_from_flat(params, flat)
-                s = meta_score(params, x, protos)
-                return multi_margin_loss(s, gt, 0.1)[0]
+                th = forward_fcr(params, forward_backbone(params, x[None]))
+                return _query_step(th, protos, np.array([gt]), cfg)[0]
 
             num = central_diff(meta_loss, flat0)
             set_params_from_flat(params, flat0)

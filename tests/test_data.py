@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import save_dataset_csv
 from protomem.data import (
     CIFAR_RECORD_BYTES,
     LabeledDataset,
     load_cifar_batch,
     load_dataset,
     save_dataset,
-    save_dataset_csv,
     split_fscil,
 )
 from protomem.errors import (
@@ -204,6 +204,19 @@ class TestLabeledDataset:
         assert sub.class_ids() == [1, 3]
         assert len(sub) == 6
         np.testing.assert_array_equal(ds.indices_of(2), [6, 7, 8])
+
+    def test_take_and_subset_copy_rows_in_order(self):
+        ds = synthetic_classes(4, 3)
+        before = ds.inputs.copy()
+        sub = ds.subset_by_classes([3, 1, 1])
+        np.testing.assert_array_equal(sub.labels, [1, 1, 1, 3, 3, 3])
+        np.testing.assert_array_equal(sub.inputs, before[ds.labels % 2 == 1])
+        part = ds.take([5, 0])
+        np.testing.assert_array_equal(part.labels, ds.labels[[5, 0]])
+        np.testing.assert_array_equal(part.inputs, before[[5, 0]])
+        sub.inputs[:] = part.inputs[:] = -1.0
+        np.testing.assert_array_equal(ds.inputs, before)
+        assert len(ds.subset_by_classes([])) == 0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import ortho_strength_sweep
 from protomem.backbone import init_model, params_checksum
 from protomem.data import SessionStream, split_fscil
 from protomem.errors import ConflictingFlagsError
@@ -13,7 +14,6 @@ from protomem.harness import (
     extract_features,
     forgetting_metrics,
     make_blob_dataset,
-    ortho_strength_sweep,
     run_protocol,
     train_pipeline,
     validate_stream,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, mixup_per_row, multi_margin_loss_row, rel_err, softmax_ce_rows
 from protomem.errors import ShapeMismatchError, ZeroNormError
 from protomem.losses import (
     PretrainLossConfig,
@@ -76,7 +76,7 @@ class TestPretrainLoss:
         cfg = PretrainLossConfig(lambda_ortho=0.0)
         logits = np.array([0.2, -0.4, 1.0])
         theta = np.array([[1.0, 2.0]])
-        loss, grad_logits, grad_theta = pretrain_loss(logits, 2, theta, cfg)
+        loss, grad_logits, grad_theta, _ = pretrain_loss(logits, 2, theta, cfg)
         ce, ce_grad = softmax_ce(logits, 2)
         assert loss == ce
         np.testing.assert_array_equal(grad_logits, ce_grad)
@@ -86,7 +86,7 @@ class TestPretrainLoss:
         cfg = PretrainLossConfig(lambda_ortho=0.5)
         logits = np.array([[0.2, -0.4], [0.1, 0.9]])
         theta = np.eye(3)[:2]
-        loss, _, _ = pretrain_loss(logits, np.array([0, 1]), theta, cfg)
+        loss, _, _, _ = pretrain_loss(logits, np.array([0, 1]), theta, cfg)
         ce, _ = softmax_ce_batch(logits, np.array([0, 1]))
         assert loss == pytest.approx(ce, abs=1e-15)
 
@@ -95,10 +95,37 @@ class TestPretrainLoss:
         logits = rng.standard_normal((3, 4))
         theta = rng.standard_normal((3, 5))
         targets = np.array([0, 1, 3])
-        l1, _, _ = pretrain_loss(logits, targets, theta, PretrainLossConfig(lambda_ortho=1.0))
-        l2, _, _ = pretrain_loss(logits, targets, theta, PretrainLossConfig(lambda_ortho=2.0))
+        l1, _, _, _ = pretrain_loss(logits, targets, theta, PretrainLossConfig(lambda_ortho=1.0))
+        l2, _, _, _ = pretrain_loss(logits, targets, theta, PretrainLossConfig(lambda_ortho=2.0))
         ol, _ = ortho_loss(theta)
         assert abs((l2 - l1) - ol) < 1e-12
+
+
+    def test_terms_compose_the_loss(self):
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((3, 4))
+        theta = rng.standard_normal((3, 5))
+        targets = np.array([2, 0, 3])
+        cfg = PretrainLossConfig(lambda_ortho=0.3)
+        loss, grad_logits, grad_theta, (ce, ortho) = pretrain_loss(logits, targets, theta, cfg)
+        want_ce, want_grad = softmax_ce_batch(logits, targets)
+        want_ortho, want_ortho_grad = ortho_loss(theta)
+        assert (ce, ortho, loss) == (want_ce, want_ortho, want_ce + 0.3 * want_ortho)
+        np.testing.assert_array_equal(grad_logits, want_grad)
+        np.testing.assert_array_equal(grad_theta, 0.3 * want_ortho_grad)
+
+    def test_one_row_batch_skips_the_penalty(self):
+        # one unit row has Gram matrix [1]: nothing to penalize
+        cfg = PretrainLossConfig(lambda_ortho=0.5)
+        logits = np.array([[0.2, -0.4, 1.0]])
+        loss, _, grad_theta, (ce, ortho) = pretrain_loss(logits, [2], np.array([[1.0, 2.0]]), cfg)
+        assert loss == ce == softmax_ce(logits[0], 2)[0]
+        assert ortho == 0.0 and not grad_theta.any()
+
+    def test_penalty_rejects_vector_theta(self):
+        cfg = PretrainLossConfig(lambda_ortho=0.5)
+        with pytest.raises(ShapeMismatchError):
+            pretrain_loss(np.array([[0.2, -0.4, 1.0]]), [2], np.array([1.0, 2.0]), cfg)
 
 
 class TestMultiMargin:
@@ -261,3 +288,76 @@ class TestConfigValidation:
     def test_valid_ranges_accepted(self, p, alpha):
         cfg = PretrainLossConfig(mix_probability=p, mix_alpha=alpha)
         assert 0 <= cfg.mix_probability <= 1
+
+
+class TestBatchedEqualsPerRow:
+    """The batched losses and mixup give the bits of one call per row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 70), st.booleans(), st.integers(0, 2**31))
+    def test_softmax_ce_batch(self, b, c, soft, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((b, c)) * 10.0 ** rng.uniform(-3, 3, (b, c))
+        targets = rng.dirichlet(np.ones(c), size=b) if soft else rng.integers(0, c, b)
+        loss, grad = softmax_ce_batch(logits, targets)
+        want_loss, want_grad = softmax_ce_rows(logits, targets)
+        np.testing.assert_array_equal(loss, want_loss)
+        np.testing.assert_array_equal(grad, want_grad)
+
+    def test_softmax_ce_batch_one_index_for_every_row(self):
+        logits = np.random.default_rng(2).standard_normal((5, 9))
+        loss, grad = softmax_ce_batch(logits, 4)
+        want_loss, want_grad = softmax_ce_rows(logits, 4)
+        np.testing.assert_array_equal(loss, want_loss)
+        np.testing.assert_array_equal(grad, want_grad)
+
+    def test_softmax_ce_batch_rejects_bad_targets(self):
+        logits = np.zeros((3, 4))
+        for bad in (4, [0, 1], [0, 1, -1], np.zeros((3, 5))):
+            with pytest.raises(ShapeMismatchError):
+                softmax_ce_batch(logits, bad)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(2, 16), st.integers(0, 2**31))
+    def test_multi_margin_loss(self, b, c, seed):
+        rng = np.random.default_rng(seed)
+        # a few repeated values make tied scores and hinges exactly at the kink
+        scores = np.where(
+            rng.random((b, c)) < 0.3, rng.choice([0.0, 0.2, 0.5], (b, c)), rng.random((b, c))
+        )
+        gts = rng.integers(0, c, b)
+        margin = float(rng.choice([0.1, 0.3, 1.5]))
+        loss, grad = multi_margin_loss(scores, gts, margin)
+        want_loss = 0.0
+        for i in range(b):
+            row_loss, row_grad = multi_margin_loss_row(scores[i], int(gts[i]), margin)
+            want_loss += row_loss
+            np.testing.assert_array_equal(grad[i], row_grad)
+        np.testing.assert_array_equal(loss, want_loss)
+
+    def test_multi_margin_loss_rejects_misaligned_indices(self):
+        with pytest.raises(ShapeMismatchError):
+            multi_margin_loss(np.zeros((3, 4)), [0, 1], 0.1)
+        with pytest.raises(ShapeMismatchError):
+            multi_margin_loss(np.zeros((2, 4)), [0, 4], 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**31))
+    def test_mixup(self, b, d, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3, (b, d))
+        targets = rng.dirichlet(np.ones(k), size=b)
+        partner = rng.permutation(b)
+        alpha = float(rng.uniform(0.2, 2.0))
+        batched, per_row = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got_x, got_t = mixup(x, x[partner], targets, targets[partner], alpha, batched)
+        want_x, want_t = mixup_per_row(x, targets, partner, alpha, per_row)
+        np.testing.assert_array_equal(got_x, want_x)
+        np.testing.assert_array_equal(got_t, want_t)
+        # both consumed the same stretch of the stream
+        np.testing.assert_array_equal(batched.random(4), per_row.random(4))
+
+    def test_mixup_rejects_misaligned_labels(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeMismatchError):
+            mixup(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 4)), np.zeros((2, 4)), 1.0, rng)

@@ -467,6 +467,29 @@ class TestReduceRows:
         assert (peak >> s) <= lim and (s == 0 or (peak >> (s - 1)) > lim)
         assert reduced.tolist() == [[peak >> s, -peak >> s]]
 
+    @pytest.mark.parametrize("bits", [2, 8, 33, 63])
+    def test_int64_minimum_has_magnitude_two_to_the_63(self, bits):
+        # magnitudes 2**63, 2**62 and 2**62 - 1: bit lengths 64, 63 and 62
+        accum = np.array([[-(2**63), 0], [2**62, -1], [1 - 2**62, 3]])
+        reduced, shifts = reduce_rows(accum, bits)
+        assert shifts.tolist() == [65 - bits, 64 - bits, 63 - bits]
+        assert reduced.tolist() == [
+            [-(2**63) >> (65 - bits), 0],
+            [2**62 >> (64 - bits), -1],
+            [(1 - 2**62) >> (63 - bits), 3 >> (63 - bits)],
+        ]
+
+    def test_int64_minimum_stores_unshifted_at_64_bits(self):
+        reduced, shifts = reduce_rows(np.array([[-(2**63), 0]]), 64)
+        assert shifts.tolist() == [0] and reduced.tolist() == [[-(2**63), 0]]
+
+    def test_int64_minimum_row_fits_its_snapshot(self, tmp_path):
+        em = ExplicitMemory(2, QuantSpec(prototype_bits=8))
+        em.add_accumulated(3, [-(2**63), 0], 1)
+        assert em.get(3).scale_shift == 57
+        save_em(em, tmp_path / "min.ofem")
+        assert load_em(tmp_path / "min.ofem").get(3).quantized.tolist() == [-64, 0]
+
     def test_one_bit_is_sign_vector_with_no_shift(self):
         reduced, shifts = reduce_rows(np.array([[5, 0, -3], [0, 0, 0]]), 1)
         assert reduced.tolist() == [[1, 1, -1], [1, 1, 1]]

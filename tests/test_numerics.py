@@ -108,11 +108,16 @@ class TestMatmul:
         ],
         ids=["transposed-view", "fortran", "strided", "row-slice"],
     )
-    @pytest.mark.parametrize("m,k,n", [(1, 7, 1), (5, 9, 3), (16, 12, 8)])
+    # m * n = 1 is one long dot product: a kernel that reduces a stack of
+    # rank-1 products over its first axis would sum it as one contiguous
+    # vector, in numpy's pairwise blocks of 8, instead of left to right
+    @pytest.mark.parametrize(
+        "m,k,n", [(1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 8, 1), (1, 9, 1), (1, 1000, 1)]
+    )
     def test_triple_loop_equality_any_layout(self, layout, m, k, n):
         rng = np.random.default_rng(m * 100 + k * 10 + n)
-        a = rng.standard_normal((m, k)) * 10
-        b = rng.standard_normal((k, n)) * 10
+        a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+        b = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
         want = naive_matmul(a, b)
         la, lb = layout(a), layout(b)
         np.testing.assert_array_equal(la, a)

@@ -3,7 +3,19 @@ import copy
 import numpy as np
 import pytest
 
-from helpers import central_diff, flatten_params, param_grad_flat, rel_err, set_params_from_flat
+from helpers import (
+    central_diff,
+    flatten_params,
+    make_points_dataset,
+    meta_score,
+    metalearn_per_query,
+    param_grad_flat,
+    query_step_per_row,
+    rel_err,
+    scores_and_grad_row,
+    set_params_from_flat,
+)
+from protomem import offline
 from protomem.backbone import (
     DenseLayer,
     GradientTape,
@@ -20,17 +32,15 @@ from protomem.errors import (
     SettingValueError,
     ShapeMismatchError,
 )
-from protomem.harness import make_points_dataset
-from protomem.losses import PretrainLossConfig, multi_margin_loss
+from protomem.losses import PretrainLossConfig
 from protomem.memory import QuantSpec, classify, quantize_feature
+from protomem.numerics import relu
 from protomem.offline import (
     FccHead,
     MetaConfig,
-    _scores_and_grad,
     build_base_em,
     fcc_forward,
     init_fcc,
-    meta_score,
     metalearn,
     pretrain,
 )
@@ -143,28 +153,31 @@ class TestMetaScore:
             protos = rng.standard_normal((4, 3))
             gt = int(rng.integers(0, 4))
 
+            cfg = MetaConfig(margin=0.1)
+
             tape = GradientTape()
-            theta = forward_fcr(params, forward_backbone(params, x, tape), tape)
+            theta = forward_fcr(params, forward_backbone(params, x[None], tape), tape)
             if np.linalg.norm(theta) < 1e-3:  # dead-relu feature, FD ill-posed
                 continue
-            scores, (dtheta, _) = _scores_and_grad(theta, protos)
-            cos_raw = protos @ theta / (
+            scores = meta_score(params, x, protos)
+            cos_raw = protos @ theta[0] / (
                 np.linalg.norm(protos, axis=1) * np.linalg.norm(theta)
             )
             margins = 0.1 - scores[gt] + np.delete(scores, gt)
             if np.any(np.abs(cos_raw) < 1e-3) or np.any(np.abs(margins) < 1e-3):
                 continue
             checked += 1
-            loss, dl = multi_margin_loss(scores, gt, 0.1)
-            backward(params, tape, dl @ dtheta)
+            # the query step metalearn trains with, on a one-query batch
+            _, _, upstream, _ = offline._query_step(theta, protos, np.array([gt]), cfg)
+            backward(params, tape, upstream)
             analytic = param_grad_flat(tape, params)
 
             flat0 = flatten_params(params)
 
             def loss_at(flat):
                 set_params_from_flat(params, flat)
-                s = meta_score(params, x, protos)
-                return multi_margin_loss(s, gt, 0.1)[0]
+                th = forward_fcr(params, forward_backbone(params, x[None]))
+                return offline._query_step(th, protos, np.array([gt]), cfg)[0]
 
             numeric = central_diff(loss_at, flat0)
             set_params_from_flat(params, flat0)
@@ -251,29 +264,20 @@ class TestMetalearn:
         query_x = rng.standard_normal((3, 4)) + 0.5
         query_y = np.array([0, 1, 0])
         n_meta = 2
+        cfg = MetaConfig(margin=0.3, prototype_gradient=True)
 
         def episode_loss(p):
             theta_m = forward_fcr(p, forward_backbone(p, meta_x))
             protos = theta_m.reshape(2, n_meta, -1).mean(axis=1)
-            total = 0.0
-            for i in range(len(query_x)):
-                theta_q = forward_fcr(p, forward_backbone(p, query_x[i]))
-                scores, _ = _scores_and_grad(theta_q, protos)
-                total += multi_margin_loss(scores, int(query_y[i]), 0.3)[0]
-            return total / len(query_x)
+            theta_q = forward_fcr(p, forward_backbone(p, query_x))
+            return offline._query_step(theta_q, protos, query_y, cfg)[0] / len(query_x)
 
         meta_tape = GradientTape()
         theta_m = forward_fcr(params, forward_backbone(params, meta_x, meta_tape), meta_tape)
         protos = theta_m.reshape(2, n_meta, -1).mean(axis=1)
         q_tape = GradientTape()
         theta_q = forward_fcr(params, forward_backbone(params, query_x, q_tape), q_tape)
-        upstream_q = np.zeros_like(theta_q)
-        grad_protos = np.zeros_like(protos)
-        for i in range(len(query_x)):
-            scores, (dtheta, dproto) = _scores_and_grad(theta_q[i], protos)
-            _, dl = multi_margin_loss(scores, int(query_y[i]), 0.3)
-            upstream_q[i] = dl @ dtheta
-            grad_protos += dl[:, None] * dproto
+        _, _, upstream_q, grad_protos = offline._query_step(theta_q, protos, query_y, cfg)
         backward(params, q_tape, upstream_q / len(query_x))
         backward(
             params,
@@ -330,3 +334,73 @@ class TestBuildBaseEm:
         em, _ = build_base_em(params, ds, QuantSpec())
         em_hits = sum(int(classify(em, f)[0] == l) for f, l in zip(feats, ds.labels))
         assert em_hits >= 0.9 * fcc_hits
+
+
+class TestBatchedQueryStep:
+    """Metalearning scores its query batch at once, with each query's terms
+    bitwise those of the one-query-at-a-time loop."""
+
+    def episode(self, seed=21, classes=12, d=6, queries=50):
+        rng = np.random.default_rng(seed)
+        protos = rng.standard_normal((classes, d))
+        protos[5] = protos[2]  # duplicate prototypes: tied scores
+        theta_q = rng.standard_normal((queries, d))
+        theta_q[7] = theta_q[3]
+        theta_q[9] = 2.5 * protos[4]
+        theta_q[10] = -protos[0]
+        gts = rng.integers(0, classes, queries)
+        gts[11] = 2
+        theta_q[11] = protos[5]  # the ground truth ties with another class
+        return theta_q, protos, gts
+
+    @pytest.mark.parametrize("objective", ["mm", "ce"])
+    @pytest.mark.parametrize("through_protos", [False, True])
+    @pytest.mark.parametrize("chunk", [1 << 15, 7 * 12 * 6, 1])
+    def test_equals_per_query_loop(self, monkeypatch, objective, through_protos, chunk):
+        monkeypatch.setattr(offline, "_JACOBIAN_CHUNK", chunk)
+        theta_q, protos, gts = self.episode()
+        cfg = MetaConfig(margin=1.5, objective=objective, prototype_gradient=through_protos)
+        loss, hits, upstream, grad_protos = offline._query_step(theta_q, protos, gts, cfg)
+        want = query_step_per_row(theta_q, protos, gts, cfg)
+        np.testing.assert_array_equal([loss, hits], want[:2])
+        np.testing.assert_array_equal(upstream, want[2])
+        if through_protos:
+            np.testing.assert_array_equal(grad_protos, want[3])
+        else:
+            assert grad_protos is None
+
+    def test_episode_has_ties_and_long_margin_sums(self):
+        theta_q, protos, gts = self.episode()
+        scores = relu(offline._cosines(theta_q, protos)[0])
+        rows = np.arange(len(gts))
+        active = (1.5 - scores[rows, gts][:, None] + scores > 0).sum(axis=1) - 1
+        assert active.max() >= 8  # numpy sums 8 or more terms in pairwise blocks
+        assert np.any((scores == scores.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+
+    def test_jacobian_rows_equal_single_queries(self):
+        theta_q, protos, _ = self.episode()
+        cos, *unit = offline._cosines(theta_q, protos)
+        scores = relu(cos)
+        dtheta, dproto = offline._score_jacobians(cos, *unit, with_dproto=True)
+        for i, theta in enumerate(theta_q):
+            want_scores, (want_dtheta, want_dproto) = scores_and_grad_row(theta, protos)
+            np.testing.assert_array_equal(scores[i], want_scores)
+            np.testing.assert_array_equal(dtheta[i], want_dtheta)
+            np.testing.assert_array_equal(dproto[i], want_dproto)
+
+    @pytest.mark.parametrize("objective", ["mm", "ce"])
+    @pytest.mark.parametrize("through_protos", [False, True])
+    def test_metalearn_equals_per_query_loop(self, objective, through_protos):
+        ds = make_points_dataset(12, 12, dim=4, separation=1.0, seed=3)
+        params = init_model([4, 16, 8], 1, seed=3)
+        twin = copy.deepcopy(params)
+        cfg = MetaConfig(
+            meta_samples=3, iterations=2, lr=0.05, margin=0.5, query_batch=40,
+            objective=objective, prototype_gradient=through_protos,
+        )
+        _, history = metalearn(params, ds, cfg, seed=4)
+        _, want_history = metalearn_per_query(twin, ds, cfg, seed=4)
+        np.testing.assert_array_equal(history, want_history)
+        for layer, want in zip(params.layers, twin.layers):
+            np.testing.assert_array_equal(layer.weight, want.weight)
+            np.testing.assert_array_equal(layer.bias, want.bias)
