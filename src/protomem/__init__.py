@@ -47,6 +47,7 @@ from .losses import (
     sample_augmentation,
 )
 from .memory import (
+    ActivationMemory,
     ExplicitMemory,
     Prototype,
     QuantSpec,
@@ -54,10 +55,12 @@ from .memory import (
     classify,
     classify_batch,
     em_memory_bytes,
+    load_actmem,
     load_em,
     precision_sweep,
     quantize_feature,
     reduce_rows,
+    save_actmem,
     save_em,
 )
 from .numerics import cossim, matmul, relu, softmax_ce
@@ -69,14 +72,6 @@ from .offline import (
     metalearn,
     pretrain,
 )
-from .online import (
-    ActivationMemory,
-    FinetuneConfig,
-    finetune_fcr,
-    learn_class,
-    load_actmem,
-    save_actmem,
-    subbatch_plan,
-)
+from .online import FinetuneConfig, finetune_fcr, learn_class, subbatch_plan
 
 __version__ = "0.1.0"

@@ -213,27 +213,25 @@ def sgd_step(params, tape, lr: float):
     return params
 
 
-def init_model(layer_dims, split_point, seed, activations=None) -> ModelParams:
+def init_model(layer_dims, split_point, seed) -> ModelParams:
     """Glorot-uniform initialised network from a seeded generator.
 
     layer_dims = [in, h1, ..., d_a, d_p]; the final layer is the
-    projection. Default activations: relu on extractor layers, identity
-    on the projection.
+    projection. Extractor layers apply relu, the projection identity.
     """
     if len(layer_dims) < 3:
         raise LayerWidthError("need at least [input, d_a, d_p] dims")
     if min(layer_dims) < 1:
         raise LayerWidthError(f"every layer width must be >= 1, got {list(layer_dims)}")
     n_layers = len(layer_dims) - 1
-    if activations is None:
-        activations = ["relu"] * (n_layers - 1) + ["identity"]
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(n_layers):
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append(DenseLayer(w, np.zeros(fan_out), activations[i]))
+        activation = "relu" if i < n_layers - 1 else "identity"
+        layers.append(DenseLayer(w, np.zeros(fan_out), activation))
     params = ModelParams(layers, split_point)
     if params.d_p >= params.d_a:
         raise LayerWidthError(f"d_p ({params.d_p}) must be < d_a ({params.d_a})")

@@ -35,9 +35,10 @@ from .harness import (
     validate_stream,
 )
 from .losses import PretrainLossConfig
-from .memory import ExplicitMemory, QuantSpec, classify_batch, load_em, precision_sweep, save_em
+from .memory import ActivationMemory, ExplicitMemory, QuantSpec, classify_batch, precision_sweep
+from .memory import load_actmem, load_em, save_actmem, save_em
 from .offline import MetaConfig, metalearn
-from .online import ActivationMemory, FinetuneConfig, learn_class, load_actmem, save_actmem
+from .online import FinetuneConfig, learn_class
 
 _DATA_ERRORS = (
     OSError,
@@ -269,8 +270,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_learn_class(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     dataset = _resolve_dataset(cfg)
-    if cfg.class_id < 0:
-        raise ConfigError("learn-class requires class_id=<nonnegative id>")
+    if not 0 <= cfg.class_id < 2**32:
+        raise ConfigError("learn-class requires class_id=<id in [0, 2**32)>")
     rows = dataset.indices_of(cfg.class_id)
     quant = _recipe(cfg, dataset.input_dim).quant
     em = load_em(cfg.em_in) if cfg.em_in else ExplicitMemory(params.d_p, quant)

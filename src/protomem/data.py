@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ClassIdRangeError,
     CorruptHeaderError,
     InsufficientClassesError,
     InsufficientSamplesError,
@@ -83,6 +84,8 @@ def save_dataset(ds: LabeledDataset, path, dtype: str = "f64"):
     codes = {"f32": _DTYPE_F32, "f64": _DTYPE_F64, "u8": _DTYPE_U8}
     if dtype not in codes:
         raise ValueError(f"unsupported dtype {dtype!r}")
+    if np.any(ds.labels >= 2**32):
+        raise ClassIdRangeError("labels must lie in [0, 2**32) to fit the u32 label field")
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIIB", DATASET_VERSION, len(ds), ds.input_dim, codes[dtype]))

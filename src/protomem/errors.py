@@ -42,11 +42,15 @@ class OverflowAfterShiftError(ProtomemError):
 
 
 class DuplicateClassError(ProtomemError):
-    """Class id already present in the explicit memory."""
+    """Class id already present in a class memory."""
+
+
+class ClassIdRangeError(ProtomemError, ValueError):
+    """Class id or label outside [0, 2**32), the range of the u32 field that stores it."""
 
 
 class EmptySampleSetError(ProtomemError):
-    """learn_class() called with no samples."""
+    """A class with no samples: learn_class() called with none, or a stored shot count of 0."""
 
 
 class MisalignedMemoriesError(ProtomemError):

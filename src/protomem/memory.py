@@ -14,8 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    ClassIdRangeError,
     DuplicateClassError,
     EmptyMemoryError,
+    EmptySampleSetError,
     FormatVersionMismatchError,
     OverflowAfterShiftError,
     SettingValueError,
@@ -126,7 +128,44 @@ def reduce_rows(accum, bits: int):
     return accum >> shifts[:, None], shifts
 
 
-class ExplicitMemory:
+class _ClassRows:
+    """One row per class in insertion order: int64 class `ids` and shot
+    `counts`, beside the per-class arrays that a subclass names.
+    `_append` is the one writer of both memories."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, class_id: int) -> bool:
+        return class_id in self.ids.tolist()
+
+    def class_ids(self) -> list:
+        return self.ids.tolist()
+
+    def _append(self, ids, counts, **rows):
+        """Append rows once every row invariant holds, else write nothing:
+        ids are new, distinct and fit the snapshots' u32 field, counts are
+        >= 1, and each named array keeps its row width."""
+        new = np.asarray(ids).tolist()
+        if any(not 0 <= c < 2**32 for c in new):
+            raise ClassIdRangeError(f"class ids {new} must lie in [0, 2**32)")
+        both = self.ids.tolist() + new
+        if len(set(both)) < len(both):
+            clash = next(c for i, c in enumerate(both) if c in both[:i])
+            raise DuplicateClassError(f"class {clash} already stored")
+        if min(np.asarray(counts).tolist(), default=1) < 1:
+            raise EmptySampleSetError("a stored class needs a shot count >= 1")
+        for name, block in rows.items():
+            width = getattr(self, name).shape[1:]
+            if block.shape[1:] != width:
+                raise ShapeMismatchError(f"{name} rows of shape {block.shape[1:]} != {width}")
+        self.ids = np.concatenate([self.ids, np.asarray(new, dtype=np.int64)])
+        self.counts = np.concatenate([self.counts, np.asarray(counts, dtype=np.int64)])
+        for name, block in rows.items():
+            setattr(self, name, np.concatenate([getattr(self, name), block]))
+
+
+class ExplicitMemory(_ClassRows):
     """The classifier's entire state, one row per class in insertion
     order: class ids, shot counts, right shifts, and (C, d_p) int64
     matrices of exact accumulators and of the reduced values that
@@ -144,15 +183,6 @@ class ExplicitMemory:
         self.accum = np.zeros((0, d_p), dtype=np.int64)
         self.reduced = np.zeros((0, d_p), dtype=np.int64)
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.ids.tolist()
-
-    def class_ids(self) -> list:
-        return self.ids.tolist()
-
     def get(self, class_id: int) -> Prototype:
         """Read-only view of one stored class."""
         if class_id not in self:
@@ -162,28 +192,11 @@ class ExplicitMemory:
         accum.flags.writeable = reduced.flags.writeable = False
         return Prototype(int(self.ids[i]), accum, int(self.counts[i]), reduced, int(self.shifts[i]))
 
-    def _extend(self, ids, counts, shifts, accum, reduced):
-        """Append checked rows: the one write path (`add_accumulated`, `load_em`)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        both = self.ids.tolist() + ids.tolist()
-        if len(set(both)) < len(both):
-            clash = next(c for i, c in enumerate(both) if c in both[:i])
-            raise DuplicateClassError(f"class {clash} already stored")
-        if accum.shape[1] != self.d_p:
-            raise ShapeMismatchError(f"prototype dim {accum.shape[1]} != memory d_p {self.d_p}")
-        if min(np.asarray(counts).tolist(), default=1) < 1:
-            raise ValueError("a usable prototype needs count >= 1")
-        self.ids = np.concatenate([self.ids, ids])
-        self.counts = np.concatenate([self.counts, counts])
-        self.shifts = np.concatenate([self.shifts, shifts])
-        self.accum = np.concatenate([self.accum, accum])
-        self.reduced = np.concatenate([self.reduced, reduced])
-
     def add_accumulated(self, class_id: int, accum, count: int):
         """Store a class from its exact sum, reduced by `reduce_rows`."""
         accum = np.asarray(accum, dtype=np.int64).reshape(1, -1)
         reduced, shifts = reduce_rows(accum, self.quant.prototype_bits)
-        self._extend([class_id], [count], shifts, accum, reduced)
+        self._append([class_id], [count], shifts=shifts, accum=accum, reduced=reduced)
 
     def rebuilt_at_bits(self, bits: int) -> "ExplicitMemory":
         """New memory with every prototype reduced to `bits` storage by
@@ -192,6 +205,29 @@ class ExplicitMemory:
         out.ids, out.counts, out.accum = self.ids, self.counts, self.accum
         out.reduced, out.shifts = reduce_rows(self.accum, bits)
         return out
+
+
+class ActivationMemory(_ClassRows):
+    """Per-class running sums of intermediate features, laid out like
+    `ExplicitMemory`: ids and shot counts in insertion order beside a
+    (C, d_a) float64 matrix of sums. Means are taken on demand."""
+
+    def __init__(self, d_a: int):
+        if d_a < 1:
+            raise ShapeMismatchError("d_a must be positive")
+        self.d_a = d_a
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.sums = np.zeros((0, d_a))
+
+    def add_batch(self, class_id: int, thetas):
+        """Store a new class from its (shots, d_a) activations."""
+        batch = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        self._append([class_id], [len(batch)], sums=batch.sum(axis=0, keepdims=True))
+
+    def mean(self, class_id: int) -> np.ndarray:
+        i = self.class_ids().index(class_id)
+        return self.sums[i] / self.counts[i]
 
 
 def classify_batch(em: ExplicitMemory, features):
@@ -263,6 +299,45 @@ def _int_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
+def _save_rows(path, magic, mem: _ClassRows, bits: int, shift: int, words):
+    """The snapshot writer of both memories: magic, the header (version,
+    class count, entries per class, bits, shift; u32 each), then per class
+    its id and count (u32 each) and its entries, each the low
+    `_int_bytes(bits)` bytes of a little-endian 8-byte word of the (C, d)
+    `words`."""
+    n, d = words.shape
+    width = _int_bytes(bits)
+    payload = words.view(np.uint8).reshape(n, d, 8)[..., :width].reshape(n, d * width)
+    head = np.column_stack([mem.ids, mem.counts]).astype("<u4").view(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<IIIII", SNAPSHOT_VERSION, n, d, bits, shift))
+        fh.write(np.concatenate([head, payload], axis=1).tobytes())
+
+
+def _load_rows(path, magic, widths):
+    """The snapshot reader of both memories: `_save_rows`'s container,
+    with bits in `widths`, filling the file exactly. Returns the header's
+    (d, bits, shift), the id and count columns, and each entry's stored
+    bytes on top of a little-endian 8-byte word, as (C, d, 8) uint8."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 24 or blob[:4] != magic:
+        raise FormatVersionMismatchError(f"{path}: bad magic")
+    version, n, d, bits, shift = struct.unpack_from("<IIIII", blob, 4)
+    if version != SNAPSHOT_VERSION or bits not in widths:
+        raise FormatVersionMismatchError(f"{path}: unsupported version {version} or {bits} bits")
+    width = _int_bytes(bits)
+    record = 8 + d * width
+    if len(blob) != 24 + n * record:
+        raise FormatVersionMismatchError(f"{path}: {len(blob)} bytes, not the header's {n} records")
+    rows = np.frombuffer(blob, dtype=np.uint8, offset=24).reshape(n, record)
+    head = rows[:, :8].copy().view("<u4").astype(np.int64)
+    words = np.zeros((n, d, 8), dtype=np.uint8)
+    words[..., 8 - width :] = rows[:, 8:].reshape(n, d, width)
+    return (d, bits, shift), head[:, 0], head[:, 1], words
+
+
 def save_em(em: ExplicitMemory, path):
     """Snapshot of the reduced-precision store (accumulators are runtime
     state and are not persisted). The header's shift is the largest
@@ -271,37 +346,28 @@ def save_em(em: ExplicitMemory, path):
     limit = 1 << (8 * width - 1)
     if len(em) and (int(em.reduced.min()) < -limit or int(em.reduced.max()) >= limit):
         raise OverflowAfterShiftError(f"reduced values exceed {width}-byte storage")
-    # little-endian two's complement truncated to `width` bytes per entry
-    payload = em.reduced.astype("<i8").view(np.uint8).reshape(len(em), em.d_p, 8)[..., :width]
-    head = np.column_stack([em.ids, em.counts]).astype("<u4").view(np.uint8)
     shift = int(em.shifts.max(initial=0))
-    with open(path, "wb") as fh:
-        fh.write(EM_MAGIC)
-        fh.write(
-            struct.pack("<IIIII", SNAPSHOT_VERSION, len(em), em.d_p, em.quant.prototype_bits, shift)
-        )
-        fh.write(np.concatenate([head, payload.reshape(len(em), em.d_p * width)], axis=1).tobytes())
+    _save_rows(path, EM_MAGIC, em, em.quant.prototype_bits, shift, em.reduced.astype("<i8"))
 
 
 def load_em(path) -> ExplicitMemory:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 24 or blob[:4] != EM_MAGIC:
-        raise FormatVersionMismatchError(f"{path}: bad magic")
-    version, n, d_p, bits, shift = struct.unpack_from("<IIIII", blob, 4)
-    if version != SNAPSHOT_VERSION or not 1 <= bits <= 64:
-        raise FormatVersionMismatchError(f"{path}: unsupported version {version} or {bits} bits")
-    width = _int_bytes(bits)
-    record = 8 + d_p * width
-    if 24 + n * record > len(blob):
-        raise FormatVersionMismatchError(f"{path}: truncated payload")
+    (d_p, bits, shift), ids, counts, words = _load_rows(path, EM_MAGIC, range(1, 65))
     spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
     em = ExplicitMemory(d_p, spec)
-    rows = np.frombuffer(blob, dtype=np.uint8, count=n * record, offset=24).reshape(n, record)
-    head = rows[:, :8].copy().view("<u4").astype(np.int64)
-    # entries fill the top bytes of int64s; shifting back down sign-extends
-    full = np.zeros((n, d_p, 8), dtype=np.uint8)
-    full[..., 8 - width :] = rows[:, 8:].reshape(n, d_p, width)
-    vals = full.view("<i8").reshape(n, d_p).astype(np.int64) >> (8 * (8 - width))
-    em._extend(head[:, 0], head[:, 1], np.full(n, shift, dtype=np.int64), vals, vals.copy())
+    # the stored bytes fill the top of each word; shifting down sign-extends
+    vals = words.view("<i8")[..., 0].astype(np.int64) >> (64 - 8 * _int_bytes(bits))
+    em._append(ids, counts, shifts=np.full(len(ids), shift), accum=vals, reduced=vals.copy())
     return em
+
+
+def save_actmem(act_mem: ActivationMemory, path):
+    """Activation-memory snapshot: the prototype store's container with
+    64-bit entries, the float64 running sums."""
+    _save_rows(path, ACTMEM_MAGIC, act_mem, 64, 0, act_mem.sums.astype("<f8"))
+
+
+def load_actmem(path) -> ActivationMemory:
+    (d_a, _bits, _shift), ids, counts, words = _load_rows(path, ACTMEM_MAGIC, (64,))
+    mem = ActivationMemory(d_a)
+    mem._append(ids, counts, sums=words.view("<f8")[..., 0].astype(np.float64))
+    return mem

@@ -23,9 +23,9 @@ from .losses import (
     sample_augmentation,
     softmax_ce_batch,
 )
-from .memory import ExplicitMemory, QuantSpec
+from .memory import ActivationMemory, ExplicitMemory, QuantSpec
 from .numerics import ZERO_NORM_FLOOR, matmul, relu, row_norms
-from .online import ActivationMemory, learn_class
+from .online import learn_class
 
 
 @dataclass

@@ -1,7 +1,6 @@
 """On-device learning paths: single-pass prototype accumulation and
 optional frozen-extractor finetuning of the projection layer."""
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,52 +9,13 @@ from .backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd
 from .errors import (
     DuplicateClassError,
     EmptySampleSetError,
-    FormatVersionMismatchError,
     MisalignedMemoriesError,
     SettingValueError,
     ShapeMismatchError,
     ZeroNormError,
 )
-from .memory import ACTMEM_MAGIC, SNAPSHOT_VERSION, bipolarize, quantize_feature
+from .memory import bipolarize, quantize_feature
 from .numerics import ZERO_NORM_FLOOR
-
-
-class ActivationMemory:
-    """Per-class running sums of intermediate features; means on demand."""
-
-    def __init__(self, d_a: int):
-        if d_a < 1:
-            raise ShapeMismatchError("d_a must be positive")
-        self.d_a = d_a
-        self._sums: dict[int, np.ndarray] = {}
-        self._counts: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._sums)
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self._sums
-
-    def class_ids(self) -> list:
-        return list(self._sums)
-
-    def count(self, class_id: int) -> int:
-        return self._counts[class_id]
-
-    def add_batch(self, class_id: int, thetas):
-        batch = np.asarray(thetas, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        if batch.shape[1] != self.d_a:
-            raise ShapeMismatchError(f"activation dim {batch.shape[1]} != d_a {self.d_a}")
-        if class_id not in self._sums:
-            self._sums[class_id] = np.zeros(self.d_a)
-            self._counts[class_id] = 0
-        self._sums[class_id] += batch.sum(axis=0)
-        self._counts[class_id] += batch.shape[0]
-
-    def mean(self, class_id: int) -> np.ndarray:
-        return self._sums[class_id] / self._counts[class_id]
 
 
 @dataclass
@@ -76,9 +36,12 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     Features are quantized and summed into an exact integer accumulator;
     the class mean is never materialized (cosine scoring is
     scale-invariant). Extractor and projection weights stay untouched.
+    Both memories are checked before either is written.
     """
-    if class_id in em:
+    if class_id in em or class_id in act_mem:
         raise DuplicateClassError(f"class {class_id} already learned")
+    if act_mem.d_a != params.d_a:
+        raise ShapeMismatchError(f"activation memory d_a {act_mem.d_a} != model d_a {params.d_a}")
     batch = np.asarray(samples, dtype=np.float64)
     if batch.ndim == 1:
         batch = batch[None, :]
@@ -133,7 +96,8 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
         raise MisalignedMemoriesError(
             f"memory class sets differ: em={em_ids} act={am_ids}"
         )
-    inputs = np.stack([act_mem.mean(c) for c in em_ids])
+    order = np.argsort(act_mem.ids)
+    inputs = act_mem.sums[order] / act_mem.counts[order, None]
     targets = bipolarize(em.reduced[np.argsort(em.ids)]).astype(np.float64)
     plan = subbatch_plan(len(em_ids), cfg.sub_batch)
     history = []
@@ -152,36 +116,3 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
             sgd_step(params, tape, cfg.lr)
         history.append(epoch_loss)
     return history
-
-
-def save_actmem(act_mem: ActivationMemory, path):
-    """Activation-memory snapshot in the same container shape as the
-    prototype store, with float64 running sums as payload."""
-    with open(path, "wb") as fh:
-        fh.write(ACTMEM_MAGIC)
-        fh.write(struct.pack("<IIIII", SNAPSHOT_VERSION, len(act_mem), act_mem.d_a, 64, 0))
-        for cid in act_mem.class_ids():
-            fh.write(struct.pack("<II", cid, act_mem.count(cid)))
-            fh.write(act_mem._sums[cid].astype("<f8").tobytes())
-
-
-def load_actmem(path) -> ActivationMemory:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 24 or blob[:4] != ACTMEM_MAGIC:
-        raise FormatVersionMismatchError(f"{path}: bad magic")
-    version, n, d_a, bits, _shift = struct.unpack_from("<IIIII", blob, 4)
-    if version != SNAPSHOT_VERSION or bits != 64:
-        raise FormatVersionMismatchError(f"{path}: unsupported version or payload width")
-    mem = ActivationMemory(d_a)
-    off = 24
-    for _ in range(n):
-        if off + 8 + d_a * 8 > len(blob):
-            raise FormatVersionMismatchError(f"{path}: truncated payload")
-        cid, count = struct.unpack_from("<II", blob, off)
-        off += 8
-        total = np.frombuffer(blob, dtype="<f8", count=d_a, offset=off).copy()
-        off += d_a * 8
-        mem._sums[cid] = total
-        mem._counts[cid] = count
-    return mem

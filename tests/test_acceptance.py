@@ -38,6 +38,7 @@ from protomem.losses import (
     pretrain_loss,
 )
 from protomem.memory import (
+    ActivationMemory,
     ExplicitMemory,
     QuantSpec,
     classify,
@@ -48,7 +49,7 @@ from protomem.memory import (
 )
 from protomem.numerics import softmax_ce
 from protomem.offline import MetaConfig, _query_step, init_fcc, metalearn, pretrain
-from protomem.online import ActivationMemory, _cosine_target_grad, learn_class
+from protomem.online import _cosine_target_grad, learn_class
 
 
 def report(criterion, ok, detail):

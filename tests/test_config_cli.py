@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import save_dataset_csv
 from protomem.backbone import load_params
 from protomem.config import DEFAULTS, ENV_SEED, load_config
-from protomem.data import save_dataset
+from protomem.data import LabeledDataset, save_dataset
 from protomem.errors import ConfigError
 from protomem.harness import TrainRecipe, make_blob_dataset
 from protomem.losses import PretrainLossConfig
@@ -353,6 +354,44 @@ class TestCliCommands:
                             dataset=str(tmp_path / "d.ofds")),
         ])
         assert code == 2
+
+    def test_learn_class_id_outside_u32_exits_2(self, tmp_path, capsys):
+        # an id of 2**32 + 5 would be written to the u32 id field as 5
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        ds = make_blob_dataset(1, 3, grid=TINY["grid"], seed=0)
+        save_dataset_csv(LabeledDataset(ds.inputs, np.full(3, 2**32 + 5)), tmp_path / "d.csv")
+        code = cli.main([
+            "learn-class",
+            *tiny_overrides(tmp_path, params_in=str(tmp_path / "params.ofsc"),
+                            dataset=str(tmp_path / "d.csv"), class_id=2**32 + 5),
+        ])
+        assert code == 2
+        assert "class_id" in capsys.readouterr().err
+        assert not (tmp_path / "em.ofem").exists()
+
+    @pytest.mark.parametrize("corruption", ["zero_count", "repeated_id", "trailing_byte"])
+    @pytest.mark.parametrize("key", ["em_in", "actmem_in"])
+    def test_corrupt_snapshot_rows_exit_3(self, tmp_path, capsys, key, corruption):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        assert self.learn_from_file(tmp_path, 0, "one.ofem", actmem_out=tmp_path / "one.ofam") == 0
+        assert self.learn_from_file(
+            tmp_path, 1, "two.ofem", em_in=tmp_path / "one.ofem",
+            actmem_in=tmp_path / "one.ofam", actmem_out=tmp_path / "two.ofam",
+        ) == 0
+        snapshots = {"em_in": tmp_path / "two.ofem", "actmem_in": tmp_path / "two.ofam"}
+        blob = bytearray(snapshots[key].read_bytes())
+        record = (len(blob) - 24) // 2
+        if corruption == "zero_count":
+            blob[28:32] = bytes(4)
+        elif corruption == "repeated_id":
+            blob[24 + record : 28 + record] = blob[24:28]
+        else:
+            blob += b"\0"
+        snapshots[key].write_bytes(bytes(blob))
+        code = self.learn_from_file(tmp_path, 2, "three.ofem", **snapshots)
+        assert code == 3
+        assert capsys.readouterr().err.startswith(("data error", "error"))
+        assert not (tmp_path / "three.ofem").exists()
 
     def test_env_seed_changes_artifacts(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -13,6 +13,7 @@ from protomem.data import (
     split_fscil,
 )
 from protomem.errors import (
+    ClassIdRangeError,
     CorruptHeaderError,
     InsufficientClassesError,
     InsufficientSamplesError,
@@ -51,6 +52,13 @@ class TestBinaryContainer:
         back = load_dataset(path)
         assert back.inputs.min() >= 0.0 and back.inputs.max() <= 1.0
         np.testing.assert_allclose(back.inputs, ds.inputs, atol=1 / 255)
+
+    def test_labels_must_fit_u32(self, tmp_path):
+        # the label column is u32: 2**32 + 5 would reload as 5
+        ds = LabeledDataset(np.zeros((2, 3)), [1, 2**32 + 5])
+        with pytest.raises(ClassIdRangeError):
+            save_dataset(ds, tmp_path / "d.ofds")
+        assert not (tmp_path / "d.ofds").exists()
 
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(2)

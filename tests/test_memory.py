@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protomem.errors import (
+    ClassIdRangeError,
     DuplicateClassError,
     EmptyMemoryError,
+    EmptySampleSetError,
     FormatVersionMismatchError,
     ShapeMismatchError,
     ZeroNormError,
 )
 from protomem.memory import (
+    ActivationMemory,
     ExplicitMemory,
     QuantSpec,
     bipolarize,
@@ -433,6 +436,22 @@ class TestSnapshot:
         assert len(loaded) == 0 and loaded.d_p == 4 and loaded.quant.prototype_bits == 8
         loaded.add_accumulated(3, [1, -2, 3, 0], 1)
         assert loaded.class_ids() == [3]
+
+    @pytest.mark.parametrize("class_id", [-1, 2**32, 2**32 + 5])
+    def test_ids_must_fit_u32(self, class_id):
+        # the snapshot id column is u32: 2**32 + 5 would reload as 5
+        em, am = ExplicitMemory(2), ActivationMemory(2)
+        with pytest.raises(ClassIdRangeError):
+            em.add_accumulated(class_id, [1, 2], 1)
+        with pytest.raises(ClassIdRangeError):
+            am.add_batch(class_id, [1.0, 2.0])
+        assert len(em) == len(am) == 0
+
+    def test_counts_must_be_positive(self):
+        with pytest.raises(EmptySampleSetError):
+            ExplicitMemory(2).add_accumulated(0, [1, 2], 0)
+        with pytest.raises(EmptySampleSetError):
+            ActivationMemory(2).add_batch(0, np.zeros((0, 2)))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofem"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,17 +18,24 @@ from protomem.errors import (
     DuplicateClassError,
     EmptySampleSetError,
     MisalignedMemoriesError,
+    ShapeMismatchError,
 )
-from protomem.memory import ExplicitMemory, QuantSpec, bipolarize, classify, quantize_feature
+from protomem.memory import (
+    ActivationMemory,
+    ExplicitMemory,
+    QuantSpec,
+    bipolarize,
+    classify,
+    load_actmem,
+    quantize_feature,
+    save_actmem,
+)
 from protomem.numerics import cossim
 from protomem.online import (
-    ActivationMemory,
     FinetuneConfig,
     _cosine_target_grad,
     finetune_fcr,
     learn_class,
-    load_actmem,
-    save_actmem,
     subbatch_plan,
 )
 
@@ -125,6 +134,22 @@ class TestLearnClass:
         learn_class(em, am, params, x, 2)
         with pytest.raises(DuplicateClassError):
             learn_class(em, am, params, x, 2)
+
+    def test_class_in_activation_memory_writes_neither(self):
+        # an activation memory from another run already holds class 2
+        params = net(6)
+        em, am = fresh_memories(params)
+        am.add_batch(2, np.ones((2, params.d_a)))
+        with pytest.raises(DuplicateClassError):
+            learn_class(em, am, params, np.ones((5, 8)), 2)
+        assert len(em) == 0 and am.counts.tolist() == [2]
+
+    def test_activation_width_mismatch_writes_neither(self):
+        params = net(6)
+        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a + 1)
+        with pytest.raises(ShapeMismatchError):
+            learn_class(em, am, params, np.ones((2, 8)), 0)
+        assert len(em) == len(am) == 0
 
     def test_empty_sample_set(self):
         params = net(7)
@@ -301,7 +326,44 @@ class TestActivationMemorySnapshot:
         assert back.class_ids() == am.class_ids()
         for c in am.class_ids():
             np.testing.assert_array_equal(back.mean(c), am.mean(c))
-            assert back.count(c) == am.count(c)
+        assert back.counts.tolist() == am.counts.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 2**31)),
+            max_size=5,
+            unique_by=lambda c: c[0],
+        ),
+    )
+    def test_round_trip_any_ids_widths_and_shots(self, tmp_path_factory, d_a, classes):
+        am = ActivationMemory(d_a)
+        for cid, shots, seed in classes:
+            am.add_batch(cid, np.random.default_rng(seed).standard_normal((shots, d_a)))
+        path = tmp_path_factory.mktemp("ofam") / "mem.ofam"
+        save_actmem(am, path)
+        back = load_actmem(path)
+        assert back.d_a == d_a and back.class_ids() == am.class_ids()
+        for c in am.class_ids():
+            np.testing.assert_array_equal(back.mean(c), am.mean(c))
+        save_actmem(back, path.with_suffix(".again"))
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+    def test_bytes_per_entry_and_header(self, tmp_path):
+        # header: magic, version, count, d_a, 64 bits, shift 0; per class:
+        # id, shot count, then each running sum as a little-endian float64
+        am = ActivationMemory(2)
+        am.add_batch(9, [[0.5, -1.0], [1.5, 2.0]])
+        am.add_batch(4, [-0.25, 3.0])
+        path = tmp_path / "w.ofam"
+        save_actmem(am, path)
+        blob = path.read_bytes()
+        assert blob[:4] == b"OFAM"
+        assert np.frombuffer(blob[4:24], "<u4").tolist() == [1, 2, 2, 64, 0]
+        assert blob[24:] == (
+            struct.pack("<II2d", 9, 2, 2.0, 1.0) + struct.pack("<II2d", 4, 1, -0.25, 3.0)
+        )
 
     def test_bad_magic(self, tmp_path):
         from protomem.errors import FormatVersionMismatchError
