@@ -1,8 +1,13 @@
-"""Command-line surface for scripted experiments.
+"""Command-line surface for scripted experiments: command glue only.
 
-Exit codes: 0 success, 1 validation violations, 2 config errors,
-3 data errors, 4 numeric failure. Every command is deterministic given
-the same config and seed; reruns produce byte-identical artifacts.
+Each command reads a `RunConfig`, builds its library settings with
+`RunConfig.recipe`, reads data through `data.load_dataset` and calls
+the library. Exit codes follow the error class: 0 success,
+1 validation violations, 2 `ConfigError` ("config error:"),
+3 any other `ProtomemError` or `OSError` ("data error:"),
+4 `NumericFailureError` ("numeric failure:"). Every command is
+deterministic given the same config and seed; reruns produce
+byte-identical artifacts.
 """
 
 import argparse
@@ -13,20 +18,8 @@ import numpy as np
 from . import data as dio
 from .backbone import load_params, save_params
 from .config import DEFAULTS, RunConfig, load_config, parse_kv_file
-from .errors import (
-    ConfigError,
-    ConflictingFlagsError,
-    CorruptHeaderError,
-    FormatVersionMismatchError,
-    InsufficientClassesError,
-    InsufficientSamplesError,
-    NumericFailureError,
-    ProtomemError,
-    SizeNotMultipleOfRecordError,
-    TruncatedPayloadError,
-)
+from .errors import ConfigError, NumericFailureError, ProtomemError
 from .harness import (
-    TrainRecipe,
     ablation_matrix,
     extract_features,
     make_blob_dataset,
@@ -34,32 +27,10 @@ from .harness import (
     run_protocol,
     validate_stream,
 )
-from .losses import PretrainLossConfig
-from .memory import ActivationMemory, ExplicitMemory, QuantSpec, classify_batch, precision_sweep
+from .memory import ActivationMemory, ExplicitMemory, classify_batch, precision_sweep
 from .memory import load_actmem, load_em, save_actmem, save_em
-from .offline import MetaConfig, metalearn
-from .online import FinetuneConfig, learn_class
-
-_DATA_ERRORS = (
-    OSError,
-    CorruptHeaderError,
-    TruncatedPayloadError,
-    SizeNotMultipleOfRecordError,
-    FormatVersionMismatchError,
-    InsufficientClassesError,
-    InsufficientSamplesError,
-)
-
-COMMANDS = (
-    "pretrain",
-    "metalearn",
-    "protocol",
-    "sweep",
-    "ablate",
-    "validate",
-    "learn-class",
-    "classify",
-)
+from .offline import metalearn
+from .online import learn_class
 
 
 def _fmt(value) -> str:
@@ -75,17 +46,9 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _load_dataset_file(path, fmt: str) -> dio.LabeledDataset:
-    if fmt == "auto":
-        fmt = "csv" if str(path).endswith(".csv") else "raw-binary"
-    if fmt == "cifar":
-        return dio.load_cifar_batch(path)
-    return dio.load_dataset(path, fmt)
-
-
 def _resolve_dataset(cfg: RunConfig) -> dio.LabeledDataset:
     if cfg.dataset:
-        return _load_dataset_file(cfg.dataset, cfg.dataset_format)
+        return dio.load_dataset(cfg.dataset, cfg.dataset_format)
     if cfg.synthetic:
         per_class = cfg.per_class_cap + cfg.test_per_class
         return make_blob_dataset(
@@ -113,11 +76,9 @@ def _parse_manifest(path) -> dio.SessionStream:
         shots = int(pairs["shots"])
     except ValueError as exc:
         raise ConfigError(f"{path}: ways/shots must be integers") from exc
-    base = _load_dataset_file(pairs["base"], "auto")
-    test = _load_dataset_file(pairs["test"], "auto")
-    sessions = [
-        _load_dataset_file(pairs[key], "auto") for _, key in sorted(session_keys)
-    ]
+    base = dio.load_dataset(pairs["base"])
+    test = dio.load_dataset(pairs["test"])
+    sessions = [dio.load_dataset(pairs[key]) for _, key in sorted(session_keys)]
     return dio.SessionStream(base, sessions, ways, shots, test)
 
 
@@ -137,53 +98,9 @@ def _resolve_stream(cfg: RunConfig) -> dio.SessionStream:
     )
 
 
-def _grid_for(cfg: RunConfig, input_dim: int):
-    """Explicit cutmix grid when the configured one tiles the input."""
-    g = cfg.grid
-    if g > 0 and input_dim % (g * g) == 0:
-        return (g, g)
-    return None
-
-
-def _recipe(cfg: RunConfig, input_dim: int) -> TrainRecipe:
-    """The library settings of a run; input_dim resolves the cutmix grid."""
-    return TrainRecipe(
-        loss=PretrainLossConfig(
-            lambda_ortho=cfg.lambda_ortho,
-            mix_probability=cfg.mix_probability,
-            mix_alpha=cfg.mix_alpha,
-        ),
-        meta=MetaConfig(
-            meta_samples=cfg.meta_samples,
-            iterations=cfg.meta_iterations,
-            lr=cfg.meta_lr,
-            margin=cfg.margin,
-            query_batch=cfg.query_batch,
-            objective=cfg.meta_objective,
-            prototype_gradient=cfg.prototype_gradient,
-        ),
-        finetune=FinetuneConfig(
-            epochs=cfg.finetune_epochs, sub_batch=cfg.finetune_sub_batch, lr=cfg.finetune_lr
-        ),
-        quant=QuantSpec(
-            feature_bits=cfg.feature_bits,
-            accum_bits=cfg.accum_bits,
-            prototype_bits=cfg.prototype_bits,
-            max_shots=cfg.max_shots,
-        ),
-        hidden=tuple(cfg.hidden),
-        d_p=cfg.d_p,
-        pretrain_epochs=cfg.pretrain_epochs,
-        pretrain_lr=cfg.pretrain_lr,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        grid=_grid_for(cfg, input_dim),
-    )
-
-
 def cmd_pretrain(cfg: RunConfig) -> int:
     base = _resolve_stream(cfg).base
-    params, history = pretrain_model(base, _recipe(cfg, base.input_dim))
+    params, history = pretrain_model(base, cfg.recipe(base.input_dim))
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("epoch", "ce", "ortho", "accuracy"), history)
     print(f"pretrained {cfg.pretrain_epochs} epochs -> {cfg.params_out}")
@@ -193,28 +110,23 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 def cmd_metalearn(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     base = _resolve_stream(cfg).base
-    _, history = metalearn(params, base, _recipe(cfg, base.input_dim).meta, seed=cfg.seed)
+    _, history = metalearn(params, base, cfg.recipe(base.input_dim).meta, seed=cfg.seed)
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("iteration", "loss", "accuracy"), history)
     print(f"metalearned {cfg.meta_iterations} iterations -> {cfg.params_out}")
     return 0
 
 
-def _report_rows(label, report):
-    row = [label] + [a for a in report.session_accuracies] + [report.average]
-    return row
-
-
 def _write_report(path, reports):
     n_sessions = len(reports[0][1].session_accuracies)
     header = ["config"] + [f"session_{t}" for t in range(n_sessions)] + ["avg"]
-    _write_csv(path, header, [_report_rows(lbl, rep) for lbl, rep in reports])
+    _write_csv(path, header, [[lbl, *rep.session_accuracies, rep.average] for lbl, rep in reports])
 
 
 def cmd_protocol(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
-    recipe = _recipe(cfg, stream.base.input_dim)
+    recipe = cfg.recipe(stream.base.input_dim)
     report = run_protocol(
         params, stream, recipe.quant, finetune=cfg.finetune, ft_cfg=recipe.finetune
     )
@@ -227,7 +139,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
-    em = ExplicitMemory(params.d_p, _recipe(cfg, stream.base.input_dim).quant)
+    em = ExplicitMemory(params.d_p, cfg.recipe(stream.base.input_dim).quant)
     act_mem = ActivationMemory(params.d_a)
     for ds in [stream.base, *stream.sessions]:
         for cid in ds.class_ids():
@@ -250,7 +162,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
             rows.append(frozenset())
         else:
             rows.append(frozenset(f.strip().upper() for f in token.split(",")))
-    reports = ablation_matrix(stream, rows, _recipe(cfg, stream.base.input_dim))
+    reports = ablation_matrix(stream, rows, cfg.recipe(stream.base.input_dim))
     _write_report(cfg.ablation_out, reports)
     print(f"ablated {len(reports)} rows -> {cfg.ablation_out}")
     return 0
@@ -273,7 +185,7 @@ def cmd_learn_class(cfg: RunConfig) -> int:
     if not 0 <= cfg.class_id < 2**32:
         raise ConfigError("learn-class requires class_id=<id in [0, 2**32)>")
     rows = dataset.indices_of(cfg.class_id)
-    quant = _recipe(cfg, dataset.input_dim).quant
+    quant = cfg.recipe(dataset.input_dim).quant
     em = load_em(cfg.em_in) if cfg.em_in else ExplicitMemory(params.d_p, quant)
     if em.quant.prototype_bits != quant.prototype_bits:
         raise ConfigError(
@@ -320,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Few-shot class-incremental learning with a prototype memory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("-c", "--config", default=None, help="key=value config file")
         p.add_argument(
@@ -337,17 +249,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         return _HANDLERS[args.command](cfg)
-    except (ConfigError, ConflictingFlagsError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except ProtomemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProtomemError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 3
 
 

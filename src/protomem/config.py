@@ -1,13 +1,17 @@
 """Flat key=value run configuration with typed defaults and overrides.
 
-Every key that sets a library value reads its default from a default
-`harness.TrainRecipe`, whose settings classes own those defaults; the
-table declares only the keys that choose data, streams, files and what
-a command runs. Config files are diffable text: one key=value per line,
+Each library key is one RECIPE_KEYS row that names the
+`harness.TrainRecipe` field it sets; its default is read from a default
+`TrainRecipe`, whose settings classes own those defaults, and
+`RunConfig.recipe` builds a run's `TrainRecipe` through the same rows.
+DEFAULTS adds the keys that choose data, streams, files and what a
+command runs. Config files are diffable text: one key=value per line,
 '#' comments allowed.
 """
 
 import os
+from dataclasses import replace
+from functools import reduce
 
 from .errors import ConfigError
 from .harness import TrainRecipe
@@ -30,41 +34,50 @@ def _intlist(text: str) -> tuple:
 
 _RECIPE = TrainRecipe()
 
+# library key -> (parser, the TrainRecipe field it sets)
+RECIPE_KEYS = {
+    "seed": (int, "seed"),
+    # model
+    "hidden": (_intlist, "hidden"),
+    "d_p": (int, "d_p"),
+    # pretraining
+    "pretrain_epochs": (int, "pretrain_epochs"),
+    "pretrain_lr": (float, "pretrain_lr"),
+    "batch_size": (int, "batch_size"),
+    "lambda_ortho": (float, "loss.lambda_ortho"),
+    "mix_probability": (float, "loss.mix_probability"),
+    "mix_alpha": (float, "loss.mix_alpha"),
+    # metalearning
+    "margin": (float, "meta.margin"),
+    "meta_samples": (int, "meta.meta_samples"),
+    "meta_iterations": (int, "meta.iterations"),
+    "meta_lr": (float, "meta.lr"),
+    "query_batch": (int, "meta.query_batch"),
+    "meta_objective": (str, "meta.objective"),
+    "prototype_gradient": (_bool, "meta.prototype_gradient"),
+    # finetuning
+    "finetune_epochs": (int, "finetune.epochs"),
+    "finetune_sub_batch": (int, "finetune.sub_batch"),
+    "finetune_lr": (float, "finetune.lr"),
+    # quantization
+    "feature_bits": (int, "quant.feature_bits"),
+    "accum_bits": (int, "quant.accum_bits"),
+    "prototype_bits": (int, "quant.prototype_bits"),
+    "max_shots": (int, "quant.max_shots"),
+}
+
 # key -> (parser, default)
 DEFAULTS = {
-    "seed": (int, _RECIPE.seed),
-    # model
-    "hidden": (_intlist, _RECIPE.hidden),
-    "d_p": (int, _RECIPE.d_p),
-    # pretraining
-    "pretrain_epochs": (int, _RECIPE.pretrain_epochs),
-    "pretrain_lr": (float, _RECIPE.pretrain_lr),
-    "batch_size": (int, _RECIPE.batch_size),
-    "lambda_ortho": (float, _RECIPE.loss.lambda_ortho),
-    "mix_probability": (float, _RECIPE.loss.mix_probability),
-    "mix_alpha": (float, _RECIPE.loss.mix_alpha),
-    # metalearning
-    "margin": (float, _RECIPE.meta.margin),
-    "meta_samples": (int, _RECIPE.meta.meta_samples),
-    "meta_iterations": (int, _RECIPE.meta.iterations),
-    "meta_lr": (float, _RECIPE.meta.lr),
-    "query_batch": (int, _RECIPE.meta.query_batch),
-    "meta_objective": (str, _RECIPE.meta.objective),
-    "prototype_gradient": (_bool, _RECIPE.meta.prototype_gradient),
-    # finetuning
+    **{
+        key: (parser, reduce(getattr, field.split("."), _RECIPE))
+        for key, (parser, field) in RECIPE_KEYS.items()
+    },
+    # what protocol and sweep run
     "finetune": (_bool, False),
-    "finetune_epochs": (int, _RECIPE.finetune.epochs),
-    "finetune_sub_batch": (int, _RECIPE.finetune.sub_batch),
-    "finetune_lr": (float, _RECIPE.finetune.lr),
-    # quantization
-    "feature_bits": (int, _RECIPE.quant.feature_bits),
-    "accum_bits": (int, _RECIPE.quant.accum_bits),
-    "prototype_bits": (int, _RECIPE.quant.prototype_bits),
-    "max_shots": (int, _RECIPE.quant.max_shots),
     "sweep_bits": (_intlist, (8, 7, 6, 5, 4, 3, 2, 1)),
     # data source (file, manifest, or synthetic blobs)
     "dataset": (str, ""),
-    "dataset_format": (str, "auto"),  # auto | raw-binary | csv | cifar
+    "dataset_format": (str, "auto"),  # resolved by data.load_dataset
     "stream_manifest": (str, ""),
     "synthetic": (_bool, True),
     "classes": (int, 18),
@@ -108,6 +121,22 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         return dict(self._values)
+
+    def recipe(self, input_dim: int) -> TrainRecipe:
+        """The library settings of this run, built through RECIPE_KEYS.
+        Each settings object is the default one with this run's values
+        replaced, so it validates them; input_dim resolves the cutmix grid:
+        an explicit (grid, grid) when it tiles the input, else None."""
+        fields = {"": {}}
+        for key, (_, field) in RECIPE_KEYS.items():
+            owner, _, name = field.rpartition(".")
+            fields.setdefault(owner, {})[name] = self._values[key]
+        top = fields.pop("")
+        for owner, values in fields.items():  # validated in table order
+            top[owner] = replace(getattr(_RECIPE, owner), **values)
+        g = self.grid
+        top["grid"] = (g, g) if g > 0 and input_dim % (g * g) == 0 else None
+        return replace(_RECIPE, **top)
 
     def dump(self) -> str:
         lines = []

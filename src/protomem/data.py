@@ -37,7 +37,7 @@ class LabeledDataset:
         if self.labels.ndim != 1 or self.labels.shape[0] != self.inputs.shape[0]:
             raise ShapeMismatchError("labels must align with input rows")
         if self.labels.size and self.labels.min() < 0:
-            raise ValueError("labels must be nonnegative")
+            raise ClassIdRangeError("labels must be nonnegative")
         check_finite(self.inputs, "dataset inputs")
 
     def __len__(self) -> int:
@@ -141,19 +141,29 @@ def _load_csv_dataset(path) -> LabeledDataset:
             parts = line.split(",")
             if len(parts) != dim + 1:
                 raise TruncatedPayloadError(f"{path}:{lineno}: wrong field count")
-            ys.append(int(parts[0]))
-            xs.append([float(v) for v in parts[1:]])
+            try:
+                ys.append(int(parts[0]))
+                xs.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise TruncatedPayloadError(f"{path}:{lineno}: {exc}") from exc
     if not xs:
         return LabeledDataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
     return LabeledDataset(np.array(xs), np.array(ys, dtype=np.int64))
 
 
-def load_dataset(path, format: str = "raw-binary") -> LabeledDataset:
-    if format == "raw-binary":
-        return _load_binary_dataset(path)
-    if format == "csv":
-        return _load_csv_dataset(path)
-    raise SettingValueError(f"unknown dataset format {format!r}")
+def load_dataset(path, format: str = "auto") -> LabeledDataset:
+    """Read a "raw-binary", "csv" or "cifar" dataset file; "auto" reads a
+    path ending in .csv as CSV and any other path as raw-binary."""
+    if format == "auto":
+        format = "csv" if str(path).endswith(".csv") else "raw-binary"
+    loaders = {
+        "raw-binary": _load_binary_dataset,
+        "csv": _load_csv_dataset,
+        "cifar": load_cifar_batch,
+    }
+    if format not in loaders:
+        raise SettingValueError(f"unknown dataset format {format!r}")
+    return loaders[format](path)
 
 
 def load_cifar_batch(path) -> LabeledDataset:

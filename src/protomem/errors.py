@@ -46,7 +46,8 @@ class DuplicateClassError(ProtomemError):
 
 
 class ClassIdRangeError(ProtomemError, ValueError):
-    """Class id or label outside [0, 2**32), the range of the u32 field that stores it."""
+    """Class id, label or shot count outside the range of the u32 field that
+    stores it: [0, 2**32) for ids and labels, [1, 2**32) for counts."""
 
 
 class EmptySampleSetError(ProtomemError):
@@ -65,12 +66,12 @@ class InsufficientClassesError(ProtomemError):
     """Dataset has fewer classes than the requested split needs."""
 
 
-class ConflictingFlagsError(ProtomemError):
-    """Mutually exclusive ablation flags requested together."""
-
-
 class NumericFailureError(ProtomemError):
     """Training produced a non-finite loss."""
+
+
+class NonFiniteValueError(ProtomemError, ValueError):
+    """An input array holds NaN or infinite entries."""
 
 
 class ConfigError(ProtomemError):
@@ -79,6 +80,10 @@ class ConfigError(ProtomemError):
 
 class SettingValueError(ConfigError, ValueError):
     """A settings dataclass rejected one of its values."""
+
+
+class ConflictingFlagsError(ConfigError):
+    """Mutually exclusive ablation flags requested together."""
 
 
 class LayerWidthError(ShapeMismatchError, SettingValueError):

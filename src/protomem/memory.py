@@ -144,8 +144,9 @@ class _ClassRows:
 
     def _append(self, ids, counts, **rows):
         """Append rows once every row invariant holds, else write nothing:
-        ids are new, distinct and fit the snapshots' u32 field, counts are
-        >= 1, and each named array keeps its row width."""
+        ids are new, distinct and fit the snapshots' u32 id field, counts
+        are >= 1 and fit their u32 count field, and each named array keeps
+        its row width."""
         new = np.asarray(ids).tolist()
         if any(not 0 <= c < 2**32 for c in new):
             raise ClassIdRangeError(f"class ids {new} must lie in [0, 2**32)")
@@ -153,8 +154,11 @@ class _ClassRows:
         if len(set(both)) < len(both):
             clash = next(c for i, c in enumerate(both) if c in both[:i])
             raise DuplicateClassError(f"class {clash} already stored")
-        if min(np.asarray(counts).tolist(), default=1) < 1:
+        shots = np.asarray(counts).tolist()
+        if min(shots, default=1) < 1:
             raise EmptySampleSetError("a stored class needs a shot count >= 1")
+        if max(shots, default=0) >= 2**32:
+            raise ClassIdRangeError(f"shot counts {shots} must lie below 2**32")
         for name, block in rows.items():
             width = getattr(self, name).shape[1:]
             if block.shape[1:] != width:

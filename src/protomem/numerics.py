@@ -8,7 +8,7 @@ not bitwise equal to the naive triple loop.
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroNormError
+from .errors import NonFiniteValueError, ShapeMismatchError, ZeroNormError
 
 ZERO_NORM_FLOOR = 1e-12
 
@@ -30,7 +30,7 @@ def as_matrix(x) -> np.ndarray:
 def check_finite(x, what: str = "array") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise NonFiniteValueError(f"{what} contains non-finite entries")
     return arr
 
 

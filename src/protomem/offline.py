@@ -103,7 +103,8 @@ def pretrain(
     epochs: int,
     lr: float,
     seed,
-    batch_size: int = 64,
+    *,
+    batch_size: int,
     grid=None,
 ):
     """Minibatch SGD on the composite CE + orthogonality objective.

@@ -49,7 +49,7 @@ def learn_class(em, act_mem, params, samples, class_id: int):
         raise EmptySampleSetError("learn_class needs at least one sample")
     shots = batch.shape[0]
     if shots > em.quant.max_shots:
-        raise ValueError(
+        raise SettingValueError(
             f"{shots} shots exceed the declared max_shots {em.quant.max_shots}"
         )
     theta_a = forward_backbone(params, batch)

@@ -1,5 +1,5 @@
 import ast
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +7,16 @@ import pytest
 
 from helpers import save_dataset_csv
 from protomem.backbone import load_params
-from protomem.config import DEFAULTS, ENV_SEED, load_config
+from protomem import errors
+from protomem.config import DEFAULTS, ENV_SEED, RECIPE_KEYS, load_config
 from protomem.data import LabeledDataset, save_dataset
-from protomem.errors import ConfigError
+from protomem.errors import (
+    ConfigError,
+    ConflictingFlagsError,
+    LayerWidthError,
+    NumericFailureError,
+    SettingValueError,
+)
 from protomem.harness import TrainRecipe, make_blob_dataset
 from protomem.losses import PretrainLossConfig
 from protomem.memory import QuantSpec, load_em
@@ -80,9 +87,11 @@ class TestConfigDefaults:
         assert cfg.max_shots == quant.max_shots
 
     def test_cli_default_recipe_is_train_recipe(self):
-        assert cli._recipe(load_config(), 16 * 16) == replace(TrainRecipe(), grid=(16, 16))
+        assert load_config().recipe(16 * 16) == replace(TrainRecipe(), grid=(16, 16))
 
     def test_every_key_is_read_by_the_cli(self):
+        # a RECIPE_KEYS row reaches the library through RunConfig.recipe
+        # (test_recipe_key_sets_its_field); the CLI reads every other key
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
         read = {
             node.attr
@@ -91,7 +100,34 @@ class TestConfigDefaults:
             and isinstance(node.value, ast.Name)
             and node.value.id == "cfg"
         }
-        assert sorted(set(DEFAULTS) - read) == []
+        assert set(RECIPE_KEYS) <= set(DEFAULTS)
+        assert sorted(set(DEFAULTS) - set(RECIPE_KEYS) - read) == []
+
+    NON_DEFAULT = dict(
+        seed="11", hidden="20,10", d_p="5", pretrain_epochs="3", pretrain_lr="0.5",
+        batch_size="8", lambda_ortho="0.3", mix_probability="0.2", mix_alpha="2.0",
+        margin="0.2", meta_samples="3", meta_iterations="7", meta_lr="0.02", query_batch="16",
+        meta_objective="ce", prototype_gradient="true", finetune_epochs="4",
+        finetune_sub_batch="2", finetune_lr="0.05", feature_bits="6", accum_bits="40",
+        prototype_bits="12", max_shots="128",
+    )
+
+    @pytest.mark.parametrize("key", sorted(RECIPE_KEYS))
+    def test_recipe_key_sets_its_field(self, key):
+        def fields(recipe):
+            flat = {}
+            for name, value in asdict(recipe).items():
+                if isinstance(value, dict):
+                    flat.update({f"{name}.{k}": v for k, v in value.items()})
+                else:
+                    flat[name] = value
+            return flat
+
+        cfg = load_config(overrides=[f"{key}={self.NON_DEFAULT[key]}"])
+        default, changed = fields(load_config().recipe(64)), fields(cfg.recipe(64))
+        field = RECIPE_KEYS[key][1]
+        assert changed[field] == cfg.as_dict()[key] != default[field]
+        assert {f for f in changed if changed[f] != default[f]} == {field}
 
     def test_dump_round_trips(self, tmp_path):
         cfg = load_config()
@@ -165,6 +201,31 @@ class TestCliCommands:
 
     def test_unknown_key_exits_2(self, tmp_path):
         assert cli.main(["pretrain", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize(
+        "exc_type",
+        [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+        + [OSError],
+        ids=lambda c: c.__name__,
+    )
+    def test_exit_code_follows_error_class(self, monkeypatch, capsys, exc_type):
+        def handler(cfg):
+            raise exc_type("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+        code = cli.main(["validate"])
+        err = capsys.readouterr().err
+        if issubclass(exc_type, ConfigError):
+            assert (code, err) == (2, "config error: boom\n")
+        elif issubclass(exc_type, NumericFailureError):
+            assert (code, err) == (4, "numeric failure: boom\n")
+        else:
+            assert (code, err) == (3, "data error: boom\n")
+
+    def test_flag_and_setting_errors_exit_2(self):
+        # the exit-code guard above then holds each of them to exit 2
+        for exc_type in (ConflictingFlagsError, SettingValueError, LayerWidthError):
+            assert issubclass(exc_type, ConfigError)
 
     def test_full_chain_and_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -343,6 +404,40 @@ class TestCliCommands:
         for key in ("threads", "right_shift"):
             with pytest.raises(ConfigError):
                 load_config(overrides=[f"{key}=1"])
+
+    def test_learn_class_beyond_max_shots_exits_2(self, tmp_path, capsys):
+        # the synthetic class 1 has per_class_cap + test_per_class = 11 shots
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        code = cli.main([
+            "learn-class",
+            *tiny_overrides(tmp_path, params_in=str(tmp_path / "params.ofsc"),
+                            class_id=1, max_shots=2),
+        ])
+        assert code == 2
+        assert "11 shots exceed the declared max_shots 2" in capsys.readouterr().err
+        assert not (tmp_path / "em.ofem").exists()
+        assert not (tmp_path / "am.ofam").exists()
+
+    @pytest.mark.parametrize("label,value", [("-1", "0.5"), ("x", "0.5"), ("0", "nan")],
+                             ids=["negative_label", "text_label", "nan_value"])
+    def test_bad_csv_rows_exit_3(self, tmp_path, capsys, label, value):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        params = str(tmp_path / "params.ofsc")
+        assert cli.main(["learn-class", *tiny_overrides(tmp_path, params_in=params, class_id=0)]) == 0
+        dim = TINY["grid"] ** 2
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            ",".join(["label"] + [f"f{i}" for i in range(dim)]) + "\n"
+            + ",".join([label] + [value] * dim) + "\n"
+        )
+        code = cli.main([
+            "classify",
+            *tiny_overrides(tmp_path, params_in=params, em_in=str(tmp_path / "em.ofem"),
+                            dataset=str(path)),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error")
+        assert not (tmp_path / "pred.csv").exists()
 
     def test_learn_class_requires_class_id(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0

@@ -33,9 +33,10 @@ class TestBinaryContainer:
         ds = toy_dataset(rng)
         path = tmp_path / "d.ofds"
         save_dataset(ds, path, dtype="f64")
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.inputs, ds.inputs)
-        np.testing.assert_array_equal(back.labels, ds.labels)
+        for fmt in ("raw-binary", "auto"):  # auto reads a non-.csv path as raw-binary
+            back = load_dataset(path, format=fmt)
+            np.testing.assert_array_equal(back.inputs, ds.inputs)
+            np.testing.assert_array_equal(back.labels, ds.labels)
 
     def test_round_trip_f32_tolerance(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -94,9 +95,10 @@ class TestCsv:
         ds = toy_dataset(rng)
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
-        back = load_dataset(path, format="csv")
-        np.testing.assert_array_equal(back.inputs, ds.inputs)  # repr round-trips
-        np.testing.assert_array_equal(back.labels, ds.labels)
+        for fmt in ("csv", "auto"):  # auto reads a .csv path as CSV
+            back = load_dataset(path, format=fmt)
+            np.testing.assert_array_equal(back.inputs, ds.inputs)  # repr round-trips
+            np.testing.assert_array_equal(back.labels, ds.labels)
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -112,11 +114,11 @@ class TestCifar:
     def test_two_records_exact(self, tmp_path):
         path = tmp_path / "batch.bin"
         path.write_bytes(self.make_record(1, 42, 255) + self.make_record(0, 7, 0))
-        ds = load_cifar_batch(path)
-        assert len(ds) == 2
-        assert ds.labels.tolist() == [42, 7]
-        assert ds.inputs[0].min() == 1.0 and ds.inputs[0].max() == 1.0
-        assert not ds.inputs[1].any()
+        for ds in (load_cifar_batch(path), load_dataset(path, format="cifar")):
+            assert len(ds) == 2
+            assert ds.labels.tolist() == [42, 7]
+            assert ds.inputs[0].min() == 1.0 and ds.inputs[0].max() == 1.0
+            assert not ds.inputs[1].any()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"

@@ -453,6 +453,14 @@ class TestSnapshot:
         with pytest.raises(EmptySampleSetError):
             ActivationMemory(2).add_batch(0, np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("count", [2**32, 2**32 + 3])
+    def test_counts_must_fit_u32(self, count):
+        # the snapshot count column is u32: 2**32 + 3 would reload as 3
+        em = ExplicitMemory(3)
+        with pytest.raises(ClassIdRangeError):
+            em.add_accumulated(0, [1, 2, 3], count)
+        assert len(em) == 0
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofem"
         path.write_bytes(b"NOPE" + bytes(40))

@@ -127,7 +127,7 @@ class TestPretrain:
         fcc = init_fcc(5, 8, 0)
         cfg = PretrainLossConfig()
         with pytest.raises(ShapeMismatchError):
-            pretrain(params, fcc, ds, cfg, epochs=1, lr=0.01, seed=0)
+            pretrain(params, fcc, ds, cfg, epochs=1, lr=0.01, seed=0, batch_size=32)
 
 
 class TestMetaScore:
