@@ -63,9 +63,8 @@ from .memory import (
     save_actmem,
     save_em,
 )
-from .numerics import cossim, matmul, relu, softmax_ce
+from .numerics import cossim, matmul, relu
 from .offline import (
-    FccHead,
     MetaConfig,
     build_base_em,
     init_fcc,

@@ -90,8 +90,9 @@ class GradientTape:
     input_grad is d(loss)/d(input of the lowest layer backward reached):
     the model input, or theta_a with frozen_backbone. It is computed on
     its first read from that layer's gradient and the copy of its weight
-    that backward leaves on the tape, so training, which never reads it,
-    skips that product. It holds the value from before any sgd_step.
+    that backward leaves on the tape, so a tape it is never read from
+    skips that product; pretraining reads it from the head's tape only.
+    It holds the value from before any sgd_step.
     """
 
     def __init__(self):
@@ -293,4 +294,6 @@ def load_params(path) -> ModelParams:
         b = np.frombuffer(blob, dtype="<f8", count=cols, offset=off)
         off += cols * 8
         layers.append(DenseLayer(w.copy(), b.copy(), act))
+    if off != len(blob):
+        raise FormatVersionMismatchError(f"{path}: {len(blob) - off} bytes past the payload")
     return ModelParams(layers, split_point=len(layers) - 1)

@@ -9,6 +9,7 @@ command runs. Config files are diffable text: one key=value per line,
 '#' comments allowed.
 """
 
+import math
 import os
 from dataclasses import replace
 from functools import reduce
@@ -28,6 +29,13 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _intlist(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -42,23 +50,23 @@ RECIPE_KEYS = {
     "d_p": (int, "d_p"),
     # pretraining
     "pretrain_epochs": (int, "pretrain_epochs"),
-    "pretrain_lr": (float, "pretrain_lr"),
+    "pretrain_lr": (_float, "pretrain_lr"),
     "batch_size": (int, "batch_size"),
-    "lambda_ortho": (float, "loss.lambda_ortho"),
-    "mix_probability": (float, "loss.mix_probability"),
-    "mix_alpha": (float, "loss.mix_alpha"),
+    "lambda_ortho": (_float, "loss.lambda_ortho"),
+    "mix_probability": (_float, "loss.mix_probability"),
+    "mix_alpha": (_float, "loss.mix_alpha"),
     # metalearning
-    "margin": (float, "meta.margin"),
+    "margin": (_float, "meta.margin"),
     "meta_samples": (int, "meta.meta_samples"),
     "meta_iterations": (int, "meta.iterations"),
-    "meta_lr": (float, "meta.lr"),
+    "meta_lr": (_float, "meta.lr"),
     "query_batch": (int, "meta.query_batch"),
     "meta_objective": (str, "meta.objective"),
     "prototype_gradient": (_bool, "meta.prototype_gradient"),
     # finetuning
     "finetune_epochs": (int, "finetune.epochs"),
     "finetune_sub_batch": (int, "finetune.sub_batch"),
-    "finetune_lr": (float, "finetune.lr"),
+    "finetune_lr": (_float, "finetune.lr"),
     # quantization
     "feature_bits": (int, "quant.feature_bits"),
     "accum_bits": (int, "quant.accum_bits"),
@@ -82,7 +90,7 @@ DEFAULTS = {
     "synthetic": (_bool, True),
     "classes": (int, 18),
     "grid": (int, 16),
-    "data_noise": (float, 0.05),
+    "data_noise": (_float, 0.05),
     # stream split
     "base_classes": (int, 10),
     "ways": (int, 2),

@@ -115,6 +115,8 @@ def _load_binary_dataset(path) -> LabeledDataset:
     need = count * dim * item + count * 4
     if len(blob) - off < need:
         raise TruncatedPayloadError(f"{path}: payload shorter than header promises")
+    if len(blob) - off > need:
+        raise CorruptHeaderError(f"{path}: {len(blob) - off - need} bytes past the payload")
     if dtype == _DTYPE_F32:
         x = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=off).astype(np.float64)
     elif dtype == _DTYPE_F64:
@@ -206,6 +208,8 @@ def split_fscil(
     """
     if ways < 1 or shots < 1 or base_classes < 1 or per_class_cap < 1:
         raise SettingValueError("base_classes, ways, shots and per_class_cap must be positive")
+    if test_per_class < 0:
+        raise SettingValueError(f"test_per_class must be >= 0, got {test_per_class}")
     classes = dataset.class_ids()
     if sessions is None:
         sessions = (len(classes) - base_classes) // ways

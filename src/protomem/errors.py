@@ -18,11 +18,13 @@ class NoForwardRecordedError(ProtomemError):
 
 
 class FormatVersionMismatchError(ProtomemError):
-    """Binary file has the wrong magic, version, or is truncated."""
+    """Binary file has the wrong magic or version, or a length other than
+    its header promises."""
 
 
 class CorruptHeaderError(ProtomemError):
-    """Dataset file header failed validation."""
+    """Dataset file header failed validation, or the file runs past the
+    payload the header promises."""
 
 
 class TruncatedPayloadError(ProtomemError):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SettingValueError, ShapeMismatchError, ZeroNormError
-from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, matmul, softmax_ce
+from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, matmul
 
 
 @dataclass
@@ -55,16 +55,22 @@ def softmax_ce_batch(logits, targets):
     Summed, not averaged: the composite pretraining objective adds a
     Gram penalty that is itself a sum over batch pairs, and the two
     terms must share the batch scaling for one weight to balance them.
-    Each row's loss and gradient are bitwise those of `softmax_ce` on
-    that row, and the total adds the row losses in row order.
+    Takes one row of logits with its index or soft row, or a (B, C)
+    batch with an index per row (or one for every row) or a soft row per
+    row; the total adds the row losses in row order. Each row's loss and gradient
+    are bitwise those of scoring it alone. Returns (loss, grad) with
+    grad = softmax - target, shaped like the logits.
     """
-    z = as_matrix(logits)
+    l = np.asarray(logits, dtype=np.float64)
+    z = as_matrix(l[None] if l.ndim == 1 else l)
     shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
     logp = shifted - np.log(total)
     grad = exp / total
     t = np.asarray(targets)
+    if l.ndim == 1 and t.ndim == 1:
+        t = t[None]
     if t.ndim < 2:
         idx = (np.full(len(z), t) if t.ndim == 0 else t).astype(np.int64)
         if idx.shape != z.shape[:1] or np.any((idx < 0) | (idx >= z.shape[1])):
@@ -82,7 +88,7 @@ def softmax_ce_batch(logits, targets):
     loss = 0.0
     for row_loss in losses.tolist():
         loss += row_loss
-    return loss, grad
+    return loss, grad if l.ndim == 2 else grad[0]
 
 
 def pretrain_loss(logits, targets, theta_pb, cfg: PretrainLossConfig):
@@ -93,11 +99,7 @@ def pretrain_loss(logits, targets, theta_pb, cfg: PretrainLossConfig):
     is 0 or the batch has one row: one unit row has Gram matrix [1], so
     zero loss and zero gradient.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim == 1:
-        ce, grad_logits = softmax_ce(z, targets)
-    else:
-        ce, grad_logits = softmax_ce_batch(z, targets)
+    ce, grad_logits = softmax_ce_batch(logits, targets)
     theta = np.asarray(theta_pb, dtype=np.float64)
     if cfg.lambda_ortho > 0 and len(as_matrix(theta)) > 1:
         ortho, grad_theta = ortho_loss(theta)

@@ -83,29 +83,3 @@ def matmul(a, b) -> np.ndarray:
         np.add(out, tmp, out=out)
     return out
 
-
-def softmax_ce(logits, target):
-    """Numerically stable cross-entropy and its gradient w.r.t. the logits.
-
-    target is either a class index or a probability vector (soft labels
-    from feature interpolation). Returns (loss, grad) with grad = p - t.
-    """
-    z = as_vector(logits)
-    shifted = z - z.max()
-    exp = np.exp(shifted)
-    total = exp.sum()
-    p = exp / total
-    logp = shifted - np.log(total)
-    if np.isscalar(target) or getattr(target, "ndim", 1) == 0:
-        idx = int(target)
-        if not 0 <= idx < z.size:
-            raise ShapeMismatchError(f"target index {idx} out of range for {z.size} logits")
-        t = np.zeros_like(z)
-        t[idx] = 1.0
-        loss = -float(logp[idx])
-    else:
-        t = as_vector(target)
-        if t.shape != z.shape:
-            raise ShapeMismatchError("soft target length differs from logits")
-        loss = -float(np.dot(t, logp))
-    return loss, p - t

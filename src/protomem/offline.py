@@ -6,7 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd_step
+from .backbone import (
+    DenseLayer,
+    GradientTape,
+    ModelParams,
+    backward,
+    forward_backbone,
+    forward_fcr,
+    sgd_step,
+)
 from .errors import (
     InsufficientSamplesError,
     NumericFailureError,
@@ -24,40 +32,20 @@ from .losses import (
     softmax_ce_batch,
 )
 from .memory import ActivationMemory, ExplicitMemory, QuantSpec
-from .numerics import ZERO_NORM_FLOOR, matmul, relu, row_norms
+from .numerics import ZERO_NORM_FLOOR, relu, row_norms
 from .online import learn_class
 
 
-@dataclass
-class FccHead:
-    """Temporary linear classifier used only during pretraining."""
-
-    weight: np.ndarray  # (num_classes, d_p)
-    bias: np.ndarray  # (num_classes,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ShapeMismatchError("head expects (C, d_p) weight and (C,) bias")
-        if self.weight.shape[0] >= self.weight.shape[1]:
-            raise ShapeMismatchError(
-                "head needs fewer classes than feature dims (d_p > |C0|)"
-            )
-
-    @property
-    def num_classes(self) -> int:
-        return self.weight.shape[0]
-
-
-def init_fcc(num_classes: int, d_p: int, seed) -> FccHead:
+def init_fcc(num_classes: int, d_p: int, seed) -> ModelParams:
+    """The temporary pretraining classifier: one identity DenseLayer from
+    d_p features to num_classes logits, Glorot-uniform over a seeded
+    (num_classes, d_p) draw stored transposed, with zero bias."""
+    if num_classes >= d_p:
+        raise ShapeMismatchError("head needs fewer classes than feature dims (d_p > |C0|)")
     rng = np.random.default_rng(seed)
     limit = np.sqrt(6.0 / (num_classes + d_p))
-    return FccHead(rng.uniform(-limit, limit, size=(num_classes, d_p)), np.zeros(num_classes))
-
-
-def fcc_forward(fcc: FccHead, theta_p: np.ndarray) -> np.ndarray:
-    return matmul(theta_p, fcc.weight.T) + fcc.bias
+    weight = rng.uniform(-limit, limit, size=(num_classes, d_p)).T.copy()
+    return ModelParams([DenseLayer(weight, np.zeros(num_classes))], split_point=1)
 
 
 @dataclass
@@ -97,7 +85,7 @@ def _infer_grid(dim: int):
 
 def pretrain(
     params,
-    fcc: FccHead,
+    fcc: ModelParams,
     base_dataset,
     cfg: PretrainLossConfig,
     epochs: int,
@@ -116,15 +104,17 @@ def pretrain(
     shuffled partner. History rows are (epoch, per-sample CE, per-batch
     ortho, train accuracy on the un-augmented labels). Deterministic
     under a fixed seed.
+
+    fcc is the one-layer head from `init_fcc`: it runs on its own tape,
+    is updated by the same `sgd_step`, and passes its input gradient
+    down to the projection.
     """
     if batch_size < 1:
         raise SettingValueError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     class_ids = base_dataset.class_ids()
-    if len(class_ids) != fcc.num_classes:
-        raise ShapeMismatchError(
-            f"dataset has {len(class_ids)} classes, head expects {fcc.num_classes}"
-        )
+    if len(class_ids) != fcc.d_p:  # the head's output width
+        raise ShapeMismatchError(f"dataset has {len(class_ids)} classes, head expects {fcc.d_p}")
     n = len(base_dataset)
     history = []
     for epoch in range(epochs):
@@ -154,7 +144,8 @@ def pretrain(
             tape = GradientTape()
             theta_a = forward_backbone(params, x, tape)
             theta_p = forward_fcr(params, theta_a, tape)
-            logits = fcc_forward(fcc, theta_p)
+            head_tape = GradientTape()
+            logits = forward_backbone(fcc, theta_p, head_tape)
             loss, grad_logits, grad_theta, (ce_part, ortho_part) = pretrain_loss(
                 logits, targets, theta_p, cfg
             )
@@ -166,13 +157,10 @@ def pretrain(
             pred = logits.argmax(axis=1)
             hits += int((np.asarray(class_ids)[pred] == hard).sum())
             total += len(idx)
-            grad_w_fcc = matmul(grad_logits.T, theta_p)
-            grad_b_fcc = grad_logits.sum(axis=0)
-            upstream = matmul(grad_logits, fcc.weight) + grad_theta
-            backward(params, tape, upstream)
+            backward(fcc, head_tape, grad_logits)
+            backward(params, tape, head_tape.input_grad + grad_theta)
             sgd_step(params, tape, lr)
-            fcc.weight -= lr * grad_w_fcc
-            fcc.bias -= lr * grad_b_fcc
+            sgd_step(fcc, head_tape, lr)
         history.append((epoch, ce_sum / total, ortho_sum / nbatches, hits / total))
     return params, fcc, history
 

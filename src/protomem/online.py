@@ -15,7 +15,7 @@ from .errors import (
     ZeroNormError,
 )
 from .memory import bipolarize, quantize_feature
-from .numerics import ZERO_NORM_FLOOR
+from .numerics import ZERO_NORM_FLOOR, row_norms
 
 
 @dataclass
@@ -69,17 +69,20 @@ def subbatch_plan(num_classes: int, n: int) -> list:
     return [list(range(k, min(k + n, num_classes))) for k in range(0, num_classes, n)]
 
 
-def _cosine_target_grad(y: np.ndarray, target: np.ndarray):
-    """Loss 1 - cossim(y, target) and its gradient w.r.t. y."""
-    ny = float(np.linalg.norm(y))
-    nt = float(np.linalg.norm(target))
-    if ny < ZERO_NORM_FLOOR or nt < ZERO_NORM_FLOOR:
+def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
+    """Per-row losses 1 - cossim(y_i, target_i) and their gradients
+    w.r.t. the rows y_i, each row's values bitwise those of scoring it
+    alone: (losses (B,), grads (B, d))."""
+    ny = row_norms(y)
+    nt = row_norms(targets)
+    if np.any(ny < ZERO_NORM_FLOOR) or np.any(nt < ZERO_NORM_FLOOR):
         raise ZeroNormError("zero-norm vector in cosine objective")
-    y_hat = y / ny
-    t_hat = target / nt
-    cos = float(np.dot(y_hat, t_hat))
-    grad = -(t_hat - cos * y_hat) / ny
-    return 1.0 - cos, grad
+    y_hat = y / ny[:, None]
+    t_hat = targets / nt[:, None]
+    # per-pair dot products, see numerics.row_norms
+    cos = np.matmul(y_hat[:, None, :], t_hat[:, :, None])[:, 0, 0]
+    grads = -(t_hat - cos[:, None] * y_hat) / ny[:, None]
+    return 1.0 - cos, grads
 
 
 def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
@@ -107,11 +110,9 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
             idx = np.asarray(group)
             tape = GradientTape()
             out = forward_fcr(params, inputs[idx], tape)
-            upstream = np.zeros_like(out)
-            for j in range(len(group)):
-                loss_j, grad_j = _cosine_target_grad(out[j], targets[idx[j]])
+            losses, upstream = _cosine_target_grads(out, targets[idx])
+            for loss_j in losses.tolist():  # rows in order
                 epoch_loss += loss_j
-                upstream[j] = grad_j
             backward(params, tape, upstream, frozen_backbone=True)
             sgd_step(params, tape, cfg.lr)
         history.append(epoch_loss)

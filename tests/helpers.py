@@ -7,10 +7,13 @@ import numpy as np
 
 from protomem.backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd_step
 from protomem.data import LabeledDataset
-from protomem.errors import NumericFailureError, ZeroNormError
+from protomem.errors import NumericFailureError, ShapeMismatchError, ZeroNormError
 from protomem.harness import extract_features, pretrain_model
-from protomem.numerics import ZERO_NORM_FLOOR, as_vector, relu, softmax_ce
-from protomem.offline import _cosines
+from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
+from protomem.memory import bipolarize
+from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
+from protomem.offline import _cosines, _infer_grid, _one_hot_rows
+from protomem.online import subbatch_plan
 
 
 def central_diff(f, x, step=1e-5):
@@ -148,6 +151,70 @@ def meta_score(params, x, proto_matrix, tape: GradientTape | None = None):
 # --------------------------- per-row references for the batched training math
 
 
+def softmax_ce(logits, target):
+    """Numerically stable cross-entropy of one row and its gradient w.r.t.
+    the logits.
+
+    target is either a class index or a probability vector (soft labels
+    from feature interpolation). Returns (loss, grad) with grad = p - t.
+    """
+    z = as_vector(logits)
+    shifted = z - z.max()
+    exp = np.exp(shifted)
+    total = exp.sum()
+    p = exp / total
+    logp = shifted - np.log(total)
+    if np.isscalar(target) or getattr(target, "ndim", 1) == 0:
+        idx = int(target)
+        if not 0 <= idx < z.size:
+            raise ShapeMismatchError(f"target index {idx} out of range for {z.size} logits")
+        t = np.zeros_like(z)
+        t[idx] = 1.0
+        loss = -float(logp[idx])
+    else:
+        t = as_vector(target)
+        if t.shape != z.shape:
+            raise ShapeMismatchError("soft target length differs from logits")
+        loss = -float(np.dot(t, logp))
+    return loss, p - t
+
+
+def cosine_target_grad(y, target):
+    """Loss 1 - cossim(y, target) of one row and its gradient w.r.t. y."""
+    ny = float(np.linalg.norm(y))
+    nt = float(np.linalg.norm(target))
+    if ny < ZERO_NORM_FLOOR or nt < ZERO_NORM_FLOOR:
+        raise ZeroNormError("zero-norm vector in cosine objective")
+    y_hat = y / ny
+    t_hat = target / nt
+    cos = float(np.dot(y_hat, t_hat))
+    grad = -(t_hat - cos * y_hat) / ny
+    return 1.0 - cos, grad
+
+
+def finetune_fcr_per_row(params, act_mem, em, cfg):
+    """`online.finetune_fcr` with the cosine objective taken one row at a
+    time; returns the per-epoch loss history."""
+    inputs = np.stack([act_mem.mean(c) for c in sorted(act_mem.class_ids())])
+    targets = np.stack([
+        bipolarize(em.get(c).quantized).astype(np.float64) for c in sorted(em.class_ids())
+    ])
+    history = []
+    for _ in range(cfg.epochs):
+        epoch_loss = 0.0
+        for group in subbatch_plan(len(inputs), cfg.sub_batch):
+            tape = GradientTape()
+            out = forward_fcr(params, inputs[group], tape)
+            upstream = np.zeros_like(out)
+            for j, row in enumerate(group):
+                loss_j, upstream[j] = cosine_target_grad(out[j], targets[row])
+                epoch_loss += loss_j
+            backward(params, tape, upstream, frozen_backbone=True)
+            sgd_step(params, tape, cfg.lr)
+        history.append(epoch_loss)
+    return history
+
+
 def softmax_ce_rows(logits, targets):
     """Batch cross-entropy as one `softmax_ce` call per row, summed in order."""
     z = np.asarray(logits, dtype=np.float64)
@@ -266,3 +333,58 @@ def metalearn_per_query(params, base_dataset, cfg, seed):
             sgd_step(params, meta_tape, cfg.lr)
         history.append((it, mean_loss, hits / nq))
     return params, history
+
+
+def pretrain_hand_head(params, weight, bias, base_dataset, cfg, epochs, lr, seed, *,
+                       batch_size, grid=None):
+    """`offline.pretrain` with the head as a (C, d_p) weight and (C,) bias
+    whose forward, gradient and update are written out by hand. Updates
+    params, weight and bias in place; returns the history."""
+    rng = np.random.default_rng(seed)
+    class_ids = base_dataset.class_ids()
+    n = len(base_dataset)
+    history = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        ce_sum = ortho_sum = 0.0
+        hits = total = nbatches = 0
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
+            x = base_dataset.inputs[idx]
+            hard = base_dataset.labels[idx]
+            targets = _one_hot_rows(hard, class_ids)
+            mode = sample_augmentation(cfg, rng)
+            if mode != "none" and len(idx) > 1:
+                partner = rng.permutation(len(idx))
+                if mode == "mixup":
+                    x, targets = mixup(
+                        x, x[partner], targets, targets[partner], cfg.mix_alpha, rng
+                    )
+                else:
+                    g = grid if grid is not None else _infer_grid(x.shape[1])
+                    mixed = [
+                        cutmix(x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, g)
+                        for i, j in enumerate(partner.tolist())
+                    ]
+                    x, targets = (np.array(rows) for rows in zip(*mixed))
+            tape = GradientTape()
+            theta_p = forward_fcr(params, forward_backbone(params, x, tape), tape)
+            logits = matmul(theta_p, weight.T) + bias
+            loss, grad_logits, grad_theta, (ce_part, ortho_part) = pretrain_loss(
+                logits, targets, theta_p, cfg
+            )
+            if not np.isfinite(loss):
+                raise NumericFailureError(f"non-finite loss at epoch {epoch}")
+            ce_sum += ce_part
+            ortho_sum += ortho_part
+            nbatches += 1
+            hits += int((np.asarray(class_ids)[logits.argmax(axis=1)] == hard).sum())
+            total += len(idx)
+            grad_w = matmul(grad_logits.T, theta_p)
+            grad_b = grad_logits.sum(axis=0)
+            backward(params, tape, matmul(grad_logits, weight) + grad_theta)
+            sgd_step(params, tape, lr)
+            weight -= lr * grad_w
+            bias -= lr * grad_b
+        history.append((epoch, ce_sum / total, ortho_sum / nbatches, hits / total))
+    return history

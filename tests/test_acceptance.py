@@ -36,6 +36,7 @@ from protomem.losses import (
     multi_margin_loss,
     ortho_loss,
     pretrain_loss,
+    softmax_ce_batch,
 )
 from protomem.memory import (
     ActivationMemory,
@@ -47,9 +48,8 @@ from protomem.memory import (
     quantize_feature,
     reduce_rows,
 )
-from protomem.numerics import softmax_ce
 from protomem.offline import MetaConfig, _query_step, init_fcc, metalearn, pretrain
-from protomem.online import _cosine_target_grad, learn_class
+from protomem.online import _cosine_target_grads, learn_class
 
 
 def report(criterion, ok, detail):
@@ -136,8 +136,8 @@ class TestCriterion1Gradients:
             dim = int(rng.integers(2, 10))
             z = rng.standard_normal(dim) * 2
             t = int(rng.integers(0, dim))
-            _, g = softmax_ce(z, t)
-            w = max(w, rel_err(g, central_diff(lambda v: softmax_ce(v, t)[0], z)))
+            _, g = softmax_ce_batch(z, t)
+            w = max(w, rel_err(g, central_diff(lambda v: softmax_ce_batch(v, t)[0], z)))
         worst["ce"] = w
 
         # orthogonality penalty
@@ -224,21 +224,21 @@ class TestCriterion1Gradients:
         w = 0.0
         for _ in range(self.INSTANCES):
             params = init_model([6, 5, 4], 1, seed=int(rng.integers(1 << 30)))
-            a = rng.standard_normal(5)
-            target = np.where(rng.standard_normal(4) >= 0, 1.0, -1.0)
+            a = rng.standard_normal((1, 5))
+            target = np.where(rng.standard_normal((1, 4)) >= 0, 1.0, -1.0)
             layer = params.layers[-1]
             tape = GradientTape()
             out = forward_fcr(params, a, tape)
             if np.linalg.norm(out) < 1e-3:
                 continue
-            _, gy = _cosine_target_grad(out, target)
+            _, gy = _cosine_target_grads(out, target)
             backward(params, tape, gy, frozen_backbone=True)
             analytic = tape.grad_w[len(params.layers) - 1].ravel().copy()
             flat0 = layer.weight.ravel().copy()
 
             def ft_loss(flat):
                 layer.weight[...] = flat.reshape(layer.weight.shape)
-                return _cosine_target_grad(forward_fcr(params, a), target)[0]
+                return _cosine_target_grads(forward_fcr(params, a), target)[0][0]
 
             num = central_diff(ft_loss, flat0)
             layer.weight[...] = flat0.reshape(layer.weight.shape)

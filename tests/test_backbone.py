@@ -352,6 +352,13 @@ class TestSaveLoad:
         with pytest.raises(FormatVersionMismatchError):
             load_params(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "net.ofsc"
+        save_params(tiny_net(8), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(FormatVersionMismatchError, match="4 bytes past the payload"):
+            load_params(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "net.ofsc"
         params = tiny_net(8)

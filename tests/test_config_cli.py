@@ -397,6 +397,15 @@ class TestCliCommands:
         assert cli.main([command, *tiny_overrides(tmp_path, **extra)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", sorted(k for k, (_, default) in DEFAULTS.items() if isinstance(default, float))
+    )
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, key, value):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path, **{key: value})]) == 2
+        assert f"bad value for '{key}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_pretrain_batch_size_one(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0
 

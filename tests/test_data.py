@@ -17,6 +17,7 @@ from protomem.errors import (
     CorruptHeaderError,
     InsufficientClassesError,
     InsufficientSamplesError,
+    SettingValueError,
     SizeNotMultipleOfRecordError,
     TruncatedPayloadError,
 )
@@ -69,6 +70,13 @@ class TestBinaryContainer:
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
         with pytest.raises(TruncatedPayloadError):
+            load_dataset(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "d.ofds"
+        save_dataset(toy_dataset(np.random.default_rng(4)), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CorruptHeaderError, match="8 bytes past the payload"):
             load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
@@ -163,6 +171,16 @@ class TestSplitFscil:
         with pytest.raises(InsufficientClassesError):
             split_fscil(ds, base_classes=60, ways=5, shots=5,
                         per_class_cap=2, test_per_class=1, seed=0, sessions=9)
+
+    def test_negative_test_per_class_rejected(self):
+        ds = synthetic_classes(5, 4)
+        with pytest.raises(SettingValueError, match="test_per_class"):
+            split_fscil(ds, base_classes=2, ways=1, shots=2,
+                        per_class_cap=2, test_per_class=-1, seed=0)
+        # pretraining needs no test set
+        stream = split_fscil(ds, base_classes=2, ways=1, shots=2,
+                             per_class_cap=2, test_per_class=0, seed=0)
+        assert len(stream.test) == 0 and len(stream.base) == 4
 
     def test_insufficient_samples(self):
         ds = synthetic_classes(5, 4)

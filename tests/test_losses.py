@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, mixup_per_row, multi_margin_loss_row, rel_err, softmax_ce_rows
+from helpers import (
+    central_diff,
+    mixup_per_row,
+    multi_margin_loss_row,
+    rel_err,
+    softmax_ce,
+    softmax_ce_rows,
+)
 from protomem.errors import ShapeMismatchError, ZeroNormError
 from protomem.losses import (
     PretrainLossConfig,
@@ -15,7 +22,6 @@ from protomem.losses import (
     sample_augmentation,
     softmax_ce_batch,
 )
-from protomem.numerics import softmax_ce
 from protomem.offline import MetaConfig
 
 
@@ -303,6 +309,18 @@ class TestBatchedEqualsPerRow:
         want_loss, want_grad = softmax_ce_rows(logits, targets)
         np.testing.assert_array_equal(loss, want_loss)
         np.testing.assert_array_equal(grad, want_grad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 70), st.booleans(), st.integers(0, 2**31))
+    def test_softmax_ce_batch_one_row(self, c, soft, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal(c) * 10.0 ** rng.uniform(-3, 3, c)
+        target = rng.dirichlet(np.ones(c)) if soft else int(rng.integers(0, c))
+        loss, grad = softmax_ce_batch(logits, target)
+        want_loss, want_grad = softmax_ce(logits, target)
+        # a width-1 row scores -0.0 alone and 0.0 as a sum: == holds, bits differ
+        assert loss == want_loss
+        assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
 
     def test_softmax_ce_batch_one_index_for_every_row(self):
         logits = np.random.default_rng(2).standard_normal((5, 9))

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import central_diff, naive_matmul, rel_err
 from protomem.errors import ShapeMismatchError, ZeroNormError
-from protomem.numerics import cossim, matmul, relu, softmax_ce
+from protomem.losses import softmax_ce_batch
+from protomem.numerics import cossim, matmul, relu
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -137,22 +138,22 @@ class TestMatmul:
 
 class TestSoftmaxCE:
     def test_uniform_two_class(self):
-        loss, _ = softmax_ce([0.0, 0.0], 0)
+        loss, _ = softmax_ce_batch([0.0, 0.0], 0)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_correct(self):
         # closed form: log(1 + exp(-20))
-        loss, _ = softmax_ce([10.0, -10.0], 0)
+        loss, _ = softmax_ce_batch([10.0, -10.0], 0)
         assert loss == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-9)
         assert loss == pytest.approx(2.06e-9, rel=0.01)
 
     def test_extreme_logits_stable(self):
-        loss, grad = softmax_ce([1000.0, -1000.0], 1)
+        loss, grad = softmax_ce_batch([1000.0, -1000.0], 1)
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
     def test_soft_target(self):
         t = np.array([0.25, 0.75])
-        loss, grad = softmax_ce([0.3, -0.2], t)
+        loss, grad = softmax_ce_batch([0.3, -0.2], t)
         z = np.array([0.3, -0.2])
         p = np.exp(z) / np.exp(z).sum()
         assert loss == pytest.approx(float(-(t * np.log(p)).sum()), abs=1e-12)
@@ -165,11 +166,11 @@ class TestSoftmaxCE:
             dim = int(rng.integers(2, 10))
             z = rng.standard_normal(dim) * 3
             target = int(rng.integers(0, dim))
-            _, grad = softmax_ce(z, target)
-            num = central_diff(lambda v: softmax_ce(v, target)[0], z)
+            _, grad = softmax_ce_batch(z, target)
+            num = central_diff(lambda v: softmax_ce_batch(v, target)[0], z)
             worst = max(worst, rel_err(grad, num))
         assert worst < 1e-6
 
     def test_bad_index(self):
         with pytest.raises(ShapeMismatchError):
-            softmax_ce([0.0, 0.0], 5)
+            softmax_ce_batch([0.0, 0.0], 5)

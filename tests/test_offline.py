@@ -10,6 +10,7 @@ from helpers import (
     meta_score,
     metalearn_per_query,
     param_grad_flat,
+    pretrain_hand_head,
     query_step_per_row,
     rel_err,
     scores_and_grad_row,
@@ -36,10 +37,8 @@ from protomem.losses import PretrainLossConfig
 from protomem.memory import QuantSpec, classify, quantize_feature
 from protomem.numerics import relu
 from protomem.offline import (
-    FccHead,
     MetaConfig,
     build_base_em,
-    fcc_forward,
     init_fcc,
     metalearn,
     pretrain,
@@ -61,12 +60,40 @@ def toy_problem(seed=0, classes=3, per_class=40):
 class TestFccHead:
     def test_rejects_wide_head(self):
         with pytest.raises(ShapeMismatchError):
-            FccHead(np.zeros((8, 8)), np.zeros(8))
+            init_fcc(8, 8, 0)
 
     def test_forward_shape(self):
         fcc = init_fcc(3, 8, 0)
-        out = fcc_forward(fcc, np.ones((5, 8)))
+        out = forward_backbone(fcc, np.ones((5, 8)))
         assert out.shape == (5, 3)
+
+    def test_one_identity_layer_over_the_transposed_glorot_draw(self):
+        fcc = init_fcc(3, 8, 5)
+        limit = np.sqrt(6.0 / 11)
+        draw = np.random.default_rng(5).uniform(-limit, limit, size=(3, 8))
+        assert len(fcc.layers) == 1 and fcc.layers[0].activation == "identity"
+        assert fcc.layers[0].weight.tobytes() == draw.T.tobytes()
+        assert fcc.layers[0].bias.tobytes() == np.zeros(3).tobytes()
+
+    @pytest.mark.parametrize("mix_probability", [0.0, 1.0])
+    def test_tape_head_equals_hand_written_head(self, mix_probability):
+        # 33 rows in batches of 32 end in a one-row batch; with every batch
+        # interpolated, seed 23 draws both mixup and cutmix
+        ds = make_points_dataset(3, 11, dim=4, seed=21)
+        params = init_model([4, 16, 8], split_point=1, seed=21)
+        fcc = init_fcc(3, 8, 22)
+        oracle = copy.deepcopy(params)
+        weight = fcc.layers[0].weight.T.copy()
+        bias = fcc.layers[0].bias.copy()
+        cfg = PretrainLossConfig(lambda_ortho=0.1, mix_probability=mix_probability)
+        run = dict(epochs=6, lr=0.01, seed=23, batch_size=32, grid=(2, 2))
+        _, _, history = pretrain(params, fcc, ds, cfg, **run)
+        want = pretrain_hand_head(oracle, weight, bias, ds, cfg, **run)
+        np.testing.assert_array_equal(history, want)
+        np.testing.assert_array_equal(flatten_params(params), flatten_params(oracle))
+        np.testing.assert_array_equal(fcc.layers[0].weight, weight.T)
+        np.testing.assert_array_equal(fcc.layers[0].bias, bias)
+        assert params_checksum(params) == params_checksum(oracle)
 
 
 class TestPretrain:
@@ -94,7 +121,7 @@ class TestPretrain:
         pretrain(params_a, fcc_a, ds, cfg, epochs=5, lr=0.002, seed=9, batch_size=16, grid=(1, 2))
         pretrain(params_b, fcc_b, ds, cfg, epochs=5, lr=0.002, seed=9, batch_size=16, grid=(1, 2))
         assert params_checksum(params_a) == params_checksum(params_b)
-        np.testing.assert_array_equal(fcc_a.weight, fcc_b.weight)
+        assert params_checksum(fcc_a) == params_checksum(fcc_b)
 
     def test_history_records_components(self):
         ds, params, fcc = toy_problem(4)
@@ -328,7 +355,7 @@ class TestBuildBaseEm:
         pretrain(params, fcc, ds, cfg, epochs=80, lr=0.002, seed=16, batch_size=32)
         feats = forward_fcr(params, forward_backbone(params, ds.inputs))
         fcc_hits = sum(
-            int(ds.class_ids()[int(np.argmax(fcc_forward(fcc, f[None, :])[0]))] == l)
+            int(ds.class_ids()[int(np.argmax(forward_backbone(fcc, f)))] == l)
             for f, l in zip(feats, ds.labels)
         )
         em, _ = build_base_em(params, ds, QuantSpec())

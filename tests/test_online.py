@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, cosine_target_grad, finetune_fcr_per_row, rel_err
 from protomem.backbone import (
     GradientTape,
     backward,
@@ -33,7 +34,7 @@ from protomem.memory import (
 from protomem.numerics import cossim
 from protomem.online import (
     FinetuneConfig,
-    _cosine_target_grad,
+    _cosine_target_grads,
     finetune_fcr,
     learn_class,
     subbatch_plan,
@@ -267,8 +268,8 @@ class TestFinetune:
         for _ in range(10):
             y = rng.standard_normal(6)
             t = bipolarize(rng.standard_normal(6)).astype(np.float64)
-            _, grad = _cosine_target_grad(y, t)
-            numeric = central_diff(lambda v: _cosine_target_grad(v, t)[0], y)
+            _, grad = _cosine_target_grads(y[None], t[None])
+            numeric = central_diff(lambda v: _cosine_target_grads(v[None], t[None])[0][0], y)
             worst = max(worst, rel_err(grad, numeric))
         assert worst < 1e-6
 
@@ -285,22 +286,35 @@ class TestFinetune:
 
         def loss_at(flat):
             layer.weight[...] = flat.reshape(layer.weight.shape)
-            out = forward_fcr(params, inputs)
-            total = 0.0
-            for j in range(len(ids)):
-                total += _cosine_target_grad(out[j], targets[j])[0]
-            return total
+            return _cosine_target_grads(forward_fcr(params, inputs), targets)[0].sum()
 
         tape = GradientTape()
-        out = forward_fcr(params, inputs, tape)
-        upstream = np.zeros_like(out)
-        for j in range(len(ids)):
-            _, upstream[j] = _cosine_target_grad(out[j], targets[j])
+        _, upstream = _cosine_target_grads(forward_fcr(params, inputs, tape), targets)
         backward(params, tape, upstream, frozen_backbone=True)
         analytic = tape.grad_w[len(params.layers) - 1].ravel().copy()
         numeric = central_diff(loss_at, flat0)
         layer.weight[...] = flat0.reshape(layer.weight.shape)
         assert rel_err(analytic, numeric) < 1e-4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**31))
+    def test_cosine_rows_bitwise_equal_per_row_oracle(self, b, d, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3, (b, d))
+        t = np.where(rng.standard_normal((b, d)) >= 0, 1.0, -1.0)
+        losses, grads = _cosine_target_grads(y, t)
+        for j in range(b):
+            want_loss, want_grad = cosine_target_grad(y[j], t[j])
+            assert losses[j] == want_loss
+            assert grads[j].tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("sub_batch", [1, 3, 4, 7])
+    def test_batched_equals_per_row_oracle(self, sub_batch):
+        params, em, am = self.setup_state(8)
+        oracle = copy.deepcopy(params)
+        cfg = FinetuneConfig(epochs=4, sub_batch=sub_batch, lr=0.05)
+        assert finetune_fcr(params, am, em, cfg) == finetune_fcr_per_row(oracle, am, em, cfg)
+        assert params_checksum(params) == params_checksum(oracle)
 
     def test_misaligned_memories(self):
         params, em, am = self.setup_state(5)
