@@ -71,6 +71,6 @@ from .offline import (
     metalearn,
     pretrain,
 )
-from .online import FinetuneConfig, finetune_fcr, learn_class, subbatch_plan
+from .online import FinetuneConfig, finetune_fcr, learn_class
 
 __version__ = "0.1.0"

@@ -84,22 +84,25 @@ class ModelParams:
 
 
 class GradientTape:
-    """Forward-pass cache plus gradient buffers mirroring ModelParams.
+    """Forward-pass cache plus the gradients of the layers it recorded.
 
-    One tape records one forward chain; create a fresh tape per batch.
-    input_grad is d(loss)/d(input of the lowest layer backward reached):
-    the model input, or theta_a with frozen_backbone. It is computed on
-    its first read from that layer's gradient and the copy of its weight
-    that backward leaves on the tape, so a tape it is never read from
-    skips that product; pretraining reads it from the head's tape only.
-    It holds the value from before any sgd_step.
+    One tape records one forward chain; create a fresh tape per batch. A
+    tape trains exactly the layers it recorded: `backward` fills grad_w /
+    grad_b for those and `sgd_step` updates those, so a tape that records
+    only `forward_fcr` leaves the extractor untouched. input_grad is
+    d(loss)/d(input of the lowest recorded layer): the model input, or
+    theta_a for a projection-only tape. It is computed on its first read
+    from that layer's gradient and the copy of its weight that backward
+    leaves on the tape, so a tape it is never read from skips that
+    product; pretraining reads it from the head's tape only. It holds the
+    value from before any sgd_step.
     """
 
     def __init__(self):
         self.records = []  # (layer_index, input batch, preactivation batch)
         self.grad_w = {}
         self.grad_b = {}
-        # (gradient, weight copy still to apply or None, squeeze), from backward
+        # (gradient, weight copy still to apply or None once applied, squeeze)
         self._input_grad = None
 
     @property
@@ -111,18 +114,6 @@ class GradientTape:
             g = matmul(g, weight.T)
             self._input_grad = (g, None, squeeze)
         return g[0] if squeeze else g
-
-    @property
-    def has_grads(self) -> bool:
-        return bool(self.grad_w)
-
-    def grads_for(self, params: ModelParams):
-        for idx in range(len(params.layers)):
-            layer = params.layers[idx]
-            if idx not in self.grad_w:
-                self.grad_w[idx] = np.zeros_like(layer.weight)
-                self.grad_b[idx] = np.zeros_like(layer.bias)
-        return self.grad_w, self.grad_b
 
 
 def _as_batch(x):
@@ -168,19 +159,19 @@ def forward_fcr(params: ModelParams, theta_a, tape: GradientTape | None = None):
     return _run_layers(params, theta_a, params.split_point, len(params.layers), tape)
 
 
-def backward(params, tape, upstream, frozen_backbone: bool = False):
+def backward(params, tape, upstream):
     """Backpropagate upstream d(loss)/d(output) through the recorded chain.
 
-    With frozen_backbone the walk stops at the projection boundary and
-    extractor gradient buffers stay zero. Fills tape.grad_w / tape.grad_b
-    (summed over the batch) and returns the tape. A layer's gradient is
-    carried through its weight only when a lower layer needs it; the
-    product for the lowest layer reached is left to tape.input_grad,
-    which computes it on first read.
+    Sets tape.grad_w / tape.grad_b (summed over the batch) for exactly the
+    layers the tape recorded, walking down to the lowest of them, and
+    returns the tape. A second backward on the same tape replaces its
+    gradients rather than adding to them. A layer's gradient is carried
+    through its weight only when a lower recorded layer needs it; the
+    product for the lowest one is left to tape.input_grad, which computes
+    it on first read.
     """
     if not tape.records:
         raise NoForwardRecordedError("no forward pass recorded on this tape")
-    grad_w, grad_b = tape.grads_for(params)
     g, squeeze = _as_batch(upstream)
     if g.shape != tape.records[-1][2].shape:
         raise ShapeMismatchError(
@@ -188,29 +179,27 @@ def backward(params, tape, upstream, frozen_backbone: bool = False):
         )
     weight = None  # weight of the layer just walked, not yet applied to g
     for idx, a_in, z in reversed(tape.records):
-        if frozen_backbone and idx < params.split_point:
-            break
         if weight is not None:
             g = matmul(g, weight.T)
         layer = params.layers[idx]
         if layer.activation == "relu":
             g = g * (z > 0)
-        grad_w[idx] += matmul(a_in.T, g)
-        grad_b[idx] += g.sum(axis=0)
+        tape.grad_w[idx] = matmul(a_in.T, g)
+        tape.grad_b[idx] = g.sum(axis=0)
         weight = layer.weight
     # sgd_step updates weights in place, so the tape keeps its own copy
-    tape._input_grad = (g, None if weight is None else weight.copy(), squeeze)
+    tape._input_grad = (g, weight.copy(), squeeze)
     return tape
 
 
 def sgd_step(params, tape, lr: float):
-    """Apply w <- w - lr * grad for every buffered gradient."""
-    if not tape.has_grads:
+    """Apply w <- w - lr * grad to each layer the tape holds gradients for."""
+    if not tape.grad_w:
         raise NoForwardRecordedError("tape holds no gradients; run backward first")
-    for idx, layer in enumerate(params.layers):
-        if idx in tape.grad_w:
-            layer.weight -= lr * tape.grad_w[idx]
-            layer.bias -= lr * tape.grad_b[idx]
+    for idx, grad_w in tape.grad_w.items():
+        layer = params.layers[idx]
+        layer.weight -= lr * grad_w
+        layer.bias -= lr * tape.grad_b[idx]
     return params
 
 

@@ -24,6 +24,7 @@ from .harness import (
     extract_features,
     make_blob_dataset,
     pretrain_model,
+    require_test_rows,
     run_protocol,
     validate_stream,
 )
@@ -139,6 +140,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
+    require_test_rows(stream)
     em = ExplicitMemory(params.d_p, cfg.recipe(stream.base.input_dim).quant)
     act_mem = ActivationMemory(params.d_a)
     for ds in [stream.base, *stream.sessions]:

@@ -64,6 +64,15 @@ def validate_stream(stream: SessionStream) -> list:
     return violations
 
 
+def require_test_rows(stream: SessionStream):
+    """Refuse a stream with an empty test set, which leaves nothing to
+    evaluate; callers check before they train or build a memory."""
+    if len(stream.test) == 0:
+        raise SettingValueError(
+            "the test set is empty; evaluation needs test_per_class >= 1"
+        )
+
+
 def extract_features(params, dataset: LabeledDataset) -> np.ndarray:
     """Prototype-space features for every dataset row."""
     return forward_fcr(params, forward_backbone(params, dataset.inputs))
@@ -98,6 +107,7 @@ def run_protocol(
     """Play the stream: build the base memory, absorb each incremental
     session with single-pass updates (optionally finetuning the
     projection), and evaluate each stage on the union of classes seen."""
+    require_test_rows(stream)
     em, act_mem = build_base_em(params, stream.base, quant)
     base_ids = stream.base.class_ids()
     if finetune and ft_cfg is None:
@@ -184,6 +194,7 @@ def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
     metalearning, protocol run. The flags switch the recipe's
     augmentation and orthogonality terms off and pick the metalearning
     objective. Returns (params, report)."""
+    require_test_rows(stream)
     bad = set(flags) - set(ABLATION_FLAGS)
     if bad:
         raise ConflictingFlagsError(f"unknown flags {sorted(bad)}")

@@ -74,13 +74,24 @@ def _one_hot_rows(labels, class_ids):
     return out
 
 
-def _infer_grid(dim: int):
-    side = int(round(dim**0.5))
-    if side * side == dim:
+def _cutmix_grid(dim: int, grid):
+    """The (H, W) grid cutmix cuts a dim-wide input on: grid when it tiles
+    the input, else the square grid of a square width."""
+    if grid is None:
+        side = int(round(dim**0.5))
+        if side * side != dim:
+            raise SettingValueError(
+                f"mix_probability > 0 draws cutmix, which needs a grid: input width "
+                f"{dim} is not square, so set a grid that tiles it or mix_probability=0"
+            )
         return side, side
-    raise ShapeMismatchError(
-        f"input dim {dim} is not a square grid; pass grid=(H, W) explicitly"
-    )
+    h, w = grid
+    if dim % (h * w):
+        raise SettingValueError(
+            f"mix_probability > 0 draws cutmix, but grid {h}x{w} does not tile "
+            f"input width {dim}"
+        )
+    return h, w
 
 
 def pretrain(
@@ -115,6 +126,8 @@ def pretrain(
     class_ids = base_dataset.class_ids()
     if len(class_ids) != fcc.d_p:  # the head's output width
         raise ShapeMismatchError(f"dataset has {len(class_ids)} classes, head expects {fcc.d_p}")
+    if cfg.mix_probability > 0:
+        grid = _cutmix_grid(base_dataset.input_dim, grid)
     n = len(base_dataset)
     history = []
     for epoch in range(epochs):
@@ -135,9 +148,8 @@ def pretrain(
                         x, x[partner], targets, targets[partner], cfg.mix_alpha, rng
                     )
                 else:
-                    g = grid if grid is not None else _infer_grid(x.shape[1])
                     mixed = [
-                        cutmix(x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, g)
+                        cutmix(x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, grid)
                         for i, j in enumerate(partner.tolist())
                     ]
                     x, targets = (np.array(rows) for rows in zip(*mixed))

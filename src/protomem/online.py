@@ -62,13 +62,6 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     return em, act_mem
 
 
-def subbatch_plan(num_classes: int, n: int) -> list:
-    """Round-robin index groups of size n; the last group may be smaller."""
-    if n < 1:
-        raise ValueError("sub-batch size must be >= 1")
-    return [list(range(k, min(k + n, num_classes))) for k in range(0, num_classes, n)]
-
-
 def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
     """Per-row losses 1 - cossim(y_i, target_i) and their gradients
     w.r.t. the rows y_i, each row's values bitwise those of scoring it
@@ -102,18 +95,17 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
     order = np.argsort(act_mem.ids)
     inputs = act_mem.sums[order] / act_mem.counts[order, None]
     targets = bipolarize(em.reduced[np.argsort(em.ids)]).astype(np.float64)
-    plan = subbatch_plan(len(em_ids), cfg.sub_batch)
     history = []
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
-        for group in plan:
-            idx = np.asarray(group)
-            tape = GradientTape()
-            out = forward_fcr(params, inputs[idx], tape)
-            losses, upstream = _cosine_target_grads(out, targets[idx])
+        for lo in range(0, len(em_ids), cfg.sub_batch):
+            rows = slice(lo, lo + cfg.sub_batch)
+            tape = GradientTape()  # records the projection only, so trains only it
+            out = forward_fcr(params, inputs[rows], tape)
+            losses, upstream = _cosine_target_grads(out, targets[rows])
             for loss_j in losses.tolist():  # rows in order
                 epoch_loss += loss_j
-            backward(params, tape, upstream, frozen_backbone=True)
+            backward(params, tape, upstream)
             sgd_step(params, tape, cfg.lr)
         history.append(epoch_loss)
     return history

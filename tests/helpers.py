@@ -12,8 +12,7 @@ from protomem.harness import extract_features, pretrain_model
 from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
 from protomem.memory import bipolarize
 from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
-from protomem.offline import _cosines, _infer_grid, _one_hot_rows
-from protomem.online import subbatch_plan
+from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows
 
 
 def central_diff(f, x, step=1e-5):
@@ -179,6 +178,14 @@ def softmax_ce(logits, target):
     return loss, p - t
 
 
+def subbatch_plan(num_classes: int, n: int) -> list:
+    """Index groups of size n in order; the last group may be smaller. The
+    per-row finetune oracle groups its rows by these."""
+    if n < 1:
+        raise ValueError("sub-batch size must be >= 1")
+    return [list(range(k, min(k + n, num_classes))) for k in range(0, num_classes, n)]
+
+
 def cosine_target_grad(y, target):
     """Loss 1 - cossim(y, target) of one row and its gradient w.r.t. y."""
     ny = float(np.linalg.norm(y))
@@ -209,7 +216,7 @@ def finetune_fcr_per_row(params, act_mem, em, cfg):
             for j, row in enumerate(group):
                 loss_j, upstream[j] = cosine_target_grad(out[j], targets[row])
                 epoch_loss += loss_j
-            backward(params, tape, upstream, frozen_backbone=True)
+            backward(params, tape, upstream)
             sgd_step(params, tape, cfg.lr)
         history.append(epoch_loss)
     return history
@@ -342,6 +349,8 @@ def pretrain_hand_head(params, weight, bias, base_dataset, cfg, epochs, lr, seed
     params, weight and bias in place; returns the history."""
     rng = np.random.default_rng(seed)
     class_ids = base_dataset.class_ids()
+    if cfg.mix_probability > 0:
+        grid = _cutmix_grid(base_dataset.input_dim, grid)
     n = len(base_dataset)
     history = []
     for epoch in range(epochs):
@@ -361,9 +370,8 @@ def pretrain_hand_head(params, weight, bias, base_dataset, cfg, epochs, lr, seed
                         x, x[partner], targets, targets[partner], cfg.mix_alpha, rng
                     )
                 else:
-                    g = grid if grid is not None else _infer_grid(x.shape[1])
                     mixed = [
-                        cutmix(x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, g)
+                        cutmix(x[i], x[j], targets[i], targets[j], cfg.mix_alpha, rng, grid)
                         for i, j in enumerate(partner.tolist())
                     ]
                     x, targets = (np.array(rows) for rows in zip(*mixed))

@@ -232,7 +232,7 @@ class TestCriterion1Gradients:
             if np.linalg.norm(out) < 1e-3:
                 continue
             _, gy = _cosine_target_grads(out, target)
-            backward(params, tape, gy, frozen_backbone=True)
+            backward(params, tape, gy)
             analytic = tape.grad_w[len(params.layers) - 1].ravel().copy()
             flat0 = layer.weight.ravel().copy()
 

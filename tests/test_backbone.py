@@ -150,9 +150,9 @@ class TestBackward:
     def test_frozen_input_gradient_is_wrt_theta_a(self):
         params = tiny_net(6)
         tape = GradientTape()
-        theta_a = forward_backbone(params, np.linspace(-0.3, 0.8, 6), tape)
-        out = forward_fcr(params, theta_a, tape)
-        backward(params, tape, 2.0 * out, frozen_backbone=True)
+        theta_a = forward_backbone(params, np.linspace(-0.3, 0.8, 6))
+        out = forward_fcr(params, theta_a, tape)  # the tape records the projection only
+        backward(params, tape, 2.0 * out)
         numeric = central_diff(lambda v: float((forward_fcr(params, v) ** 2).sum()), theta_a)
         assert rel_err(tape.input_grad, numeric) < 1e-6
 
@@ -161,17 +161,27 @@ class TestBackward:
         before = params_checksum(params)
         x = np.ones(6)
         tape = GradientTape()
-        forward_fcr(params, forward_backbone(params, x, tape), tape)
-        backward(params, tape, np.ones(3), frozen_backbone=True)
+        forward_fcr(params, forward_backbone(params, x), tape)
+        backward(params, tape, np.ones(3))
+        # a tape holds gradients only for the layers it recorded
         for idx in range(params.split_point):
-            assert not tape.grad_w[idx].any()
-            assert not tape.grad_b[idx].any()
+            assert idx not in tape.grad_w
+            assert idx not in tape.grad_b
         sgd_step(params, tape, 0.5)
         # projection moved, extractor bitwise identical
         assert params_checksum(params) != before
         fresh = tiny_net(2)
         for idx in range(params.split_point):
             np.testing.assert_array_equal(params.layers[idx].weight, fresh.layers[idx].weight)
+
+    def test_second_backward_replaces_gradients(self):
+        params = tiny_net(3)
+        tape = GradientTape()
+        out = forward_fcr(params, forward_backbone(params, np.ones((2, 6)), tape), tape)
+        backward(params, tape, out)
+        once = param_grad_flat(tape, params)
+        backward(params, tape, out)
+        np.testing.assert_array_equal(param_grad_flat(tape, params), once)
 
     def test_requires_forward(self):
         params = tiny_net()
@@ -239,17 +249,21 @@ class TestLazyInputGradient:
         assert len(calls) == 2 * layers
         assert tape.input_grad is first  # cached after the first read
         assert len(calls) == 2 * layers
+        tape = GradientTape()
+        out = forward_fcr(params, forward_backbone(params, np.ones((2, 6))), tape)
         calls.clear()
-        backward(params, tape, out, frozen_backbone=True)
+        backward(params, tape, out)
         assert len(calls) == 1  # the projection's weight gradient only
 
 
 class TestCompositeLossGradients:
     def test_pretrain_objective_through_all_parameters(self):
-        # full chain: extractor -> projection -> linear head -> CE + ortho,
-        # finite differences over every weight and bias, 20 configurations
-        from protomem.losses import PretrainLossConfig, ortho_loss, softmax_ce_batch
-        from protomem.numerics import matmul
+        # the chain `pretrain` trains: extractor -> projection -> the
+        # `init_fcc` head on its own tape -> `pretrain_loss`, with the head's
+        # input gradient passed down; finite differences over every weight
+        # and bias of the model and the head, 20 configurations
+        from protomem.losses import PretrainLossConfig, pretrain_loss
+        from protomem.offline import init_fcc
 
         rng = np.random.default_rng(77)
         cfg = PretrainLossConfig(lambda_ortho=0.2)
@@ -259,38 +273,38 @@ class TestCompositeLossGradients:
         while done < 20:
             trial += 1
             params = init_model([4, 4, 3], 1, seed=trial)
-            head_w = rng.standard_normal((2, 3)) * 0.5
+            fcc = init_fcc(2, 3, seed=trial)
+            fcc.layers[0].bias[:] = rng.standard_normal(2) * 0.5
             x = rng.standard_normal((3, 4))
-            targets = rng.integers(0, 2, 3)
+            targets = np.eye(2)[rng.integers(0, 2, 3)]
             probe = forward_fcr(params, forward_backbone(params, x))
             if np.linalg.norm(probe, axis=1).min() < 1e-3:  # dead-relu row
                 continue
             done += 1
 
-            def composite(p):
-                theta = forward_fcr(p, forward_backbone(p, x))
-                logits = matmul(theta, head_w.T)
-                ce, _ = softmax_ce_batch(logits, targets)
-                ol, _ = ortho_loss(theta)
-                return ce + cfg.lambda_ortho * ol
-
             tape = GradientTape()
             theta = forward_fcr(params, forward_backbone(params, x, tape), tape)
-            logits = matmul(theta, head_w.T)
-            _, grad_logits = softmax_ce_batch(logits, targets)
-            _, grad_theta = ortho_loss(theta)
-            upstream = matmul(grad_logits, head_w) + cfg.lambda_ortho * grad_theta
-            backward(params, tape, upstream)
-            analytic = param_grad_flat(tape, params)
+            head_tape = GradientTape()
+            logits = forward_backbone(fcc, theta, head_tape)
+            _, grad_logits, grad_theta, _ = pretrain_loss(logits, targets, theta, cfg)
+            backward(fcc, head_tape, grad_logits)
+            backward(params, tape, head_tape.input_grad + grad_theta)
+            analytic = np.concatenate(
+                [param_grad_flat(tape, params), param_grad_flat(head_tape, fcc)]
+            )
 
-            flat0 = flatten_params(params)
+            flat_model, flat_head = flatten_params(params), flatten_params(fcc)
+            cut = flat_model.size
 
             def loss_at(flat):
-                set_params_from_flat(params, flat)
-                return composite(params)
+                set_params_from_flat(params, flat[:cut])
+                set_params_from_flat(fcc, flat[cut:])
+                theta = forward_fcr(params, forward_backbone(params, x))
+                return pretrain_loss(forward_backbone(fcc, theta), targets, theta, cfg)[0]
 
-            numeric = central_diff(loss_at, flat0)
-            set_params_from_flat(params, flat0)
+            numeric = central_diff(loss_at, np.concatenate([flat_model, flat_head]))
+            set_params_from_flat(params, flat_model)
+            set_params_from_flat(fcc, flat_head)
             worst = max(worst, rel_err(analytic, numeric))
         assert worst < 1e-4
 

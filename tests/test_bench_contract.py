@@ -1,11 +1,13 @@
 """The benchmark's tracer wraps protomem functions by name, and its
-lifecycle calls them as `<module>.<name>`; a refactor that renames or moves
-one of them would silently drop its spans from traced runs, or break the
-benchmark while every other test passes. Both files are read from their
-source, without importing or editing them."""
+lifecycle calls them as `<module>.<name>(...)`; a refactor that renames or
+moves one of them, or renames a parameter the lifecycle passes by keyword,
+would silently drop its spans from traced runs, or break the benchmark
+while every other test passes. Both files are read from their source,
+without importing or editing them."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -37,16 +39,21 @@ def test_every_traced_name_resolves():
                 assert callable(getattr(module, name)), f"{layer}.{name}"
 
 
-def protomem_attributes(path) -> set:
-    """Every (module, name) that `path` reads as `<module>.<name>` from a
-    module it imports with `from protomem import ...`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    modules = {
+def protomem_modules(tree) -> set:
+    """The names a parsed file binds with `from protomem import ...`."""
+    return {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "protomem"
         for alias in node.names
     }
+
+
+def protomem_attributes(path) -> set:
+    """Every (module, name) that `path` reads as `<module>.<name>` from a
+    module it imports with `from protomem import ...`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = protomem_modules(tree)
     return {
         (node.value.id, node.attr)
         for node in ast.walk(tree)
@@ -54,6 +61,22 @@ def protomem_attributes(path) -> set:
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
     }
+
+
+def protomem_calls(path) -> list:
+    """Every `<module>.<name>(...)` call in `path` on such a module, as
+    (line, module, name, positional argument nodes, keyword names)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = protomem_modules(tree)
+    return [
+        (node.lineno, node.func.value.id, node.func.attr, node.args,
+         [kw.arg for kw in node.keywords])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in modules
+    ]
 
 
 def test_every_lifecycle_name_resolves():
@@ -65,6 +88,26 @@ def test_every_lifecycle_name_resolves():
         if not hasattr(importlib.import_module(f"protomem.{module}"), name)
     ]
     assert not missing, missing
+
+
+def test_every_lifecycle_call_binds_to_its_signature():
+    calls = protomem_calls(LIFECYCLE)
+    assert any(
+        (module, name) == ("offline", "pretrain") and "batch_size" in keywords
+        for _, module, name, _, keywords in calls
+    )
+    unbound = []
+    for line, module, name, args, keywords in calls:
+        where = f"lifecycle.py:{line} {module}.{name}"
+        # a starred or ** argument hides what it passes
+        assert not any(isinstance(a, ast.Starred) for a in args), where
+        assert None not in keywords, where
+        signature = inspect.signature(getattr(importlib.import_module(f"protomem.{module}"), name))
+        try:
+            signature.bind(*args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert not unbound, unbound
 
 
 def test_rebuilt_at_bits_is_patchable():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import save_dataset_csv
+from helpers import make_points_dataset, save_dataset_csv
 from protomem.backbone import load_params
 from protomem import errors
 from protomem.config import DEFAULTS, ENV_SEED, RECIPE_KEYS, load_config
@@ -405,6 +405,42 @@ class TestCliCommands:
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, **{key: value})]) == 2
         assert f"bad value for '{key}'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["protocol", "sweep", "ablate"])
+    def test_empty_test_set_exits_2(self, tmp_path, capsys, command):
+        trained, out = tmp_path / "trained", tmp_path / "out"
+        trained.mkdir()
+        out.mkdir()
+        assert cli.main(["pretrain", *tiny_overrides(trained, test_per_class=0)]) == 0
+        params = str(trained / "params.ofsc")
+        code = cli.main([command, *tiny_overrides(out, params_in=params, test_per_class=0)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "test set is empty" in err
+        assert "test_per_class" in err
+        assert list(out.iterdir()) == []
+
+    def test_empty_test_set_legal_without_evaluation(self, tmp_path, capsys):
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path, test_per_class=0)]) == 0
+        params = str(tmp_path / "params.ofsc")
+        extra = dict(params_in=params, test_per_class=0)
+        assert cli.main(["metalearn", *tiny_overrides(tmp_path, **extra)]) == 0
+        assert cli.main(["validate", *tiny_overrides(tmp_path, test_per_class=0)]) == 1
+        assert "has no test samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mix_probability,code", [(0.4, 2), (0.0, 0)])
+    def test_non_square_csv_needs_a_cutmix_grid(self, tmp_path, capsys, mix_probability, code):
+        # 10 columns: not square, and the default grid=8 does not tile them
+        path = tmp_path / "wide10.csv"
+        save_dataset_csv(make_points_dataset(TINY["classes"], 11, dim=10, seed=4), path)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = tiny_overrides(out, dataset=str(path), mix_probability=mix_probability)
+        assert cli.main(["pretrain", *argv]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "grid" in err and "mix_probability" in err
+            assert list(out.iterdir()) == []
 
     def test_pretrain_batch_size_one(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import ortho_strength_sweep
+from protomem import harness
 from protomem.backbone import init_model, params_checksum
 from protomem.data import SessionStream, split_fscil
-from protomem.errors import ConflictingFlagsError
+from protomem.errors import ConflictingFlagsError, SettingValueError
 from protomem.harness import (
     TrainRecipe,
     ablation_matrix,
@@ -77,7 +78,21 @@ class TestValidateStream:
         assert any("class 0 has no test samples" in v for v in validate_stream(bad))
 
 
+def without_test_rows(stream):
+    return replace(stream, test=stream.test.subset_by_classes([]))
+
+
+def must_not_run(*_args, **_kwargs):
+    raise AssertionError("ran before the empty test set was refused")
+
+
 class TestRunProtocol:
+    def test_empty_test_set_refused_before_the_memory_is_built(self, monkeypatch):
+        stream = without_test_rows(desk_stream())
+        monkeypatch.setattr(harness, "build_base_em", must_not_run)
+        with pytest.raises(SettingValueError, match="test set is empty.*test_per_class"):
+            run_protocol(desk_params(stream), stream, QuantSpec())
+
     def test_zero_sessions(self):
         stream = desk_stream()
         solo = SessionStream(stream.base, [], stream.ways, stream.shots, stream.test)
@@ -220,6 +235,14 @@ class TestAblation:
         assert rep_a.config_echo["mix_probability"] == 0.0
         assert rep_b.config_echo["mix_probability"] == 0.4
         assert rep_a.config_echo["lambda_ortho"] == rep_b.config_echo["lambda_ortho"]
+
+    def test_empty_test_set_refused_before_training(self, monkeypatch):
+        stream = without_test_rows(desk_stream(9, classes=7, base=5, ways=1, sessions=2))
+        monkeypatch.setattr(harness, "pretrain_model", must_not_run)
+        with pytest.raises(SettingValueError, match="test set is empty.*test_per_class"):
+            ablation_matrix(stream, [set(), {"FT"}], self.recipe())
+        with pytest.raises(SettingValueError, match="test set is empty.*test_per_class"):
+            train_pipeline(stream, self.recipe(), {"FT"})
 
     def test_conflicting_flags(self):
         stream = desk_stream(10, classes=7, base=5, ways=1, sessions=2)

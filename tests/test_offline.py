@@ -149,6 +149,35 @@ class TestPretrain:
         with pytest.raises(SettingValueError):
             pretrain(params, fcc, ds, PretrainLossConfig(), epochs=1, lr=0.01, seed=0, batch_size=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("grid", [None, (3, 1)], ids=["inferred", "explicit"])
+    def test_cutmix_grid_refused_before_any_update(self, grid, seed):
+        # 10 is not square and 3x1 does not tile it; batches that draw no
+        # cutmix must not train before the grid is refused
+        ds = make_points_dataset(3, 20, dim=10, seed=seed)
+        params = init_model([10, 16, 8], split_point=1, seed=seed)
+        fcc = init_fcc(3, 8, seed + 1)
+        before = params_checksum(params), params_checksum(fcc)
+        cfg = PretrainLossConfig(mix_probability=0.4)
+        with pytest.raises(SettingValueError, match="mix_probability") as err:
+            pretrain(params, fcc, ds, cfg, epochs=3, lr=0.01, seed=seed, batch_size=4, grid=grid)
+        assert "grid" in str(err.value)
+        assert (params_checksum(params), params_checksum(fcc)) == before
+
+    @pytest.mark.parametrize("mix_probability,grid", [(0.0, None), (1.0, (5, 1))])
+    def test_non_square_input_trains_without_cutmix_or_with_a_tiling_grid(
+        self, mix_probability, grid
+    ):
+        ds = make_points_dataset(3, 20, dim=10, seed=1)
+        params = init_model([10, 16, 8], split_point=1, seed=1)
+        fcc = init_fcc(3, 8, 2)
+        before = params_checksum(params)
+        cfg = PretrainLossConfig(mix_probability=mix_probability)
+        _, _, history = pretrain(
+            params, fcc, ds, cfg, epochs=2, lr=0.01, seed=1, batch_size=4, grid=grid
+        )
+        assert len(history) == 2 and params_checksum(params) != before
+
     def test_class_count_mismatch(self):
         ds, params, _ = toy_problem(6)
         fcc = init_fcc(5, 8, 0)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, cosine_target_grad, finetune_fcr_per_row, rel_err
+from helpers import (
+    central_diff,
+    cosine_target_grad,
+    finetune_fcr_per_row,
+    rel_err,
+    subbatch_plan,
+)
 from protomem.backbone import (
     GradientTape,
     backward,
@@ -37,7 +43,6 @@ from protomem.online import (
     _cosine_target_grads,
     finetune_fcr,
     learn_class,
-    subbatch_plan,
 )
 
 
@@ -290,7 +295,7 @@ class TestFinetune:
 
         tape = GradientTape()
         _, upstream = _cosine_target_grads(forward_fcr(params, inputs, tape), targets)
-        backward(params, tape, upstream, frozen_backbone=True)
+        backward(params, tape, upstream)
         analytic = tape.grad_w[len(params.layers) - 1].ravel().copy()
         numeric = central_diff(loss_at, flat0)
         layer.weight[...] = flat0.reshape(layer.weight.shape)
