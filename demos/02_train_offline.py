@@ -40,7 +40,7 @@ def mean_offdiag_gram(params):
 
 
 def run_pretrain(lambda_ortho):
-    params = init_model([256, 96, 48, 32], split_point=2, seed=SEED)
+    params = init_model([256, 96, 48, 32], seed=SEED)
     fcc = init_fcc(10, 32, SEED + 1)
     cfg = PretrainLossConfig(lambda_ortho=lambda_ortho, mix_probability=0.4)
     _, _, history = pretrain(params, fcc, stream.base, cfg,

@@ -32,7 +32,7 @@ print(f"stream: {len(stream.base.class_ids())} base classes + "
       f"{len(stream.sessions)} sessions of {stream.ways}-way {stream.shots}-shot")
 
 print("\n== training the offline phases (same recipe as demo 02) ==")
-params = init_model([256, 96, 48, 32], split_point=2, seed=SEED)
+params = init_model([256, 96, 48, 32], seed=SEED)
 fcc = init_fcc(10, 32, SEED + 1)
 pretrain(params, fcc, stream.base,
          PretrainLossConfig(lambda_ortho=0.1, mix_probability=0.4),

@@ -30,7 +30,7 @@ dataset = make_blob_dataset(18, 70, grid=16, seed=SEED)
 stream = split_fscil(dataset, base_classes=10, ways=2, shots=5,
                      per_class_cap=50, test_per_class=20, seed=SEED, sessions=4)
 
-params = init_model([256, 96, 48, 32], split_point=2, seed=SEED)
+params = init_model([256, 96, 48, 32], seed=SEED)
 fcc = init_fcc(10, 32, SEED + 1)
 pretrain(params, fcc, stream.base,
          PretrainLossConfig(lambda_ortho=0.1, mix_probability=0.4),

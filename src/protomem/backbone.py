@@ -47,25 +47,21 @@ class DenseLayer:
 
 @dataclass
 class ModelParams:
-    """Dense layers plus the index separating extractor from projection.
+    """Dense layers: layers[:-1] are the extractor, layers[-1] the projection.
 
-    layers[:split_point] form the frozen-able extractor; layers[split_point:]
-    are the projection (exactly one layer in every shipped configuration).
-    forward_calls counts samples seen by the extractor; it instruments the
-    single-pass contract of online learning and is not model state.
+    This is the one model shape, and the one OFSC stores. d_a is the
+    projection's fan-in; a one-layer model (the pretraining head) has an
+    empty extractor and its only layer is its projection. forward_calls
+    counts samples seen by the extractor; it instruments the single-pass
+    contract of online learning and is not model state.
     """
 
     layers: list
-    split_point: int
     forward_calls: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not self.layers:
             raise ShapeMismatchError("model needs at least one layer")
-        if not 0 < self.split_point <= len(self.layers):
-            raise ShapeMismatchError(
-                f"split_point {self.split_point} out of range for {len(self.layers)} layers"
-            )
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weight.shape[1] != nxt.weight.shape[0]:
                 raise ShapeMismatchError("layer shapes do not chain")
@@ -76,7 +72,7 @@ class ModelParams:
 
     @property
     def d_a(self) -> int:
-        return self.layers[self.split_point - 1].weight.shape[1]
+        return self.layers[-1].weight.shape[0]
 
     @property
     def d_p(self) -> int:
@@ -127,8 +123,6 @@ def _as_batch(x):
 
 def _run_layers(params, x, start, stop, tape=None):
     a, squeeze = _as_batch(x)
-    if start >= stop:  # degenerate segment (model with no projection layer)
-        return a[0] if squeeze else a
     if a.shape[1] != params.layers[start].weight.shape[0]:
         raise ShapeMismatchError(
             f"input dim {a.shape[1]} != layer {start} fan-in "
@@ -144,19 +138,19 @@ def _run_layers(params, x, start, stop, tape=None):
 
 
 def forward_backbone(params: ModelParams, x, tape: GradientTape | None = None):
-    """Map input(s) to the intermediate feature theta_a.
+    """Map input(s) to the intermediate feature theta_a through layers[:-1].
 
     Accepts one vector or a (B, in_dim) batch; bumps the sample counter
     by the number of rows processed.
     """
     batch, _ = _as_batch(x)
     params.forward_calls += batch.shape[0]
-    return _run_layers(params, x, 0, params.split_point, tape)
+    return _run_layers(params, x, 0, len(params.layers) - 1, tape)
 
 
 def forward_fcr(params: ModelParams, theta_a, tape: GradientTape | None = None):
-    """Project the intermediate feature theta_a to the prototype feature theta_p."""
-    return _run_layers(params, theta_a, params.split_point, len(params.layers), tape)
+    """Project the intermediate feature theta_a to theta_p through layers[-1]."""
+    return _run_layers(params, theta_a, len(params.layers) - 1, len(params.layers), tape)
 
 
 def backward(params, tape, upstream):
@@ -203,12 +197,15 @@ def sgd_step(params, tape, lr: float):
     return params
 
 
-def init_model(layer_dims, split_point, seed) -> ModelParams:
+def init_model(layer_dims, seed, *, split_point=None) -> ModelParams:
     """Glorot-uniform initialised network from a seeded generator.
 
     layer_dims = [in, h1, ..., d_a, d_p]; the final layer is the
     projection. Extractor layers apply relu, the projection identity.
     """
+    # split_point stays only for benchmarks/lifecycle.py; it goes with its next revision
+    if split_point not in (None, len(layer_dims) - 2):
+        raise LayerWidthError(f"the projection is the last layer, got split_point={split_point}")
     if len(layer_dims) < 3:
         raise LayerWidthError("need at least [input, d_a, d_p] dims")
     if min(layer_dims) < 1:
@@ -222,7 +219,7 @@ def init_model(layer_dims, split_point, seed) -> ModelParams:
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         activation = "relu" if i < n_layers - 1 else "identity"
         layers.append(DenseLayer(w, np.zeros(fan_out), activation))
-    params = ModelParams(layers, split_point)
+    params = ModelParams(layers)
     if params.d_p >= params.d_a:
         raise LayerWidthError(f"d_p ({params.d_p}) must be < d_a ({params.d_a})")
     return params
@@ -255,7 +252,7 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
-    """Inverse of save_params; the projection is the last layer by contract."""
+    """Inverse of save_params."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != PARAMS_MAGIC:
@@ -285,4 +282,4 @@ def load_params(path) -> ModelParams:
         layers.append(DenseLayer(w.copy(), b.copy(), act))
     if off != len(blob):
         raise FormatVersionMismatchError(f"{path}: {len(blob) - off} bytes past the payload")
-    return ModelParams(layers, split_point=len(layers) - 1)
+    return ModelParams(layers)

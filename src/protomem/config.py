@@ -36,6 +36,13 @@ def _float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"a seed must be >= 0, got {value}")
+    return value
+
+
 def _intlist(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -44,7 +51,7 @@ _RECIPE = TrainRecipe()
 
 # library key -> (parser, the TrainRecipe field it sets)
 RECIPE_KEYS = {
-    "seed": (int, "seed"),
+    "seed": (_seed, "seed"),
     # model
     "hidden": (_intlist, "hidden"),
     "d_p": (int, "d_p"),
@@ -127,9 +134,6 @@ class RunConfig:
         except KeyError as exc:
             raise AttributeError(key) from exc
 
-    def as_dict(self) -> dict:
-        return dict(self._values)
-
     def recipe(self, input_dim: int) -> TrainRecipe:
         """The library settings of this run, built through RECIPE_KEYS.
         Each settings object is the default one with this run's values
@@ -160,16 +164,20 @@ class RunConfig:
 
 def parse_kv_file(path) -> dict:
     """Read raw key=value pairs; no typing, no key validation."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
     pairs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        pairs[key.strip()] = value.strip()
     return pairs
 
 
@@ -206,7 +214,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
-            values["seed"] = int(env_seed)
+            values["seed"] = _seed(env_seed)
         except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer") from exc
+            raise ConfigError(f"bad value for {ENV_SEED}: {exc}") from exc
     return RunConfig(values)

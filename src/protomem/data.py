@@ -129,25 +129,28 @@ def _load_binary_dataset(path) -> LabeledDataset:
 
 
 def _load_csv_dataset(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if not cols or cols[0] != "label":
-            raise CorruptHeaderError(f"{path}: CSV header must start with 'label'")
-        dim = len(cols) - 1
-        xs, ys = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim + 1:
-                raise TruncatedPayloadError(f"{path}:{lineno}: wrong field count")
-            try:
-                ys.append(int(parts[0]))
-                xs.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise TruncatedPayloadError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, *lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CorruptHeaderError(f"{path}: not UTF-8 text") from exc
+    cols = header.strip().split(",")
+    if not cols or cols[0] != "label":
+        raise CorruptHeaderError(f"{path}: CSV header must start with 'label'")
+    dim = len(cols) - 1
+    xs, ys = [], []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != dim + 1:
+            raise TruncatedPayloadError(f"{path}:{lineno}: wrong field count")
+        try:
+            ys.append(int(parts[0]))
+            xs.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise TruncatedPayloadError(f"{path}:{lineno}: {exc}") from exc
     if not xs:
         return LabeledDataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
     return LabeledDataset(np.array(xs), np.array(ys, dtype=np.int64))

@@ -179,7 +179,7 @@ def pretrain_model(base: LabeledDataset, recipe: TrainRecipe):
     """Initialise an extractor and a linear head from the recipe's seed,
     then pretrain both on the base classes. Returns (params, history)."""
     dims = [base.input_dim, *recipe.hidden, recipe.d_p]
-    params = init_model(dims, split_point=len(dims) - 2, seed=recipe.seed)
+    params = init_model(dims, seed=recipe.seed)
     fcc = init_fcc(len(base.class_ids()), recipe.d_p, recipe.seed + 1)
     _, _, history = pretrain(
         params, fcc, base, recipe.loss,

@@ -45,7 +45,7 @@ def init_fcc(num_classes: int, d_p: int, seed) -> ModelParams:
     rng = np.random.default_rng(seed)
     limit = np.sqrt(6.0 / (num_classes + d_p))
     weight = rng.uniform(-limit, limit, size=(num_classes, d_p)).T.copy()
-    return ModelParams([DenseLayer(weight, np.zeros(num_classes))], split_point=1)
+    return ModelParams([DenseLayer(weight, np.zeros(num_classes))])
 
 
 @dataclass
@@ -116,9 +116,9 @@ def pretrain(
     ortho, train accuracy on the un-augmented labels). Deterministic
     under a fixed seed.
 
-    fcc is the one-layer head from `init_fcc`: it runs on its own tape,
-    is updated by the same `sgd_step`, and passes its input gradient
-    down to the projection.
+    fcc is the one-layer head from `init_fcc`: its only layer is its
+    projection, so it runs through `forward_fcr` on its own tape, is updated
+    by the same `sgd_step`, and passes its input gradient down.
     """
     if batch_size < 1:
         raise SettingValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -157,7 +157,7 @@ def pretrain(
             theta_a = forward_backbone(params, x, tape)
             theta_p = forward_fcr(params, theta_a, tape)
             head_tape = GradientTape()
-            logits = forward_backbone(fcc, theta_p, head_tape)
+            logits = forward_fcr(fcc, theta_p, head_tape)
             loss, grad_logits, grad_theta, (ce_part, ortho_part) = pretrain_loss(
                 logits, targets, theta_p, cfg
             )

@@ -90,7 +90,7 @@ class DeskRun:
         self.elapsed = time.monotonic() - t0
 
     def _pretrain(self, lambda_ortho):
-        params = init_model(self.DIMS, split_point=2, seed=self.SEED)
+        params = init_model(self.DIMS, seed=self.SEED)
         fcc = init_fcc(10, self.DIMS[-1], self.SEED + 1)
         cfg = PretrainLossConfig(lambda_ortho=lambda_ortho, mix_probability=0.4)
         pretrain(params, fcc, self.stream.base, cfg, epochs=50, lr=0.002,
@@ -189,7 +189,7 @@ class TestCriterion1Gradients:
         w = 0.0
         done = 0
         while done < self.INSTANCES:
-            params = init_model([5, 4, 3], 1, seed=int(rng.integers(1 << 30)))
+            params = init_model([5, 4, 3], seed=int(rng.integers(1 << 30)))
             x = rng.standard_normal(5)
             protos = rng.standard_normal((4, 3))
             gt = int(rng.integers(0, 4))
@@ -223,7 +223,7 @@ class TestCriterion1Gradients:
         # finetuning cosine objective through the projection layer
         w = 0.0
         for _ in range(self.INSTANCES):
-            params = init_model([6, 5, 4], 1, seed=int(rng.integers(1 << 30)))
+            params = init_model([6, 5, 4], seed=int(rng.integers(1 << 30)))
             a = rng.standard_normal((1, 5))
             target = np.where(rng.standard_normal((1, 4)) >= 0, 1.0, -1.0)
             layer = params.layers[-1]
@@ -264,7 +264,7 @@ class TestCriterion2Oracles:
         for _ in range(100):
             d_p = int(rng.integers(1, 513))
             shots = int(rng.integers(1, 33))
-            params = init_model([4, d_p + 1, d_p], 1, seed=int(rng.integers(1 << 30)))
+            params = init_model([4, d_p + 1, d_p], seed=int(rng.integers(1 << 30)))
             samples = rng.standard_normal((shots, 4))
             em = ExplicitMemory(d_p, QuantSpec())
             am = ActivationMemory(d_p + 1)

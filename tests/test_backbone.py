@@ -25,7 +25,7 @@ from protomem.numerics import matmul
 
 
 def tiny_net(seed=0):
-    return init_model([6, 5, 4, 3], split_point=2, seed=seed)
+    return init_model([6, 5, 4, 3], seed=seed)
 
 
 def python_forward(params, x):
@@ -47,13 +47,13 @@ def python_forward(params, x):
 class TestForward:
     def test_identity_single_layer(self):
         layer = DenseLayer(np.eye(2), np.zeros(2))
-        params = ModelParams([layer], split_point=1)
-        np.testing.assert_array_equal(forward_backbone(params, [1.0, 2.0]), [1.0, 2.0])
+        params = ModelParams([layer])
+        np.testing.assert_array_equal(forward_fcr(params, [1.0, 2.0]), [1.0, 2.0])
 
     def test_zero_weights_give_bias(self):
         layer = DenseLayer(np.zeros((3, 2)), np.array([0.5, -1.5]))
-        params = ModelParams([layer], split_point=1)
-        np.testing.assert_array_equal(forward_backbone(params, [9.0, 9.0, 9.0]), [0.5, -1.5])
+        params = ModelParams([layer])
+        np.testing.assert_array_equal(forward_fcr(params, [9.0, 9.0, 9.0]), [0.5, -1.5])
 
     def test_matches_straight_line_oracle(self):
         params = tiny_net(3)
@@ -68,7 +68,7 @@ class TestForward:
             DenseLayer(np.eye(3), np.zeros(3), "relu"),
             DenseLayer(np.eye(3), np.zeros(3)),
         ]
-        params = ModelParams(layers, split_point=1)
+        params = ModelParams(layers)
         theta_a = np.array([0.5, 1.5, 2.5])
         np.testing.assert_array_equal(forward_fcr(params, theta_a), theta_a)
 
@@ -77,7 +77,7 @@ class TestForward:
             DenseLayer(np.eye(3), np.zeros(3), "relu"),
             DenseLayer(np.zeros((3, 2)), np.array([1.0, 2.0])),
         ]
-        params = ModelParams(layers, split_point=1)
+        params = ModelParams(layers)
         np.testing.assert_array_equal(forward_fcr(params, [5.0, 5.0, 5.0]), [1.0, 2.0])
 
     def test_deterministic(self):
@@ -105,10 +105,10 @@ class TestBackward:
     def test_single_layer_sum_loss(self):
         # L = sum(out) for out = x @ W + b: dL/dW[i, j] = x[i]
         layer = DenseLayer(np.zeros((3, 2)), np.zeros(2))
-        params = ModelParams([layer], split_point=1)
+        params = ModelParams([layer])
         x = np.array([1.0, -2.0, 3.0])
         tape = GradientTape()
-        forward_backbone(params, x, tape)
+        forward_fcr(params, x, tape)
         backward(params, tape, np.ones(2))
         np.testing.assert_array_equal(tape.grad_w[0], np.outer(x, np.ones(2)))
         np.testing.assert_array_equal(tape.grad_b[0], np.ones(2))
@@ -164,14 +164,14 @@ class TestBackward:
         forward_fcr(params, forward_backbone(params, x), tape)
         backward(params, tape, np.ones(3))
         # a tape holds gradients only for the layers it recorded
-        for idx in range(params.split_point):
+        for idx in range(len(params.layers) - 1):
             assert idx not in tape.grad_w
             assert idx not in tape.grad_b
         sgd_step(params, tape, 0.5)
         # projection moved, extractor bitwise identical
         assert params_checksum(params) != before
         fresh = tiny_net(2)
-        for idx in range(params.split_point):
+        for idx in range(len(params.layers) - 1):
             np.testing.assert_array_equal(params.layers[idx].weight, fresh.layers[idx].weight)
 
     def test_second_backward_replaces_gradients(self):
@@ -272,7 +272,7 @@ class TestCompositeLossGradients:
         trial = 0
         while done < 20:
             trial += 1
-            params = init_model([4, 4, 3], 1, seed=trial)
+            params = init_model([4, 4, 3], seed=trial)
             fcc = init_fcc(2, 3, seed=trial)
             fcc.layers[0].bias[:] = rng.standard_normal(2) * 0.5
             x = rng.standard_normal((3, 4))
@@ -285,7 +285,7 @@ class TestCompositeLossGradients:
             tape = GradientTape()
             theta = forward_fcr(params, forward_backbone(params, x, tape), tape)
             head_tape = GradientTape()
-            logits = forward_backbone(fcc, theta, head_tape)
+            logits = forward_fcr(fcc, theta, head_tape)
             _, grad_logits, grad_theta, _ = pretrain_loss(logits, targets, theta, cfg)
             backward(fcc, head_tape, grad_logits)
             backward(params, tape, head_tape.input_grad + grad_theta)
@@ -300,7 +300,7 @@ class TestCompositeLossGradients:
                 set_params_from_flat(params, flat[:cut])
                 set_params_from_flat(fcc, flat[cut:])
                 theta = forward_fcr(params, forward_backbone(params, x))
-                return pretrain_loss(forward_backbone(fcc, theta), targets, theta, cfg)[0]
+                return pretrain_loss(forward_fcr(fcc, theta), targets, theta, cfg)[0]
 
             numeric = central_diff(loss_at, np.concatenate([flat_model, flat_head]))
             set_params_from_flat(params, flat_model)
@@ -321,9 +321,9 @@ class TestSgdStep:
 
     def test_one_step_exact(self):
         layer = DenseLayer(np.full((2, 2), 0.5), np.zeros(2))
-        params = ModelParams([layer], split_point=1)
+        params = ModelParams([layer])
         tape = GradientTape()
-        forward_backbone(params, [1.0, 1.0], tape)
+        forward_fcr(params, [1.0, 1.0], tape)
         backward(params, tape, np.array([1.0, 2.0]))
         g = tape.grad_w[0].copy()
         sgd_step(params, tape, 0.1)
@@ -332,13 +332,13 @@ class TestSgdStep:
     def test_quadratic_converges(self):
         # minimize (out - 3)^2 over a single 1x1 layer
         layer = DenseLayer(np.array([[0.0]]), np.zeros(1))
-        params = ModelParams([layer], split_point=1)
+        params = ModelParams([layer])
         for _ in range(1000):
             tape = GradientTape()
-            out = forward_backbone(params, [1.0], tape)
+            out = forward_fcr(params, [1.0], tape)
             backward(params, tape, 2.0 * (out - 3.0))
             sgd_step(params, tape, 0.1)
-        final = forward_backbone(params, [1.0])[0]
+        final = forward_fcr(params, [1.0])[0]
         assert abs(final - 3.0) < 1e-6
 
     def test_requires_grads(self):
@@ -354,8 +354,25 @@ class TestSaveLoad:
         save_params(params, path)
         loaded = load_params(path)
         assert params_checksum(loaded) == params_checksum(params)
-        assert loaded.split_point == params.split_point
+        assert loaded.d_a == params.d_a
         assert [l.activation for l in loaded.layers] == [l.activation for l in params.layers]
+
+    @pytest.mark.parametrize("shape", ["init_model", "init_fcc"])
+    def test_every_built_shape_round_trips(self, tmp_path, shape):
+        from protomem.offline import init_fcc
+
+        params = init_model([8, 6, 5, 4], seed=0) if shape == "init_model" else init_fcc(3, 8, 1)
+        rng = np.random.default_rng(2)
+        for layer in params.layers:
+            layer.bias[:] = rng.standard_normal(layer.bias.shape)
+        path = tmp_path / "net.ofsc"
+        save_params(params, path)
+        loaded = load_params(path)
+        for got, want in zip(loaded.layers, params.layers, strict=True):
+            assert got.weight.tobytes() == want.weight.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+            assert got.activation == want.activation
+        assert (loaded.d_a, loaded.d_p) == (params.d_a, params.d_p)
 
     def test_truncated_file(self, tmp_path):
         params = tiny_net(8)
@@ -396,24 +413,34 @@ class TestSaveLoad:
 
 class TestInit:
     def test_seeded_init_reproducible(self):
-        a = init_model([6, 5, 4, 3], 2, seed=42)
-        b = init_model([6, 5, 4, 3], 2, seed=42)
+        a = init_model([6, 5, 4, 3], seed=42)
+        b = init_model([6, 5, 4, 3], seed=42)
         assert params_checksum(a) == params_checksum(b)
 
     def test_glorot_bounds(self):
-        params = init_model([100, 50, 20], 1, seed=0)
+        params = init_model([100, 50, 20], seed=0)
         w = params.layers[0].weight
         limit = np.sqrt(6.0 / 150.0)
         assert np.all(np.abs(w) <= limit)
 
     def test_rejects_non_reducing_projection(self):
         with pytest.raises(ShapeMismatchError):
-            init_model([6, 4, 8], 1, seed=0)
+            init_model([6, 4, 8], seed=0)
 
     @pytest.mark.parametrize("dims", [[6, 0, 4, 3], [6, 4, 0], [0, 4, 3]])
     def test_rejects_zero_width(self, dims):
         with pytest.raises(LayerWidthError):
-            init_model(dims, len(dims) - 2, seed=0)
+            init_model(dims, seed=0)
+
+    def test_split_point_only_at_the_projection(self):
+        dims = [8, 6, 5, 4]
+        kept = init_model(dims, seed=0, split_point=2)
+        assert params_checksum(kept) == params_checksum(init_model(dims, seed=0))
+        for split in (0, 1, 3):
+            with pytest.raises(LayerWidthError):
+                init_model(dims, seed=0, split_point=split)
+        with pytest.raises(TypeError):  # an old positional split is not taken as the seed
+            init_model(dims, 2, 7)
 
     def test_dims(self):
         params = tiny_net()

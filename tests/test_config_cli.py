@@ -126,7 +126,7 @@ class TestConfigDefaults:
         cfg = load_config(overrides=[f"{key}={self.NON_DEFAULT[key]}"])
         default, changed = fields(load_config().recipe(64)), fields(cfg.recipe(64))
         field = RECIPE_KEYS[key][1]
-        assert changed[field] == cfg.as_dict()[key] != default[field]
+        assert changed[field] == getattr(cfg, key) != default[field]
         assert {f for f in changed if changed[f] != default[f]} == {field}
 
     def test_dump_round_trips(self, tmp_path):
@@ -134,7 +134,7 @@ class TestConfigDefaults:
         path = tmp_path / "dump.cfg"
         path.write_text(cfg.dump())
         again = load_config(path)
-        assert again.as_dict() == cfg.as_dict()
+        assert again.dump() == cfg.dump()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -169,7 +169,7 @@ class TestConfigDefaults:
     def test_every_default_parses_its_own_dump(self):
         cfg = load_config()
         for key, (parser, default) in DEFAULTS.items():
-            val = cfg.as_dict()[key]
+            val = getattr(cfg, key)
             assert val == default
 
 
@@ -297,6 +297,41 @@ class TestCliCommands:
         manifest = tmp_path / "stream.cfg"
         manifest.write_text("base=missing.ofds\n")  # no test/ways/shots
         assert cli.main(["validate", f"stream_manifest={manifest}"]) == 2
+
+    @pytest.mark.parametrize("env", [False, True], ids=["key", "env"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, env):
+        if env:
+            monkeypatch.setenv(ENV_SEED, "-3")
+        argv = tiny_overrides(tmp_path, **({} if env else {"seed": -1}))
+        assert cli.main(["pretrain", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and (ENV_SEED if env else "'seed'") in err
+        assert "seed must be >= 0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    # a valid first line, then a byte that starts no UTF-8 sequence
+    NOT_UTF8 = b"seed=5\n\xff\xfe=1\n"
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(self.NOT_UTF8)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["pretrain", "-c", str(path), *tiny_overrides(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: not UTF-8 text\n"
+        assert list(out.iterdir()) == []
+
+    def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "stream.cfg"
+        manifest.write_bytes(self.NOT_UTF8)
+        assert cli.main(["validate", f"stream_manifest={manifest}"]) == 2
+        assert capsys.readouterr().err == f"config error: {manifest}: not UTF-8 text\n"
+
+    def test_csv_not_utf8_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,f0,f1\n0,0.5,\xff\n")
+        assert cli.main(["validate", f"dataset={path}"]) == 3
+        assert capsys.readouterr().err == f"data error: {path}: not UTF-8 text\n"
 
     def test_learn_class_and_classify(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0

@@ -33,7 +33,7 @@ def desk_stream(seed=0, classes=9, base=5, ways=2, shots=3, sessions=2):
 
 
 def desk_params(stream, seed=0):
-    return init_model([stream.base.input_dim, 24, 16, 8], split_point=2, seed=seed)
+    return init_model([stream.base.input_dim, 24, 16, 8], seed=seed)
 
 
 class TestValidateStream:
@@ -143,7 +143,7 @@ class TestRunProtocol:
         assert params_checksum(twin) != checksum_plain
         # extractor still frozen even with finetuning
         fresh = desk_params(stream, 4)
-        for i in range(twin.split_point):
+        for i in range(len(twin.layers) - 1):
             np.testing.assert_array_equal(twin.layers[i].weight, fresh.layers[i].weight)
 
     def test_disabled_learning_control(self):

@@ -47,12 +47,12 @@ from protomem.offline import (
 
 def identity_net(dim):
     layers = [DenseLayer(np.eye(dim), np.zeros(dim)), DenseLayer(np.eye(dim), np.zeros(dim))]
-    return ModelParams(layers, split_point=1)
+    return ModelParams(layers)
 
 
 def toy_problem(seed=0, classes=3, per_class=40):
     ds = make_points_dataset(classes, per_class, dim=2, separation=6.0, seed=seed)
-    params = init_model([2, 16, 8], split_point=1, seed=seed)
+    params = init_model([2, 16, 8], seed=seed)
     fcc = init_fcc(classes, 8, seed + 1)
     return ds, params, fcc
 
@@ -64,7 +64,7 @@ class TestFccHead:
 
     def test_forward_shape(self):
         fcc = init_fcc(3, 8, 0)
-        out = forward_backbone(fcc, np.ones((5, 8)))
+        out = forward_fcr(fcc, np.ones((5, 8)))
         assert out.shape == (5, 3)
 
     def test_one_identity_layer_over_the_transposed_glorot_draw(self):
@@ -80,7 +80,7 @@ class TestFccHead:
         # 33 rows in batches of 32 end in a one-row batch; with every batch
         # interpolated, seed 23 draws both mixup and cutmix
         ds = make_points_dataset(3, 11, dim=4, seed=21)
-        params = init_model([4, 16, 8], split_point=1, seed=21)
+        params = init_model([4, 16, 8], seed=21)
         fcc = init_fcc(3, 8, 22)
         oracle = copy.deepcopy(params)
         weight = fcc.layers[0].weight.T.copy()
@@ -155,7 +155,7 @@ class TestPretrain:
         # 10 is not square and 3x1 does not tile it; batches that draw no
         # cutmix must not train before the grid is refused
         ds = make_points_dataset(3, 20, dim=10, seed=seed)
-        params = init_model([10, 16, 8], split_point=1, seed=seed)
+        params = init_model([10, 16, 8], seed=seed)
         fcc = init_fcc(3, 8, seed + 1)
         before = params_checksum(params), params_checksum(fcc)
         cfg = PretrainLossConfig(mix_probability=0.4)
@@ -169,7 +169,7 @@ class TestPretrain:
         self, mix_probability, grid
     ):
         ds = make_points_dataset(3, 20, dim=10, seed=1)
-        params = init_model([10, 16, 8], split_point=1, seed=1)
+        params = init_model([10, 16, 8], seed=1)
         fcc = init_fcc(3, 8, 2)
         before = params_checksum(params)
         cfg = PretrainLossConfig(mix_probability=mix_probability)
@@ -204,7 +204,7 @@ class TestMetaScore:
         worst = 0.0
         checked = 0
         while checked < 10:
-            params = init_model([5, 4, 3], 1, seed=int(rng.integers(1 << 30)))
+            params = init_model([5, 4, 3], seed=int(rng.integers(1 << 30)))
             x = rng.standard_normal(5)
             protos = rng.standard_normal((4, 3))
             gt = int(rng.integers(0, 4))
@@ -302,7 +302,7 @@ class TestMetalearn:
     def test_prototype_gradient_path_runs_and_differs(self):
         # overlapping classes keep the hinge active so both paths move
         ds = make_points_dataset(3, 40, dim=2, separation=1.0, seed=12)
-        params = init_model([2, 16, 8], split_point=1, seed=12)
+        params = init_model([2, 16, 8], seed=12)
         twin = copy.deepcopy(params)
         base = MetaConfig(meta_samples=3, iterations=4, lr=0.05, query_batch=16)
         through = MetaConfig(
@@ -315,7 +315,7 @@ class TestMetalearn:
     def test_prototype_gradient_matches_fd(self):
         # one pinned episode, differentiating through the prototype means
         rng = np.random.default_rng(55)
-        params = init_model([4, 5, 3], 1, seed=9)
+        params = init_model([4, 5, 3], seed=9)
         meta_x = rng.standard_normal((4, 4)) + 0.5  # 2 classes x 2 meta-samples
         query_x = rng.standard_normal((3, 4)) + 0.5
         query_y = np.array([0, 1, 0])
@@ -384,7 +384,7 @@ class TestBuildBaseEm:
         pretrain(params, fcc, ds, cfg, epochs=80, lr=0.002, seed=16, batch_size=32)
         feats = forward_fcr(params, forward_backbone(params, ds.inputs))
         fcc_hits = sum(
-            int(ds.class_ids()[int(np.argmax(forward_backbone(fcc, f)))] == l)
+            int(ds.class_ids()[int(np.argmax(forward_fcr(fcc, f)))] == l)
             for f, l in zip(feats, ds.labels)
         )
         em, _ = build_base_em(params, ds, QuantSpec())
@@ -448,7 +448,7 @@ class TestBatchedQueryStep:
     @pytest.mark.parametrize("through_protos", [False, True])
     def test_metalearn_equals_per_query_loop(self, objective, through_protos):
         ds = make_points_dataset(12, 12, dim=4, separation=1.0, seed=3)
-        params = init_model([4, 16, 8], 1, seed=3)
+        params = init_model([4, 16, 8], seed=3)
         twin = copy.deepcopy(params)
         cfg = MetaConfig(
             meta_samples=3, iterations=2, lr=0.05, margin=0.5, query_batch=40,

@@ -47,7 +47,7 @@ from protomem.online import (
 
 
 def net(seed=0):
-    return init_model([8, 6, 4], split_point=1, seed=seed)
+    return init_model([8, 6, 4], seed=seed)
 
 
 def fresh_memories(params):
@@ -243,7 +243,7 @@ class TestFinetune:
 
     def test_backbone_and_memory_untouched(self):
         params, em, am = self.setup_state(2)
-        frozen = [params.layers[i].weight.copy() for i in range(params.split_point)]
+        frozen = [params.layers[i].weight.copy() for i in range(len(params.layers) - 1)]
         protos_before = {c: em.get(c).quantized.copy() for c in em.class_ids()}
         finetune_fcr(params, am, em, FinetuneConfig(epochs=5, sub_batch=3, lr=0.05))
         for i, w in enumerate(frozen):
