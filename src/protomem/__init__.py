@@ -59,6 +59,7 @@ from .memory import (
     load_em,
     precision_sweep,
     quantize_feature,
+    quantize_rows,
     reduce_rows,
     save_actmem,
     save_em,

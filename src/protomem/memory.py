@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .numerics import ZERO_NORM_FLOOR, as_vector, check_finite, row_norms
+from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, check_finite, row_norms
 
 EM_MAGIC = b"OFEM"
 ACTMEM_MAGIC = b"OFAM"
@@ -67,26 +67,36 @@ class QuantSpec:
 
 
 class QuantizedFeature(NamedTuple):
+    """`quantize_feature` gives one row's values, scale and flag;
+    `quantize_rows` gives (N, d) values beside (N,) scales and flags."""
+
     values: np.ndarray  # int64
-    scale: float
-    degenerate: bool
+    scale: float | np.ndarray
+    degenerate: bool | np.ndarray
+
+
+def quantize_rows(theta, feature_bits: int) -> QuantizedFeature:
+    """Symmetric per-row quantization of an (N, d) stack to signed
+    feature_bits integers.
+
+    For each row, s = max|x| / (2^(b-1) - 1) and q = clamp(round(x / s)),
+    elementwise, so every row is bitwise what it would be alone. An all-zero
+    row cannot define a scale: it quantizes to zeros with scale 1 and its
+    degenerate flag set.
+    """
+    x = check_finite(as_matrix(theta), "feature rows")
+    qmax = (1 << (feature_bits - 1)) - 1
+    peak = np.abs(x).max(axis=1)
+    degenerate = peak == 0.0
+    scale = np.where(degenerate, 1.0, peak / qmax)
+    q = np.clip(np.rint(x / scale[:, None]), -(qmax + 1), qmax).astype(np.int64)
+    return QuantizedFeature(q, scale, degenerate)
 
 
 def quantize_feature(theta_p, feature_bits: int) -> QuantizedFeature:
-    """Symmetric per-vector quantization to signed feature_bits integers.
-
-    s = max|x| / (2^(b-1) - 1); q = clamp(round(x / s)). An all-zero
-    vector cannot define a scale: it quantizes to zeros with scale 1 and
-    the degenerate flag set.
-    """
-    x = check_finite(as_vector(theta_p), "feature vector")
-    qmax = (1 << (feature_bits - 1)) - 1
-    peak = float(np.abs(x).max())
-    if peak == 0.0:
-        return QuantizedFeature(np.zeros(x.size, dtype=np.int64), 1.0, True)
-    scale = peak / qmax
-    q = np.clip(np.rint(x / scale), -(qmax + 1), qmax).astype(np.int64)
-    return QuantizedFeature(q, scale, False)
+    """One vector's `quantize_rows`: its values, scale and degenerate flag."""
+    q = quantize_rows(as_vector(theta_p)[None, :], feature_bits)
+    return QuantizedFeature(q.values[0], float(q.scale[0]), bool(q.degenerate[0]))
 
 
 class Prototype(NamedTuple):
@@ -128,6 +138,14 @@ def reduce_rows(accum, bits: int):
     return accum >> shifts[:, None], shifts
 
 
+class ScoringView(NamedTuple):
+    """An `ExplicitMemory`'s scoring inputs, derived from `reduced` and `ids`."""
+
+    protos: np.ndarray  # (C, d_p) float64 copy of reduced
+    norms: np.ndarray  # (C,) row_norms of protos
+    by_id: np.ndarray  # (C,) column order that sorts the class ids
+
+
 class _ClassRows:
     """One row per class in insertion order: int64 class `ids` and shot
     `counts`, beside the per-class arrays that a subclass names.
@@ -141,6 +159,13 @@ class _ClassRows:
 
     def class_ids(self) -> list:
         return self.ids.tolist()
+
+    def _row(self, class_id: int) -> int:
+        """Row index of a stored class; KeyError for any other id."""
+        ids = self.class_ids()
+        if class_id not in ids:
+            raise KeyError(class_id)
+        return ids.index(class_id)
 
     def _append(self, ids, counts, **rows):
         """Append rows once every row invariant holds, else write nothing:
@@ -173,8 +198,13 @@ class ExplicitMemory(_ClassRows):
     """The classifier's entire state, one row per class in insertion
     order: class ids, shot counts, right shifts, and (C, d_p) int64
     matrices of exact accumulators and of the reduced values that
-    classification scores. Learning (`add_accumulated`) and `load_em`
-    are the only writers; `get` returns a read-only view of one row."""
+    classification scores. Learning (`add_accumulated`), `load_em` and
+    `rebuilt_at_bits` are the only writers of `reduced`; nothing outside
+    the memory writes it, and `get` returns a read-only view of one row.
+
+    `scoring_view()` is derived state: `reduced` as float64, its row norms
+    and the id order, built on the first scoring after a change and
+    dropped by every append."""
 
     def __init__(self, d_p: int, quant: QuantSpec | None = None):
         if d_p < 1:
@@ -186,12 +216,26 @@ class ExplicitMemory(_ClassRows):
         self.shifts = np.zeros(0, dtype=np.int64)
         self.accum = np.zeros((0, d_p), dtype=np.int64)
         self.reduced = np.zeros((0, d_p), dtype=np.int64)
+        self._scoring = None
+
+    def _append(self, ids, counts, **rows):
+        super()._append(ids, counts, **rows)
+        self._scoring = None
+
+    def scoring_view(self) -> ScoringView:
+        """What `classify_batch` reads, read-only and kept until the memory
+        next changes."""
+        if self._scoring is None:
+            protos = self.reduced.astype(np.float64)
+            view = ScoringView(protos, row_norms(protos), np.argsort(self.ids, kind="stable"))
+            for array in view:
+                array.flags.writeable = False
+            self._scoring = view
+        return self._scoring
 
     def get(self, class_id: int) -> Prototype:
         """Read-only view of one stored class."""
-        if class_id not in self:
-            raise KeyError(class_id)
-        i = self.class_ids().index(class_id)
+        i = self._row(class_id)
         accum, reduced = self.accum[i], self.reduced[i]
         accum.flags.writeable = reduced.flags.writeable = False
         return Prototype(int(self.ids[i]), accum, int(self.counts[i]), reduced, int(self.shifts[i]))
@@ -230,7 +274,8 @@ class ActivationMemory(_ClassRows):
         self._append([class_id], [len(batch)], sums=batch.sum(axis=0, keepdims=True))
 
     def mean(self, class_id: int) -> np.ndarray:
-        i = self.class_ids().index(class_id)
+        """Mean activation of a stored class; KeyError for any other id."""
+        i = self._row(class_id)
         return self.sums[i] / self.counts[i]
 
 
@@ -247,17 +292,17 @@ def classify_batch(em: ExplicitMemory, features):
     if q.ndim != 2 or q.shape[1] != em.d_p:
         raise ShapeMismatchError(f"query shape {q.shape} does not match memory d_p {em.d_p}")
     q_norm = row_norms(q)
-    if np.any(q_norm < ZERO_NORM_FLOOR):
+    if (q_norm < ZERO_NORM_FLOOR).any():
         raise ZeroNormError("query feature has near-zero norm")
-    protos = em.reduced.astype(np.float64)
-    p_norm = row_norms(protos)
+    protos, p_norm, by_id = em.scoring_view()
     dots = np.matmul(q[:, None, None, :], protos[:, :, None])[..., 0, 0]  # see row_norms
     scores = np.divide(
         dots, q_norm[:, None] * p_norm, out=np.zeros(dots.shape), where=p_norm >= ZERO_NORM_FLOOR
     )
-    np.clip(scores, -1.0, 1.0, out=scores)
-    best = scores.max(axis=1, keepdims=True)
-    preds = np.where(scores == best, em.ids, np.iinfo(np.int64).max).min(axis=1)
+    # np.clip(scores, -1.0, 1.0) without its per-call dispatch
+    np.minimum(np.maximum(scores, -1.0, out=scores), 1.0, out=scores)
+    # argmax takes the first maximum, so in id order the smallest tied id
+    preds = em.ids[by_id[scores[:, by_id].argmax(axis=1)]]
     return preds, scores
 
 

@@ -29,7 +29,7 @@ def as_matrix(x) -> np.ndarray:
 
 def check_finite(x, what: str = "array") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValueError(f"{what} contains non-finite entries")
     return arr
 

@@ -14,7 +14,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from .memory import bipolarize, quantize_feature
+from .memory import bipolarize, quantize_rows
 from .numerics import ZERO_NORM_FLOOR, row_norms
 
 
@@ -42,6 +42,8 @@ def learn_class(em, act_mem, params, samples, class_id: int):
         raise DuplicateClassError(f"class {class_id} already learned")
     if act_mem.d_a != params.d_a:
         raise ShapeMismatchError(f"activation memory d_a {act_mem.d_a} != model d_a {params.d_a}")
+    if em.d_p != params.d_p:
+        raise ShapeMismatchError(f"explicit memory d_p {em.d_p} != model d_p {params.d_p}")
     batch = np.asarray(samples, dtype=np.float64)
     if batch.ndim == 1:
         batch = batch[None, :]
@@ -54,9 +56,7 @@ def learn_class(em, act_mem, params, samples, class_id: int):
         )
     theta_a = forward_backbone(params, batch)
     theta_p = forward_fcr(params, theta_a)
-    accum = np.zeros(em.d_p, dtype=np.int64)
-    for row in theta_p:
-        accum += quantize_feature(row, em.quant.feature_bits).values
+    accum = quantize_rows(theta_p, em.quant.feature_bits).values.sum(axis=0)
     em.add_accumulated(class_id, accum, shots)
     act_mem.add_batch(class_id, theta_a)
     return em, act_mem

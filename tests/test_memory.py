@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protomem import memory
+from protomem.backbone import forward_backbone, forward_fcr, init_model
 from protomem.errors import (
     ClassIdRangeError,
     DuplicateClassError,
     EmptyMemoryError,
     EmptySampleSetError,
     FormatVersionMismatchError,
+    NonFiniteValueError,
     ShapeMismatchError,
     ZeroNormError,
 )
@@ -25,10 +29,12 @@ from protomem.memory import (
     load_em,
     precision_sweep,
     quantize_feature,
+    quantize_rows,
     reduce_rows,
     save_em,
 )
 from protomem.numerics import cossim
+from protomem.online import learn_class
 
 
 def shift_for(values, bits):
@@ -77,6 +83,69 @@ class TestQuantizeFeature:
                 x = rng.standard_normal(16) * 10
                 q = quantize_feature(x, bits)
                 assert q.values.max() <= lim and q.values.min() >= -lim - 1
+
+
+class TestQuantizeRows:
+    """`quantize_rows` is the per-row loop of `quantize_feature`, batched."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 32),
+        st.integers(1, 24),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["zero", "negative_peak", np.nan, np.inf, -np.inf]),
+                st.floats(1e-6, 1e6),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_per_row_quantize_feature(self, bits, d, kinds, seed):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for kind in kinds:
+            if kind == "zero":
+                row = np.zeros(d)  # degenerate: no scale
+            elif kind == "negative_peak":
+                row = rng.standard_normal(d)
+                row[rng.integers(d)] = -2.0 * np.abs(row).max() - 1.0
+            elif not np.isfinite(kind):
+                row = rng.standard_normal(d)
+                row[rng.integers(d)] = kind
+            else:
+                row = rng.standard_normal(d) * kind
+            rows.append(row)
+        if not np.all(np.isfinite(rows)):
+            with pytest.raises(NonFiniteValueError):
+                quantize_rows(np.stack(rows), bits)
+            bad = next(row for row in rows if not np.all(np.isfinite(row)))
+            with pytest.raises(NonFiniteValueError):
+                quantize_feature(bad, bits)
+            return
+        got = quantize_rows(np.stack(rows), bits)
+        assert got.values.dtype == np.int64 and got.values.shape == (len(rows), d)
+        for i, row in enumerate(rows):
+            one = quantize_feature(row, bits)
+            assert got.values[i].tolist() == one.values.tolist()
+            assert got.scale[i] == one.scale
+            assert bool(got.degenerate[i]) == one.degenerate
+
+    def test_peak_on_a_negative_entry_reaches_the_range_end(self):
+        q = quantize_rows([[-4.0, 1.0, 2.0], [0.0, -0.0, 0.0]], 4)
+        assert q.values.tolist() == [[-7, 2, 4], [0, 0, 0]]
+        assert q.scale.tolist() == [4.0 / 7.0, 1.0]
+        assert q.degenerate.tolist() == [False, True]
+
+    def test_learn_class_refuses_a_non_finite_shot_writing_neither_memory(self):
+        params = init_model([8, 6, 4], seed=0)
+        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        shots = np.ones((5, 8))
+        shots[3, 0] = np.nan
+        with pytest.raises(NonFiniteValueError):
+            learn_class(em, am, params, shots, 0)
+        assert len(em) == len(am) == 0
 
 
 class TestChooseShift:
@@ -292,6 +361,85 @@ class TestClassifyBatch:
             classify_batch(em, [[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             classify_batch(em, [[np.nan, 1.0]])
+
+
+class TestScoringView:
+    """`classify_batch` scores against `ExplicitMemory.scoring_view()`, which
+    must follow every change of the memory."""
+
+    @staticmethod
+    def assert_scores_are_cossim(em, queries):
+        _, scores = classify_batch(em, queries)
+        for q, row in zip(queries, scores):
+            ref = [cossim(q, p) if np.any(p) else 0.0 for p in em.reduced.astype(np.float64)]
+            assert row.tolist() == ref
+        return scores
+
+    @staticmethod
+    def learn(em, am, params, rng, cid):
+        learn_class(em, am, params, rng.standard_normal((5, 8)) + rng.standard_normal(8), cid)
+
+    def test_scores_follow_every_change(self, tmp_path):
+        params = init_model([8, 6, 4], seed=3)
+        rng = np.random.default_rng(11)
+        queries = forward_fcr(params, forward_backbone(params, rng.standard_normal((6, 8))))
+        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        for cid in (5, 2):
+            self.learn(em, am, params, rng, cid)
+            self.assert_scores_are_cossim(em, queries)
+        self.learn(em, am, params, rng, 9)
+        self.assert_scores_are_cossim(em, queries)
+
+        save_em(em, tmp_path / "em.ofem")
+        self.assert_scores_are_cossim(load_em(tmp_path / "em.ofem"), queries)
+        for bits in (1, 3, 8):
+            self.assert_scores_are_cossim(em.rebuilt_at_bits(bits), queries)
+
+        view, before = em.scoring_view(), self.assert_scores_are_cossim(em, queries)
+        with pytest.raises(DuplicateClassError):
+            self.learn(em, am, params, rng, 2)
+        assert em.class_ids() == [5, 2, 9] and em.scoring_view() is view
+        assert self.assert_scores_are_cossim(em, queries).tolist() == before.tolist()
+
+        twin, twin_am = copy.deepcopy(em), copy.deepcopy(am)
+        self.learn(twin, twin_am, params, rng, 4)
+        assert self.assert_scores_are_cossim(twin, queries).shape == (6, 4)
+        assert self.assert_scores_are_cossim(em, queries).tolist() == before.tolist()
+
+    def test_view_is_read_only(self):
+        em = ExplicitMemory(2)
+        em.add_accumulated(7, [3, 4], 1)
+        em.add_accumulated(2, [0, -2], 1)
+        view = em.scoring_view()
+        assert view.protos.tolist() == [[3.0, 4.0], [0.0, -2.0]]
+        assert view.norms.tolist() == [5.0, 2.0] and view.by_id.tolist() == [1, 0]
+        for array in view:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_built_once_per_change(self, monkeypatch):
+        built = []
+        real = memory.row_norms
+
+        def counting(x):
+            if len(x) == len(em):  # the memory's rows, not a one-row query
+                built.append(len(x))
+            return real(x)
+
+        monkeypatch.setattr(memory, "row_norms", counting)
+        params = init_model([8, 6, 4], seed=4)
+        rng = np.random.default_rng(12)
+        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        for cid in (0, 1, 2):
+            self.learn(em, am, params, rng, cid)
+        query = rng.standard_normal(params.d_p)
+        classify(em, query)
+        classify(em, query)
+        assert built == [3]
+        self.learn(em, am, params, rng, 3)
+        classify(em, query)
+        classify(em, query)
+        assert built == [3, 4]
 
 
 class TestMemoryAccounting:

@@ -157,6 +157,15 @@ class TestLearnClass:
             learn_class(em, am, params, np.ones((2, 8)), 0)
         assert len(em) == len(am) == 0
 
+    @pytest.mark.parametrize("d_p", [1, 3])
+    def test_projection_width_mismatch_writes_neither(self, d_p):
+        # a one-wide projection once broadcast into every entry of the class
+        params = init_model([8, 6, d_p], seed=6)
+        em, am = ExplicitMemory(4), ActivationMemory(params.d_a)
+        with pytest.raises(ShapeMismatchError):
+            learn_class(em, am, params, np.ones((2, 8)), 0)
+        assert len(em) == len(am) == 0 and params.forward_calls == 0
+
     def test_empty_sample_set(self):
         params = net(7)
         em, am = fresh_memories(params)
@@ -171,6 +180,15 @@ class TestLearnClass:
         learn_class(em, am, params, samples, 4)
         thetas = forward_backbone(params, samples)
         np.testing.assert_allclose(am.mean(4), thetas.mean(axis=0), atol=1e-12)
+
+    def test_activation_memory_mean_of_unknown_class(self):
+        params = net(8)
+        em, am = fresh_memories(params)
+        learn_class(em, am, params, np.ones((2, 8)), 4)
+        with pytest.raises(KeyError):
+            am.mean(5)
+        with pytest.raises(KeyError):
+            em.get(5)
 
     def test_training_samples_classified_back(self):
         params = net(9)
