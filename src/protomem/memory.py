@@ -282,9 +282,11 @@ class ActivationMemory(_ClassRows):
 def classify_batch(em: ExplicitMemory, features):
     """Nearest-prototype cosine scoring of N queries at once, the one
     scoring path: (N,) predictions and (N, C) scores, columns ordered like
-    em.class_ids(), each bitwise equal to numerics.cossim of query and
-    reduced prototype. Ties break toward the smallest class id; a degenerate
-    all-zero prototype scores 0.0 rather than poisoning the argmax.
+    em.class_ids(). For every query whose squared norm is finite, each score
+    is bitwise equal to numerics.cossim of query and reduced prototype; a
+    query whose squared norm overflows is first scaled down by a power of
+    two. Ties break toward the smallest class id; a degenerate all-zero
+    prototype scores 0.0 rather than poisoning the argmax.
     """
     if len(em) == 0:
         raise EmptyMemoryError("explicit memory holds no prototypes")
@@ -292,8 +294,17 @@ def classify_batch(em: ExplicitMemory, features):
     if q.ndim != 2 or q.shape[1] != em.d_p:
         raise ShapeMismatchError(f"query shape {q.shape} does not match memory d_p {em.d_p}")
     q_norm = row_norms(q)
-    if (q_norm < ZERO_NORM_FLOOR).any():
+    if q_norm.min(initial=np.inf) < ZERO_NORM_FLOOR:
         raise ZeroNormError("query feature has near-zero norm")
+    if q_norm.max(initial=0.0) == np.inf:
+        big = np.isinf(q_norm)
+        # the squared norm overflowed: cosine ignores scale, so divide those
+        # rows by a power of two of their peak, which is exact barring
+        # entries more than 2**1000 below it
+        _, peak_exp = np.frexp(np.abs(q[big]).max(axis=1))
+        q = q.copy()
+        q[big] = np.ldexp(q[big], -peak_exp[:, None])
+        q_norm[big] = row_norms(q[big])
     protos, p_norm, by_id = em.scoring_view()
     dots = np.matmul(q[:, None, None, :], protos[:, :, None])[..., 0, 0]  # see row_norms
     scores = np.divide(

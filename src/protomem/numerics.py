@@ -69,16 +69,29 @@ def matmul(a, b) -> np.ndarray:
     Decomposed into rank-1 updates so every output element is summed in
     index order; the result is bitwise equal to the naive triple loop on
     any shape, unlike BLAS gemm.
+
+    Only the live columns of `a` are visited: those with a nonzero or NaN
+    entry, plus any whose row b[i] holds a non-finite value (0 * inf is
+    NaN). Skipping the rest is exact: such a column adds only ±0 to every
+    output, `out` starts at +0.0 and never becomes -0.0 (x + y is -0.0
+    only when both are), and x + ±0 == x for every other x. ReLU inputs
+    are about half exact zeros, so a one-row forward skips many steps.
     """
     a = as_matrix(a)
-    b = as_matrix(b)
+    b = np.ascontiguousarray(as_matrix(b))  # rows b[i] read contiguously
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
+    live = a.any(axis=0)  # NaN counts as nonzero
+    cols = live.nonzero()[0]
+    if len(cols) < k:
+        dead = ~live
+        live[dead] = ~np.isfinite(b[dead]).all(axis=1)
+        cols = live.nonzero()[0]
     out = np.zeros((m, n))
     tmp = np.empty((m, n))
-    for i in range(k):
+    for i in cols.tolist():
         np.multiply(a[:, i, None], b[i, None, :], out=tmp)
         np.add(out, tmp, out=out)
     return out

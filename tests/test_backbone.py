@@ -100,6 +100,24 @@ class TestForward:
         forward_backbone(params, np.ones((5, 6)))
         assert params.forward_calls == 6
 
+    def test_batch_rows_equal_one_row_forwards(self):
+        # matmul skips the all-zero columns of its left operand, and a batch
+        # and each of its rows skip different columns; the query-at-a-time
+        # replay must still match the batched protocol bit for bit
+        params = init_model([12, 10, 8, 4], seed=3)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((9, 12))
+        x[rng.random(x.shape) < 0.4] = 0.0
+        x[:, [2, 7]] = 0.0  # dead in the batch as well
+        x[4] = 0.0
+        hidden = forward_backbone(params, x)
+        # single rows skip dead units that the batch must visit
+        assert (hidden == 0.0).any() and not (hidden == 0.0).all(axis=0).any()
+        batch = forward_fcr(params, hidden)
+        for r in range(len(x)):
+            one = forward_fcr(params, forward_backbone(params, x[r]))
+            np.testing.assert_array_equal(one.view(np.int64), batch[r].view(np.int64))
+
 
 class TestBackward:
     def test_single_layer_sum_loss(self):

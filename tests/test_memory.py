@@ -352,6 +352,30 @@ class TestClassifyBatch:
             assert cid == pred
             assert one.tolist() == row.tolist()
 
+    def test_query_whose_squared_norm_overflows(self):
+        # 1e300**2 overflows: unscaled, the norm is inf and every score 0.0
+        em = ExplicitMemory(4, QuantSpec())
+        em.add_accumulated(3, [1, 2, 3, 4], 1)
+        em.add_accumulated(1, [-4, 1, 0, 2], 1)
+        protos = em.reduced.astype(np.float64)
+        like_ones = [cossim(np.ones(4), p) for p in protos]
+        finite = np.array([1.0, -2.0, 0.5, 3.0])
+        with np.errstate(over="ignore"):
+            preds, scores = classify_batch(em, [np.full(4, 1e300), finite])
+        assert preds.tolist() == [3, 3]
+        assert scores[0].tolist() == pytest.approx(like_ones, rel=1e-15)
+        assert scores[1].tolist() == [cossim(finite, p) for p in protos]
+        with np.errstate(over="ignore"):
+            cid, one = classify(em, np.full(4, -1e300))
+        assert cid == 1
+        assert one.tolist() == pytest.approx([-s for s in like_ones], rel=1e-15)
+
+    def test_no_queries_give_empty_results(self):
+        em = ExplicitMemory(2, QuantSpec())
+        em.add_accumulated(0, [1, 0], 1)
+        preds, scores = classify_batch(em, np.zeros((0, 2)))
+        assert preds.shape == (0,) and scores.shape == (0, 1)
+
     def test_rejects_bad_queries(self):
         em = ExplicitMemory(2, QuantSpec())
         em.add_accumulated(0, [1, 0], 1)

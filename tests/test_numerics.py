@@ -75,6 +75,52 @@ class TestRelu:
         np.testing.assert_array_equal(relu([0.3, -0.7]), [0.3, 0.0])
 
 
+LAYOUTS = pytest.mark.parametrize(
+    "layout",
+    [
+        # backward passes transposed views: a_in.T @ g and g @ W.T
+        lambda x: np.ascontiguousarray(x.T).T,
+        np.asfortranarray,
+        lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+        lambda x: np.vstack([x, x, x])[len(x) : 2 * len(x)],
+    ],
+    ids=["transposed-view", "fortran", "strided", "row-slice"],
+)
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns (so -0.0 != +0.0), NaN wherever `want` is NaN."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    got_bits = np.ascontiguousarray(got).view(np.int64)
+    want_bits = np.ascontiguousarray(want).view(np.int64)
+    np.testing.assert_array_equal(got_bits[~nan], want_bits[~nan])
+
+
+def _zero_column_case(case, m, k, n, rng):
+    """(a, b) whose all-zero columns of a the rank-1 loop may skip."""
+    a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+    b = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
+    cols = [0, k // 2, k - 1]
+    if case == "pos-zero-cols":
+        a[:, cols] = 0.0
+    elif case == "neg-zero-cols":
+        a[:, cols] = -0.0
+    elif case == "mixed-sign-zero-cols":
+        a[:, cols] = np.where(np.arange(m) % 2, -0.0, 0.0)[:, None]
+    elif case == "all-zero":
+        a[:] = np.where(rng.random((m, k)) < 0.5, -0.0, 0.0)
+    elif case == "nan-in-a":
+        a[:, cols] = 0.0
+        a[m // 2, k // 2] = np.nan
+    elif case in ("inf-in-b", "nan-in-b"):
+        a[:, cols] = -0.0 if case == "inf-in-b" else 0.0
+        bad = [np.inf, -np.inf] if case == "inf-in-b" else [np.nan]
+        b[k // 2, ::2] = bad[0]
+        b[k // 2, 1::2] = bad[-1]
+    return a, b
+
+
 class TestMatmul:
     def test_identity(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -98,17 +144,7 @@ class TestMatmul:
         b = rng.standard_normal((k, n)) * 10
         np.testing.assert_array_equal(matmul(a, b), naive_matmul(a, b))
 
-    @pytest.mark.parametrize(
-        "layout",
-        [
-            # backward passes transposed views: a_in.T @ g and g @ W.T
-            lambda x: np.ascontiguousarray(x.T).T,
-            np.asfortranarray,
-            lambda x: np.repeat(x, 2, axis=1)[:, ::2],
-            lambda x: np.vstack([x, x, x])[len(x) : 2 * len(x)],
-        ],
-        ids=["transposed-view", "fortran", "strided", "row-slice"],
-    )
+    @LAYOUTS
     # m * n = 1 is one long dot product: a kernel that reduces a stack of
     # rank-1 products over its first axis would sum it as one contiguous
     # vector, in numpy's pairwise blocks of 8, instead of left to right
@@ -126,6 +162,46 @@ class TestMatmul:
         np.testing.assert_array_equal(matmul(la, lb), want)
         np.testing.assert_array_equal(matmul(la, b), want)
         np.testing.assert_array_equal(matmul(a, lb), want)
+
+    @LAYOUTS
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "pos-zero-cols",
+            "neg-zero-cols",
+            "mixed-sign-zero-cols",
+            "all-zero",
+            "nan-in-a",
+            "inf-in-b",
+            "nan-in-b",
+        ],
+    )
+    @pytest.mark.parametrize("m,k,n", [(1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 1000, 1)])
+    def test_zero_columns_keep_triple_loop_bits(self, layout, case, m, k, n):
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        a, b = _zero_column_case(case, m, k, n, rng)
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            want = naive_matmul(a, b)
+        if case in ("inf-in-b", "nan-in-b"):
+            assert np.isnan(want).any()  # 0 * inf and 0 * NaN reach the sum
+        elif case != "nan-in-a":
+            assert not np.isnan(want).any()
+        la, lb = layout(a), layout(b)
+        assert_same_bits(la, a)
+        assert_same_bits(lb, b)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(matmul(la, lb), want)
+            assert_same_bits(matmul(la, b), want)
+            assert_same_bits(matmul(a, lb), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 24), st.integers(1, 6), st.integers(0, 2**31))
+    def test_relu_inputs_match_triple_loop_bits(self, m, k, n, seed):
+        # relu zeroes about half the entries, so m <= 4 leaves zero columns
+        rng = np.random.default_rng(seed)
+        a = relu(rng.standard_normal((m, k)))
+        b = rng.standard_normal((k, n)) * 10
+        assert_same_bits(matmul(a, b), naive_matmul(a, b))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
