@@ -72,6 +72,6 @@ from .offline import (
     metalearn,
     pretrain,
 )
-from .online import FinetuneConfig, finetune_fcr, learn_class
+from .online import FinetuneConfig, finetune_fcr, learn_class, learn_dataset
 
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from .harness import (
 )
 from .memory import ActivationMemory, ExplicitMemory, classify_batch, precision_sweep
 from .memory import load_actmem, load_em, save_actmem, save_em
-from .offline import metalearn
-from .online import learn_class
+from .offline import build_base_em, metalearn
+from .online import learn_class, learn_dataset
 
 
 def _fmt(value) -> str:
@@ -141,12 +141,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
     require_test_rows(stream)
-    em = ExplicitMemory(params.d_p, cfg.recipe(stream.base.input_dim).quant)
-    act_mem = ActivationMemory(params.d_a)
-    for ds in [stream.base, *stream.sessions]:
-        for cid in ds.class_ids():
-            rows = ds.indices_of(cid)
-            learn_class(em, act_mem, params, ds.inputs[rows], cid)
+    em, act_mem = build_base_em(params, stream.base, cfg.recipe(stream.base.input_dim).quant)
+    for session in stream.sessions:
+        learn_dataset(em, act_mem, params, session)
     feats = extract_features(params, stream.test)
     points = precision_sweep(em, feats, stream.test.labels, cfg.sweep_bits)
     rows = [(p.bits, p.memory_bytes / 1000.0, p.accuracy) for p in points]

@@ -7,11 +7,13 @@ import numpy as np
 
 from .backbone import forward_backbone, forward_fcr, init_model
 from .data import LabeledDataset, SessionStream
-from .errors import ConflictingFlagsError, SettingValueError
+from .errors import ConflictingFlagsError, InsufficientSamplesError, SettingValueError
+from .errors import ShapeMismatchError
 from .losses import PretrainLossConfig
 from .memory import QuantSpec, classify_batch
 from .offline import MetaConfig, build_base_em, init_fcc, metalearn, pretrain
-from .online import FinetuneConfig, finetune_fcr, learn_class
+from .numerics import check_finite
+from .online import FinetuneConfig, finetune_fcr, learn_dataset
 
 ABLATION_FLAGS = ("AG", "OR", "MM", "CE", "FT")
 
@@ -78,24 +80,6 @@ def extract_features(params, dataset: LabeledDataset) -> np.ndarray:
     return forward_fcr(params, forward_backbone(params, dataset.inputs))
 
 
-def _evaluate(params, em, test: LabeledDataset, class_subset, base_ids):
-    subset = test.subset_by_classes(class_subset)
-    preds, _ = classify_batch(em, extract_features(params, subset))
-    ok = preds == subset.labels
-    is_base = np.isin(subset.labels, base_ids)
-    acc = int(ok.sum()) / len(subset) if len(subset) else 0.0
-    base_acc = int(ok[is_base].sum()) / int(is_base.sum()) if is_base.any() else 0.0
-    return acc, base_acc, len(subset)
-
-
-def _probe(params, em, probes):
-    if not probes:
-        return []
-    feats = extract_features(params, LabeledDataset(np.asarray(probes), np.zeros(len(probes), dtype=np.int64)))
-    _, scores = classify_batch(em, feats)
-    return [dict(zip(em.class_ids(), row)) for row in scores.tolist()]
-
-
 def run_protocol(
     params,
     stream: SessionStream,
@@ -106,38 +90,49 @@ def run_protocol(
 ) -> SessionReport:
     """Play the stream: build the base memory, absorb each incremental
     session with single-pass updates (optionally finetuning the
-    projection), and evaluate each stage on the union of classes seen."""
-    require_test_rows(stream)
-    em, act_mem = build_base_em(params, stream.base, quant)
-    base_ids = stream.base.class_ids()
-    if finetune and ft_cfg is None:
-        ft_cfg = FinetuneConfig()
-    accs, base_accs, class_sets, counts, probe_rows = [], [], [], [], []
+    projection), and evaluate each stage on the union of classes seen.
 
-    def record(t):
+    Test rows and probes, a (P, input_dim) array-like, go through the frozen
+    extractor once, and through the projection again after each finetune.
+    """
+    require_test_rows(stream)
+    test, base_ids = stream.test, stream.base.class_ids()
+    is_base = np.isin(test.labels, base_ids)
+    if not is_base.any():
+        raise InsufficientSamplesError(f"session 0 has no test sample of base classes {base_ids}")
+    probe_x = check_finite([] if probes is None else probes, "probes")
+    if probe_x.shape == (0,):  # an empty sequence
+        probe_x = probe_x.reshape(0, test.input_dim)
+    if probe_x.ndim != 2 or probe_x.shape[1] != test.input_dim:
+        raise ShapeMismatchError(f"probes must be (P, {test.input_dim}), got {probe_x.shape}")
+    em, act_mem = build_base_em(params, stream.base, quant)
+    theta_a = forward_backbone(params, np.concatenate([test.inputs, probe_x]))
+    feats = forward_fcr(params, theta_a)
+    is_probe = np.ones(len(probe_x), dtype=bool)
+    accs, base_accs, class_sets, counts, probe_scores = [], [], [], [], []
+    for t in range(len(stream.sessions) + 1):
+        if t:
+            learn_dataset(em, act_mem, params, stream.sessions[t - 1])
+            if finetune:
+                finetune_fcr(params, act_mem, em, ft_cfg or FinetuneConfig())
+                feats = forward_fcr(params, theta_a)
         seen = stream.classes_through(t)
-        acc, base_acc, n = _evaluate(params, em, stream.test, seen, base_ids)
-        accs.append(acc)
-        base_accs.append(base_acc)
+        in_stage = np.isin(test.labels, seen)
+        preds, scores = classify_batch(em, feats[np.append(in_stage, is_probe)])
+        n = int(in_stage.sum())
+        ok = preds[:n] == test.labels[in_stage]
+        accs.append(int(ok.sum()) / n)
+        base_accs.append(int(ok[is_base[in_stage]].sum()) / int(is_base.sum()))
         class_sets.append(seen)
         counts.append(n)
-        probe_rows.append(_probe(params, em, probes))
-
-    record(0)
-    for t, session in enumerate(stream.sessions, start=1):
-        for cid in session.class_ids():
-            rows = session.indices_of(cid)
-            learn_class(em, act_mem, params, session.inputs[rows], cid)
-        if finetune:
-            finetune_fcr(params, act_mem, em, ft_cfg)
-        record(t)
+        probe_scores.append([dict(zip(em.class_ids(), row)) for row in scores[n:].tolist()])
     return SessionReport(
         session_accuracies=accs,
         average=float(np.mean(accs)),
         base_class_accuracies=base_accs,
         evaluated_class_sets=class_sets,
         evaluated_counts=counts,
-        probe_scores=probe_rows,
+        probe_scores=probe_scores,
         config_echo={
             "ways": stream.ways,
             "shots": stream.shots,

@@ -226,7 +226,10 @@ class ExplicitMemory(_ClassRows):
         """What `classify_batch` reads, read-only and kept until the memory
         next changes."""
         if self._scoring is None:
-            protos = self.reduced.astype(np.float64)
+            # 64-byte aligned, so that no wide load of a row spans two cache lines
+            buf = np.empty(self.reduced.size + 8)
+            protos = np.ndarray(self.reduced.shape, np.float64, buf, -buf.ctypes.data % 64)
+            protos[...] = self.reduced
             view = ScoringView(protos, row_norms(protos), np.argsort(self.ids, kind="stable"))
             for array in view:
                 array.flags.writeable = False

@@ -33,7 +33,7 @@ from .losses import (
 )
 from .memory import ActivationMemory, ExplicitMemory, QuantSpec
 from .numerics import ZERO_NORM_FLOOR, relu, row_norms
-from .online import learn_class
+from .online import learn_dataset
 
 
 def init_fcc(num_classes: int, d_p: int, seed) -> ModelParams:
@@ -305,8 +305,4 @@ def build_base_em(params, base_dataset, quant: QuantSpec):
     """Populate a fresh explicit memory and activation memory with one
     prototype per base class, each from a single pass over its samples."""
     em = ExplicitMemory(params.d_p, quant)
-    act_mem = ActivationMemory(params.d_a)
-    for cid in base_dataset.class_ids():
-        rows = base_dataset.indices_of(cid)
-        learn_class(em, act_mem, params, base_dataset.inputs[rows], cid)
-    return em, act_mem
+    return learn_dataset(em, ActivationMemory(params.d_a), params, base_dataset)

@@ -62,6 +62,14 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     return em, act_mem
 
 
+def learn_dataset(em, act_mem, params, dataset):
+    """Absorb every class of `dataset`, one `learn_class` each, in class-id
+    order: the one order in which a stream's classes enter the memories."""
+    for cid in dataset.class_ids():
+        learn_class(em, act_mem, params, dataset.inputs[dataset.indices_of(cid)], cid)
+    return em, act_mem
+
+
 def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
     """Per-row losses 1 - cossim(y_i, target_i) and their gradients
     w.r.t. the rows y_i, each row's values bitwise those of scoring it

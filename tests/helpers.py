@@ -8,11 +8,12 @@ import numpy as np
 from protomem.backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd_step
 from protomem.data import LabeledDataset
 from protomem.errors import NumericFailureError, ShapeMismatchError, ZeroNormError
-from protomem.harness import extract_features, pretrain_model
+from protomem.harness import SessionReport, extract_features, pretrain_model
 from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
-from protomem.memory import bipolarize
+from protomem.memory import bipolarize, classify_batch
 from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
-from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows
+from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows, build_base_em
+from protomem.online import FinetuneConfig, finetune_fcr, learn_class
 
 
 def central_diff(f, x, step=1e-5):
@@ -220,6 +221,54 @@ def finetune_fcr_per_row(params, act_mem, em, cfg):
             sgd_step(params, tape, cfg.lr)
         history.append(epoch_loss)
     return history
+
+
+def run_protocol_per_stage(params, stream, quant, finetune=False, ft_cfg=None, probes=None):
+    """`harness.run_protocol` with every stage running the whole extractor
+    again on its test subset and on the probes, and each scored apart."""
+    em, act_mem = build_base_em(params, stream.base, quant)
+    base_ids = stream.base.class_ids()
+    ft_cfg = ft_cfg or FinetuneConfig()
+    accs, base_accs, class_sets, counts, probe_rows = [], [], [], [], []
+    for t in range(len(stream.sessions) + 1):
+        if t:
+            session = stream.sessions[t - 1]
+            for cid in session.class_ids():
+                learn_class(em, act_mem, params, session.inputs[session.indices_of(cid)], cid)
+            if finetune:
+                finetune_fcr(params, act_mem, em, ft_cfg)
+        seen = stream.classes_through(t)
+        subset = stream.test.subset_by_classes(seen)
+        preds, _ = classify_batch(em, extract_features(params, subset))
+        ok = preds == subset.labels
+        is_base = np.isin(subset.labels, base_ids)
+        accs.append(int(ok.sum()) / len(subset))
+        base_accs.append(int(ok[is_base].sum()) / int(is_base.sum()))
+        class_sets.append(seen)
+        counts.append(len(subset))
+        scores = []
+        if probes is not None and len(probes):
+            feats = extract_features(params, LabeledDataset(probes, np.zeros(len(probes))))
+            _, rows = classify_batch(em, feats)
+            scores = [dict(zip(em.class_ids(), row)) for row in rows.tolist()]
+        probe_rows.append(scores)
+    return SessionReport(
+        session_accuracies=accs,
+        average=float(np.mean(accs)),
+        base_class_accuracies=base_accs,
+        evaluated_class_sets=class_sets,
+        evaluated_counts=counts,
+        probe_scores=probe_rows,
+        config_echo={
+            "ways": stream.ways,
+            "shots": stream.shots,
+            "finetune": finetune,
+            "prototype_bits": quant.prototype_bits,
+            "feature_bits": quant.feature_bits,
+            "d_a": params.d_a,
+            "d_p": params.d_p,
+        },
+    )
 
 
 def softmax_ce_rows(logits, targets):

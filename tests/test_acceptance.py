@@ -406,7 +406,7 @@ class TestCriterion6Determinism:
         classes=7, base_classes=4, ways=1, shots=3, sessions=3,
         per_class_cap=8, test_per_class=3, grid=8, hidden="16,12", d_p=6,
         pretrain_epochs=2, batch_size=16, meta_iterations=2, meta_samples=2,
-        query_batch=8, seed=5,
+        query_batch=8, finetune_epochs=2, seed=5,
     )
 
     def run_chain(self, out):
@@ -416,12 +416,19 @@ class TestCriterion6Determinism:
             "history_out": out / "history.csv",
             "report_out": out / "report.csv",
             "sweep_out": out / "sweep.csv",
+            "ablation_out": out / "ablation.csv",
         }
         extra = [f"{k}={v}" for k, v in paths.items()]
+        params_in = f"params_in={out / 'params.ofsc'}"
+        finetuned = out / "report_ft.csv"
         assert cli.main(["pretrain", *base, *extra]) == 0
-        assert cli.main(["protocol", *base, *extra, f"params_in={out / 'params.ofsc'}"]) == 0
-        assert cli.main(["sweep", *base, *extra, f"params_in={out / 'params.ofsc'}"]) == 0
-        return {k: p.read_bytes() for k, p in paths.items()}
+        assert cli.main(["protocol", *base, *extra, params_in]) == 0
+        assert cli.main(
+            ["protocol", *base, *extra, params_in, "finetune=true", f"report_out={finetuned}"]
+        ) == 0
+        assert cli.main(["sweep", *base, *extra, params_in]) == 0
+        assert cli.main(["ablate", *base, *extra, "ablate_rows=none;AG,FT"]) == 0
+        return {k: p.read_bytes() for k, p in {**paths, "report_ft": finetuned}.items()}
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_points_dataset, save_dataset_csv
-from protomem.backbone import load_params
+from protomem.backbone import init_model, load_params, save_params
 from protomem import errors
 from protomem.config import DEFAULTS, ENV_SEED, RECIPE_KEYS, load_config
 from protomem.data import LabeledDataset, save_dataset
@@ -453,6 +453,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "test set is empty" in err
         assert "test_per_class" in err
+        assert list(out.iterdir()) == []
+
+    def test_test_set_without_base_rows_exits_3(self, tmp_path, capsys):
+        ds = make_blob_dataset(4, 6, grid=TINY["grid"], seed=2)
+        for name, classes in (("base", [0, 1, 2]), ("s1", [3]), ("test", [3])):
+            save_dataset(ds.subset_by_classes(classes), tmp_path / f"{name}.ofds")
+        manifest = tmp_path / "stream.cfg"
+        manifest.write_text(
+            f"base={tmp_path / 'base.ofds'}\n"
+            f"test={tmp_path / 'test.ofds'}\n"
+            f"session1={tmp_path / 's1.ofds'}\n"
+            "ways=1\nshots=6\n"
+        )
+        save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main([
+            "protocol", f"stream_manifest={manifest}",
+            f"params_in={tmp_path / 'params.ofsc'}", f"report_out={out / 'report.csv'}",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "base classes [0, 1, 2]" in err
         assert list(out.iterdir()) == []
 
     def test_empty_test_set_legal_without_evaluation(self, tmp_path, capsys):

@@ -1,14 +1,20 @@
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import ortho_strength_sweep
+from helpers import ortho_strength_sweep, run_protocol_per_stage
 from protomem import harness
 from protomem.backbone import init_model, params_checksum
 from protomem.data import SessionStream, split_fscil
-from protomem.errors import ConflictingFlagsError, SettingValueError
+from protomem.errors import (
+    ConflictingFlagsError,
+    InsufficientSamplesError,
+    SettingValueError,
+    ShapeMismatchError,
+)
 from protomem.harness import (
     TrainRecipe,
     ablation_matrix,
@@ -83,7 +89,10 @@ def without_test_rows(stream):
 
 
 def must_not_run(*_args, **_kwargs):
-    raise AssertionError("ran before the empty test set was refused")
+    raise AssertionError("ran before the bad input was refused")
+
+
+SMALL_FT = FinetuneConfig(epochs=3, sub_batch=2, lr=0.05)
 
 
 class TestRunProtocol:
@@ -92,6 +101,59 @@ class TestRunProtocol:
         monkeypatch.setattr(harness, "build_base_em", must_not_run)
         with pytest.raises(SettingValueError, match="test set is empty.*test_per_class"):
             run_protocol(desk_params(stream), stream, QuantSpec())
+
+    def test_test_set_without_base_rows_refused_before_the_memory_is_built(self, monkeypatch):
+        stream = desk_stream()
+        novel = [c for c in stream.test.class_ids() if c not in stream.base.class_ids()]
+        stream = replace(stream, test=stream.test.subset_by_classes(novel))
+        monkeypatch.setattr(harness, "build_base_em", must_not_run)
+        base_ids = str(stream.base.class_ids())
+        with pytest.raises(InsufficientSamplesError, match=re.escape(base_ids)):
+            run_protocol(desk_params(stream), stream, QuantSpec())
+
+    @pytest.mark.parametrize("kind,ft_cfg", [
+        ("plain", None), ("probes", None), ("finetune", SMALL_FT),
+        ("finetune+probes", SMALL_FT), ("zero sessions", None),
+    ])
+    def test_matches_the_per_stage_oracle(self, kind, ft_cfg):
+        stream = desk_stream(13)
+        if kind == "zero sessions":
+            stream = replace(stream, sessions=[])
+        probes = [stream.test.inputs[i] for i in (0, 7, 19)] if "probes" in kind else None
+        params, twin = desk_params(stream, 13), desk_params(stream, 13)
+        got = run_protocol(params, stream, QuantSpec(), ft_cfg is not None, ft_cfg, probes)
+        want = run_protocol_per_stage(twin, stream, QuantSpec(), ft_cfg is not None, ft_cfg, probes)
+        assert got == want
+        assert params_checksum(params) == params_checksum(twin)
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_extracts_each_row_once(self, finetune):
+        stream = desk_stream(14)
+        probes = stream.test.inputs[:4]
+        params = desk_params(stream, 14)
+        run_protocol(params, stream, QuantSpec(), finetune, SMALL_FT, probes)
+        rows = len(stream.base) + sum(len(s) for s in stream.sessions)
+        assert params.forward_calls == rows + len(stream.test) + len(probes)
+
+    def test_array_probes_score_like_a_list(self):
+        stream = desk_stream(15)
+        rows = stream.test.inputs[:3]
+        as_list = run_protocol(desk_params(stream, 15), stream, QuantSpec(), probes=list(rows))
+        as_array = run_protocol(desk_params(stream, 15), stream, QuantSpec(), probes=rows)
+        assert as_array == as_list
+        none = run_protocol(desk_params(stream, 15), stream, QuantSpec())
+        empty = run_protocol(desk_params(stream, 15), stream, QuantSpec(), probes=rows[:0])
+        assert empty == none
+        assert empty.probe_scores == [[]] * (1 + len(stream.sessions))
+
+    @pytest.mark.parametrize("probes", [np.zeros((2, 5)), np.zeros((0, 5)), np.zeros(64)])
+    def test_probes_of_another_shape_refused_before_the_memory_is_built(
+        self, monkeypatch, probes
+    ):
+        stream = desk_stream()
+        monkeypatch.setattr(harness, "build_base_em", must_not_run)
+        with pytest.raises(ShapeMismatchError, match="probes"):
+            run_protocol(desk_params(stream), stream, QuantSpec(), probes=probes)
 
     def test_zero_sessions(self):
         stream = desk_stream()
@@ -136,10 +198,7 @@ class TestRunProtocol:
         twin = copy.deepcopy(params)
         run_protocol(params, stream, QuantSpec())
         checksum_plain = params_checksum(params)
-        run_protocol(
-            twin, stream, QuantSpec(), finetune=True,
-            ft_cfg=FinetuneConfig(epochs=3, sub_batch=2, lr=0.05),
-        )
+        run_protocol(twin, stream, QuantSpec(), finetune=True, ft_cfg=SMALL_FT)
         assert params_checksum(twin) != checksum_plain
         # extractor still frozen even with finetuning
         fresh = desk_params(stream, 4)

@@ -441,6 +441,16 @@ class TestScoringView:
             with pytest.raises(ValueError):
                 array[0] = 1
 
+    def test_prototypes_are_64_byte_aligned(self):
+        # rows that start mid cache line split every wide load: scoring a
+        # 100 x 256 memory took about 40% longer
+        for classes in (1, 3, 100):
+            em = ExplicitMemory(256)
+            for cid in range(classes):
+                em.add_accumulated(cid, np.arange(256) - cid, 1)
+            for mem in (em, em.rebuilt_at_bits(3)):
+                assert mem.scoring_view().protos.ctypes.data % 64 == 0
+
     def test_built_once_per_change(self, monkeypatch):
         built = []
         real = memory.row_norms
