@@ -75,6 +75,19 @@ def require_test_rows(stream: SessionStream):
         )
 
 
+def require_base_test_rows(stream: SessionStream) -> np.ndarray:
+    """Refuse a stream whose test set is empty or holds no row of a base
+    class, which leaves session 0 nothing to evaluate; returns the mask of
+    base-class test rows. A protocol run checks before it trains or builds
+    a memory; a sweep over novel-class test rows needs only test rows."""
+    require_test_rows(stream)
+    base_ids = stream.base.class_ids()
+    is_base = np.isin(stream.test.labels, base_ids)
+    if not is_base.any():
+        raise InsufficientSamplesError(f"session 0 has no test sample of base classes {base_ids}")
+    return is_base
+
+
 def extract_features(params, dataset: LabeledDataset) -> np.ndarray:
     """Prototype-space features for every dataset row."""
     return forward_fcr(params, forward_backbone(params, dataset.inputs))
@@ -95,11 +108,8 @@ def run_protocol(
     Test rows and probes, a (P, input_dim) array-like, go through the frozen
     extractor once, and through the projection again after each finetune.
     """
-    require_test_rows(stream)
-    test, base_ids = stream.test, stream.base.class_ids()
-    is_base = np.isin(test.labels, base_ids)
-    if not is_base.any():
-        raise InsufficientSamplesError(f"session 0 has no test sample of base classes {base_ids}")
+    is_base = require_base_test_rows(stream)
+    test = stream.test
     probe_x = check_finite([] if probes is None else probes, "probes")
     if probe_x.shape == (0,):  # an empty sequence
         probe_x = probe_x.reshape(0, test.input_dim)
@@ -189,7 +199,7 @@ def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
     metalearning, protocol run. The flags switch the recipe's
     augmentation and orthogonality terms off and pick the metalearning
     objective. Returns (params, report)."""
-    require_test_rows(stream)
+    require_base_test_rows(stream)
     bad = set(flags) - set(ABLATION_FLAGS)
     if bad:
         raise ConflictingFlagsError(f"unknown flags {sorted(bad)}")

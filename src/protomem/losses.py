@@ -127,12 +127,20 @@ def multi_margin_loss(scores, gt, m: float):
     h[r, gts] = 0.0
     active = h > 0
     grad = np.where(active, 2.0 * h / c, 0.0)
+    # each row sums only its active terms, since zero padding would change
+    # numpy's pairwise blocking: the rows with t active terms are summed as
+    # one (rows, t) block along axis 1, each row over its own t terms
+    counts = active.sum(axis=1)
+    sq_sums, grad_sums = np.zeros(len(rows)), np.zeros(len(rows))
+    for t in np.unique(counts[counts > 0]).tolist():
+        group = counts == t
+        on = active[group]
+        sq_sums[group] = (h[group][on].reshape(-1, t) ** 2).sum(axis=1)
+        grad_sums[group] = grad[group][on].reshape(-1, t).sum(axis=1)
+    grad[r, gts] = -grad_sums
     loss = 0.0
-    # each row sums only its active terms: zero padding would change
-    # numpy's pairwise blocking
-    for h_i, grad_i, active_i, gt_i in zip(h, grad, active, gts.tolist()):
-        loss += float((h_i[active_i] ** 2).sum()) / c
-        grad_i[gt_i] = -float(grad_i[active_i].sum())
+    for row_loss in (sq_sums / c).tolist():
+        loss += row_loss
     return loss, grad if l.ndim == 2 else grad[0]
 
 

@@ -37,6 +37,16 @@ def rel_err(a, b, floor=1e-10):
     return float(np.linalg.norm(a - b)) / denom
 
 
+def assert_same_bits(got, want):
+    """Equal bit patterns (so -0.0 != +0.0), NaN wherever `want` is NaN."""
+    got, want = (np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (got, want))
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    got_bits = np.ascontiguousarray(got).view(np.int64)
+    want_bits = np.ascontiguousarray(want).view(np.int64)
+    np.testing.assert_array_equal(got_bits[~nan], want_bits[~nan])
+
+
 def naive_matmul(a, b):
     """Pure-Python triple loop, k-innermost, accumulating left to right."""
     a = np.asarray(a, dtype=np.float64)
@@ -305,6 +315,23 @@ def multi_margin_loss_row(scores, gt: int, m: float):
     grad = np.zeros_like(l)
     grad[active] = 2.0 * h[active] / c
     grad[gt] = -float(grad[active].sum())
+    return loss, grad
+
+
+def multi_margin_loss_rows(scores, gts, m: float):
+    """Batch margin loss with each row's active terms summed in a Python
+    loop, two numpy sums per row; the row losses add up in row order."""
+    rows = np.asarray(scores, dtype=np.float64)
+    c = rows.shape[1]
+    r = np.arange(len(rows))
+    h = (m - rows[r, gts])[:, None] + rows
+    h[r, gts] = 0.0
+    active = h > 0
+    grad = np.where(active, 2.0 * h / c, 0.0)
+    loss = 0.0
+    for h_i, grad_i, active_i, gt_i in zip(h, grad, active, np.asarray(gts).tolist()):
+        loss += float((h_i[active_i] ** 2).sum()) / c
+        grad_i[gt_i] = -float(grad_i[active_i].sum())
     return loss, grad
 
 

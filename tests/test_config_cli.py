@@ -60,6 +60,23 @@ def tiny_overrides(tmp_path, **extra):
     return [f"{k}={v}" for k, v in items.items()]
 
 
+def novel_test_stream(tmp_path):
+    """A stream manifest whose test set holds only the novel class 3, and an
+    untrained params.ofsc beside it; returns the manifest path."""
+    ds = make_blob_dataset(4, 6, grid=TINY["grid"], seed=2)
+    for name, classes in (("base", [0, 1, 2]), ("s1", [3]), ("test", [3])):
+        save_dataset(ds.subset_by_classes(classes), tmp_path / f"{name}.ofds")
+    manifest = tmp_path / "stream.cfg"
+    manifest.write_text(
+        f"base={tmp_path / 'base.ofds'}\n"
+        f"test={tmp_path / 'test.ofds'}\n"
+        f"session1={tmp_path / 's1.ofds'}\n"
+        "ways=1\nshots=6\n"
+    )
+    save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
+    return manifest
+
+
 class TestConfigDefaults:
     def test_defaults_match_owning_modules(self):
         # the config table is the single source of truth; every default
@@ -456,17 +473,7 @@ class TestCliCommands:
         assert list(out.iterdir()) == []
 
     def test_test_set_without_base_rows_exits_3(self, tmp_path, capsys):
-        ds = make_blob_dataset(4, 6, grid=TINY["grid"], seed=2)
-        for name, classes in (("base", [0, 1, 2]), ("s1", [3]), ("test", [3])):
-            save_dataset(ds.subset_by_classes(classes), tmp_path / f"{name}.ofds")
-        manifest = tmp_path / "stream.cfg"
-        manifest.write_text(
-            f"base={tmp_path / 'base.ofds'}\n"
-            f"test={tmp_path / 'test.ofds'}\n"
-            f"session1={tmp_path / 's1.ofds'}\n"
-            "ways=1\nshots=6\n"
-        )
-        save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
+        manifest = novel_test_stream(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         code = cli.main([
@@ -477,6 +484,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("data error") and "base classes [0, 1, 2]" in err
         assert list(out.iterdir()) == []
+
+    def test_test_set_without_base_rows_refused_by_ablate_not_sweep(self, tmp_path, capsys):
+        manifest = novel_test_stream(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main(["ablate", f"stream_manifest={manifest}", "hidden=16,12", "d_p=6",
+                         "ablate_rows=none", f"ablation_out={out / 'ablation.csv'}"])
+        assert code == 3
+        assert "base classes [0, 1, 2]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        # a sweep scores the test rows against every class learned
+        code = cli.main(["sweep", f"stream_manifest={manifest}",
+                         f"params_in={tmp_path / 'params.ofsc'}", f"sweep_out={out / 'sweep.csv'}"])
+        assert code == 0
+        assert (out / "sweep.csv").exists()
 
     def test_empty_test_set_legal_without_evaluation(self, tmp_path, capsys):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, test_per_class=0)]) == 0

@@ -303,6 +303,17 @@ class TestAblation:
         with pytest.raises(SettingValueError, match="test set is empty.*test_per_class"):
             train_pipeline(stream, self.recipe(), {"FT"})
 
+    def test_test_set_without_base_rows_refused_before_training(self, monkeypatch):
+        stream = desk_stream(9, classes=7, base=5, ways=1, sessions=2)
+        novel = [c for c in stream.test.class_ids() if c not in stream.base.class_ids()]
+        stream = replace(stream, test=stream.test.subset_by_classes(novel))
+        monkeypatch.setattr(harness, "pretrain_model", must_not_run)
+        base_ids = re.escape(str(stream.base.class_ids()))
+        with pytest.raises(InsufficientSamplesError, match=base_ids):
+            ablation_matrix(stream, [set(), {"FT"}], self.recipe())
+        with pytest.raises(InsufficientSamplesError, match=base_ids):
+            train_pipeline(stream, self.recipe(), {"MM"})
+
     def test_conflicting_flags(self):
         stream = desk_stream(10, classes=7, base=5, ways=1, sessions=2)
         with pytest.raises(ConflictingFlagsError):

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_same_bits,
     central_diff,
     mixup_per_row,
     multi_margin_loss_row,
+    multi_margin_loss_rows,
     rel_err,
     softmax_ce,
     softmax_ce_rows,
@@ -352,6 +354,27 @@ class TestBatchedEqualsPerRow:
             want_loss += row_loss
             np.testing.assert_array_equal(grad[i], row_grad)
         np.testing.assert_array_equal(loss, want_loss)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 24), st.integers(1, 30), st.integers(0, 2**31))
+    def test_multi_margin_loss_groups_rows_like_the_row_loop(self, c, b, seed):
+        # rows with 0, 1, 7, 8, 9 and C - 1 active terms: numpy sums 8 or
+        # more terms in pairwise blocks, so padding a row would change its sum
+        rng = np.random.default_rng(seed)
+        margin = float(rng.choice([0.1, 0.3, 1.5]))
+        gts = rng.integers(0, c, b)
+        scores = np.empty((b, c))
+        for i, gt in enumerate(gts):
+            t = min(int(rng.choice([0, 1, 7, 8, 9, c - 1])), c - 1)
+            others = rng.permutation(np.delete(np.arange(c), gt))
+            gap = rng.uniform(0.01, 1.0, c - 1) * 10.0 ** rng.uniform(-6, 0, c - 1)
+            scores[i, gt] = rng.uniform(-1.0, 1.0)
+            # l_j > l_gt - margin makes term j active
+            scores[i, others] = scores[i, gt] - margin + np.where(np.arange(c - 1) < t, gap, -gap)
+        loss, grad = multi_margin_loss(scores, gts, margin)
+        want_loss, want_grad = multi_margin_loss_rows(scores, gts, margin)
+        assert_same_bits(loss, want_loss)
+        assert_same_bits(grad, want_grad)
 
     def test_multi_margin_loss_rejects_misaligned_indices(self):
         with pytest.raises(ShapeMismatchError):

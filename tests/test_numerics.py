@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import central_diff, naive_matmul, rel_err
+from helpers import assert_same_bits, central_diff, naive_matmul, rel_err
+from protomem import numerics
 from protomem.errors import ShapeMismatchError, ZeroNormError
 from protomem.losses import softmax_ce_batch
 from protomem.numerics import cossim, matmul, relu
@@ -88,15 +90,6 @@ LAYOUTS = pytest.mark.parametrize(
 )
 
 
-def assert_same_bits(got, want):
-    """Equal bit patterns (so -0.0 != +0.0), NaN wherever `want` is NaN."""
-    nan = np.isnan(want)
-    np.testing.assert_array_equal(np.isnan(got), nan)
-    got_bits = np.ascontiguousarray(got).view(np.int64)
-    want_bits = np.ascontiguousarray(want).view(np.int64)
-    np.testing.assert_array_equal(got_bits[~nan], want_bits[~nan])
-
-
 def _zero_column_case(case, m, k, n, rng):
     """(a, b) whose all-zero columns of a the rank-1 loop may skip."""
     a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
@@ -149,7 +142,13 @@ class TestMatmul:
     # rank-1 products over its first axis would sum it as one contiguous
     # vector, in numpy's pairwise blocks of 8, instead of left to right
     @pytest.mark.parametrize(
-        "m,k,n", [(1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 8, 1), (1, 9, 1), (1, 1000, 1)]
+        "m,k,n",
+        [
+            (1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 8, 1), (1, 9, 1), (1, 1000, 1),
+            # where the kernel switches between its row reduce and rank-1 loop:
+            # m in {1, 2}, n in {1, 2}, m = k - 1, k and k + 1
+            (1, 9, 2), (2, 9, 1), (2, 9, 2), (8, 9, 2), (9, 9, 2), (10, 9, 2),
+        ],
     )
     def test_triple_loop_equality_any_layout(self, layout, m, k, n):
         rng = np.random.default_rng(m * 100 + k * 10 + n)
@@ -176,7 +175,15 @@ class TestMatmul:
             "nan-in-b",
         ],
     )
-    @pytest.mark.parametrize("m,k,n", [(1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 1000, 1)])
+    # k = 12 leaves 9 live columns (10 with a NaN in a or a non-finite row
+    # of b), so m = 8..11 crosses the row reduce's m < live-columns edge
+    @pytest.mark.parametrize(
+        "m,k,n",
+        [
+            (1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 1000, 1),
+            (1, 12, 2), (2, 12, 1), (2, 12, 2), (8, 12, 2), (9, 12, 2), (10, 12, 2), (11, 12, 2),
+        ],
+    )
     def test_zero_columns_keep_triple_loop_bits(self, layout, case, m, k, n):
         rng = np.random.default_rng(m * 100 + k * 10 + n)
         a, b = _zero_column_case(case, m, k, n, rng)
@@ -193,6 +200,57 @@ class TestMatmul:
             assert_same_bits(matmul(la, lb), want)
             assert_same_bits(matmul(la, b), want)
             assert_same_bits(matmul(a, lb), want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("case", ["dense", "pos-zero-cols", "inf-in-b", "nan-in-b"])
+    @pytest.mark.parametrize("m,k,n", [(2, 100, 2), (3, 100, 5), (4, 70, 3)])
+    def test_row_reduce_blocks_keep_triple_loop_bits(self, monkeypatch, chunk, case, m, k, n):
+        # a small block size makes every product span many blocks, each
+        # starting from the running sum of the ones before it
+        monkeypatch.setattr(numerics, "_ROW_CHUNK", chunk)
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        if case == "dense":
+            a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+            b = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
+        else:
+            a, b = _zero_column_case(case, m, k, n, rng)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(matmul(a, b), naive_matmul(a, b))
+            assert_same_bits(matmul(np.asfortranarray(a), np.asfortranarray(b)), naive_matmul(a, b))
+
+    def test_many_default_blocks_keep_triple_loop_bits(self):
+        # 2 columns make blocks of 2**14 rows of b: 45,000 columns with
+        # every fifth zero (one of them live through an inf in b) leave
+        # 36,001 live ones, three blocks
+        k = 45_000
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((2, k)) * 10.0 ** rng.uniform(-3, 3, (2, k))
+        b = rng.standard_normal((k, 2)) * 10.0 ** rng.uniform(-3, 3, (k, 2))
+        a[:, ::5] = 0.0
+        b[5, 0] = np.inf
+        live = np.count_nonzero(a.any(axis=0)) + 1
+        assert live > 2 * (numerics._ROW_CHUNK // 2)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(matmul(a, b), naive_matmul(a, b))
+
+    @pytest.mark.parametrize("zero_every_third", [False, True])
+    def test_scratch_stays_bounded(self, zero_every_third):
+        # a 2 MiB right operand: the kernel may hold the output and a few
+        # blocks of 2**15 elements (1.05 MB in all), never a copy of an
+        # operand; a larger _ROW_CHUNK fails here too
+        m, k, n = 8, 4096, 64
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n))
+        if zero_every_third:
+            a[:, ::3] = 0.0
+        tracemalloc.start()
+        try:
+            matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (m * n + 4 * 2**15)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 24), st.integers(1, 6), st.integers(0, 2**31))
