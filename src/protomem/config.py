@@ -125,8 +125,9 @@ DEFAULTS = {
 class RunConfig:
     """Resolved configuration: defaults, then file, then overrides, then env."""
 
-    def __init__(self, values: dict):
+    def __init__(self, values: dict, explicit=frozenset()):
         self._values = values
+        self._explicit = explicit  # keys a config file or an override set
 
     def __getattr__(self, key):
         try:
@@ -137,8 +138,8 @@ class RunConfig:
     def recipe(self, input_dim: int) -> TrainRecipe:
         """The library settings of this run, built through RECIPE_KEYS.
         Each settings object is the default one with this run's values
-        replaced, so it validates them; input_dim resolves the cutmix grid:
-        an explicit (grid, grid) when it tiles the input, else None."""
+        replaced, so it validates them; the cutmix grid is (grid, grid) when
+        the run sets grid or it tiles input_dim, else None (inferred)."""
         fields = {"": {}}
         for key, (_, field) in RECIPE_KEYS.items():
             owner, _, name = field.rpartition(".")
@@ -147,7 +148,8 @@ class RunConfig:
         for owner, values in fields.items():  # validated in table order
             top[owner] = replace(getattr(_RECIPE, owner), **values)
         g = self.grid
-        top["grid"] = (g, g) if g > 0 and input_dim % (g * g) == 0 else None
+        fits = g > 0 and input_dim % (g * g) == 0
+        top["grid"] = (g, g) if fits or "grid" in self._explicit else None
         return replace(_RECIPE, **top)
 
     def dump(self) -> str:
@@ -190,6 +192,7 @@ def _apply(values: dict, pairs: dict, origin: str):
             values[key] = parser(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
+    return pairs.keys()
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -199,9 +202,10 @@ def load_config(path=None, overrides=()) -> RunConfig:
     key=value overrides, the OFSCIL_SEED environment variable.
     """
     values = {k: d for k, (_, d) in DEFAULTS.items()}
+    explicit = set()
     if path:
         try:
-            _apply(values, parse_kv_file(path), str(path))
+            explicit.update(_apply(values, parse_kv_file(path), str(path)))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     pairs = {}
@@ -210,11 +214,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"override {item!r} is not key=value")
         key, _, value = item.partition("=")
         pairs[key.strip()] = value.strip()
-    _apply(values, pairs, "override")
+    explicit.update(_apply(values, pairs, "override"))
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
             values["seed"] = _seed(env_seed)
         except ValueError as exc:
             raise ConfigError(f"bad value for {ENV_SEED}: {exc}") from exc
-    return RunConfig(values)
+    return RunConfig(values, frozenset(explicit))

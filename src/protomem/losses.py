@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SettingValueError, ShapeMismatchError, ZeroNormError
-from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, matmul
+from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, matmul, rowdot
 
 
 @dataclass
@@ -82,8 +82,7 @@ def softmax_ce_batch(logits, targets):
         t = t.astype(np.float64)
         if t.shape != z.shape:
             raise ShapeMismatchError("soft target rows differ from logits")
-        # per-row dot products, see numerics.row_norms
-        losses = -np.matmul(t[:, None, :], logp[:, :, None])[:, 0, 0]
+        losses = -rowdot(t, logp)
         grad -= t
     loss = 0.0
     for row_loss in losses.tolist():

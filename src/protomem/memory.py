@@ -19,17 +19,19 @@ from .errors import (
     EmptyMemoryError,
     EmptySampleSetError,
     FormatVersionMismatchError,
+    NonFiniteValueError,
     OverflowAfterShiftError,
     SettingValueError,
     ShapeMismatchError,
     ZeroNormError,
 )
-from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, check_finite, row_norms
+from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, check_finite, row_norms, rowdot
 
 EM_MAGIC = b"OFEM"
 ACTMEM_MAGIC = b"OFAM"
 SNAPSHOT_VERSION = 1
 
+_HALF_DBL_MAX = np.finfo(np.float64).max / 2
 _POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
@@ -287,29 +289,33 @@ def classify_batch(em: ExplicitMemory, features):
     scoring path: (N,) predictions and (N, C) scores, columns ordered like
     em.class_ids(). For every query whose squared norm is finite, each score
     is bitwise equal to numerics.cossim of query and reduced prototype; a
-    query whose squared norm overflows is first scaled down by a power of
-    two. Ties break toward the smallest class id; a degenerate all-zero
+    query whose squared norm could overflow is first scaled down by a power
+    of two. Ties break toward the smallest class id; a degenerate all-zero
     prototype scores 0.0 rather than poisoning the argmax.
     """
     if len(em) == 0:
         raise EmptyMemoryError("explicit memory holds no prototypes")
-    q = check_finite(features, "query features")
+    q = np.asarray(features, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != em.d_p:
         raise ShapeMismatchError(f"query shape {q.shape} does not match memory d_p {em.d_p}")
-    q_norm = row_norms(q)
-    if q_norm.min(initial=np.inf) < ZERO_NORM_FLOOR:
-        raise ZeroNormError("query feature has near-zero norm")
-    if q_norm.max(initial=0.0) == np.inf:
-        big = np.isinf(q_norm)
-        # the squared norm overflowed: cosine ignores scale, so divide those
-        # rows by a power of two of their peak, which is exact barring
-        # entries more than 2**1000 below it
+    # NaN and inf propagate into the peak; below `limit` no row's d_p
+    # squares can sum past DBL_MAX / 2
+    top = np.abs(q).max(initial=0.0)
+    limit = math.sqrt(_HALF_DBL_MAX / em.d_p)
+    if not top <= limit:
+        if not math.isfinite(top):
+            raise NonFiniteValueError("query features contains non-finite entries")
+        # cosine ignores scale: divide each row peaking above `limit` by a
+        # power of two of its peak, exact barring entries 2**1000 below it
+        big = np.abs(q).max(axis=1) > limit
         _, peak_exp = np.frexp(np.abs(q[big]).max(axis=1))
         q = q.copy()
         q[big] = np.ldexp(q[big], -peak_exp[:, None])
-        q_norm[big] = row_norms(q[big])
+    q_norm = row_norms(q)
+    if q_norm.min(initial=np.inf) < ZERO_NORM_FLOOR:
+        raise ZeroNormError("query feature has near-zero norm")
     protos, p_norm, by_id = em.scoring_view()
-    dots = np.matmul(q[:, None, None, :], protos[:, :, None])[..., 0, 0]  # see row_norms
+    dots = rowdot(q[:, None, :], protos)
     scores = np.divide(
         dots, q_norm[:, None] * p_norm, out=np.zeros(dots.shape), where=p_norm >= ZERO_NORM_FLOOR
     )

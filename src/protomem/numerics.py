@@ -3,8 +3,11 @@
 All math runs in float64. Reductions that feed bit-reproducibility
 contracts (matmul) accumulate in a fixed row-major, left-to-right order;
 BLAS-backed kernels are avoided there because their blocked summation is
-not bitwise equal to the naive triple loop.
+not bitwise equal to the naive triple loop. `rowdot` and `matvecs` are
+the only code in the package that hands floats to BLAS.
 """
+
+import math
 
 import numpy as np
 
@@ -47,18 +50,32 @@ def cossim(a, b) -> float:
     b = as_vector(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"cossim dims differ: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = math.sqrt(rowdot(a, a))
+    nb = math.sqrt(rowdot(b, b))
     if na < ZERO_NORM_FLOOR or nb < ZERO_NORM_FLOOR:
         raise ZeroNormError(f"vector norm below {ZERO_NORM_FLOOR}")
-    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+    return min(1.0, max(-1.0, float(rowdot(a, b)) / (na * nb)))
+
+
+def rowdot(x, y) -> np.ndarray:
+    """One dot product per pair of rows: sum(x[..., i] * y[..., i]) over
+    the last axis, leading axes broadcast. numpy runs each 1 x d by d x 1
+    product of the stack through the same BLAS dot kernel as np.dot on two
+    vectors, so every value is bitwise np.dot of its pair, whatever the
+    batch; x @ y.T would sum in gemm's blocks instead."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def matvecs(mats, vecs) -> np.ndarray:
+    """One matrix-vector product per vector, mats[..., :, :] @ vecs[..., :]
+    with leading axes broadcast: each is bitwise np.matmul(M, v) of its
+    pair, one BLAS gemv, whatever the batch."""
+    return np.matmul(mats, vecs[..., :, None])[..., 0]
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """Per-row sqrt(dot(row, row)), bitwise equal to np.linalg.norm(row):
-    numpy runs each 1 x d by d x 1 product of a stack through the same dot
-    kernel as np.dot on two vectors, where x @ x.T would sum in BLAS blocks."""
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    """Per-row sqrt(rowdot(row, row)), bitwise equal to np.linalg.norm(row)."""
+    return np.sqrt(rowdot(x, x))
 
 
 def relu(x) -> np.ndarray:
@@ -82,10 +99,15 @@ def matmul(a, b) -> np.ndarray:
       n == 1 a block is one contiguous column, which numpy sums pairwise,
       not left to right. With m >= live columns (the weight gradients)
       the row loop makes more calls than the rank-1 loop. One-row
-      products (m == 1) would also be faster as one reduce, but the
-      benchmark keeps every query timing, so more rounds in its fixed
-      window raise its peak RSS; they move to the reduce once that
-      memory no longer grows with the round count.
+      products (m == 1) would also be faster as one reduce (`1 <`
+      dropped below): online_sessions query_us_p50 679 -> 162 us (28 s
+      seed-7 runs, 2 vCPUs, numpy 2.4.6). But the benchmark keeps every
+      timing, twice the rounds fit its window, and peak_rss_mb rose past
+      its 10% bound (55.0 -> 58.1 MB; wide_memory 54.7 -> 58.5), so they
+      move once that memory stops growing with the round count. Several
+      output rows per block ran (32, 48, 32) in 85 us instead of 255 but
+      gave no end-to-end gain (learn_class_ms_p50 0.45-0.48 ms vs
+      0.40-0.49). ROADMAP item 1(b) has every run.
 
     Only the live columns of `a` are visited: those with a nonzero or NaN
     entry, plus any whose row b[i] holds a non-finite value (0 * inf is

@@ -32,7 +32,7 @@ from .losses import (
     softmax_ce_batch,
 )
 from .memory import ActivationMemory, ExplicitMemory, QuantSpec
-from .numerics import ZERO_NORM_FLOOR, relu, row_norms
+from .numerics import ZERO_NORM_FLOOR, matvecs, relu, row_norms
 from .online import learn_dataset
 
 
@@ -75,8 +75,8 @@ def _one_hot_rows(labels, class_ids):
 
 
 def _cutmix_grid(dim: int, grid):
-    """The (H, W) grid cutmix cuts a dim-wide input on: grid when it tiles
-    the input, else the square grid of a square width."""
+    """The (H, W) grid cutmix cuts a dim-wide input on: grid, which must
+    tile the input, or when grid is None the square grid of a square width."""
     if grid is None:
         side = int(round(dim**0.5))
         if side * side != dim:
@@ -86,7 +86,7 @@ def _cutmix_grid(dim: int, grid):
             )
         return side, side
     h, w = grid
-    if dim % (h * w):
+    if min(h, w) < 1 or dim % (h * w):
         raise SettingValueError(
             f"mix_probability > 0 draws cutmix, but grid {h}x{w} does not tile "
             f"input width {dim}"
@@ -189,8 +189,7 @@ def _cosines(theta_q, protos):
         raise ZeroNormError("query feature has near-zero norm")
     q_hat = theta_q / q_norm[:, None]
     p_hat = protos / p_norm[:, None]
-    # one matrix-vector product per query, the kernel of p_hat @ q_hat
-    cos = np.matmul(p_hat, q_hat[:, :, None])[:, :, 0]
+    cos = matvecs(p_hat, q_hat)
     return cos, q_hat, q_norm, p_hat, p_norm
 
 
@@ -230,7 +229,7 @@ def _query_step(theta_q, protos, gts, cfg: MetaConfig):
         dtheta, dproto = _score_jacobians(
             cos[rows], q_hat[rows], q_norm[rows], p_hat, p_norm, cfg.prototype_gradient
         )
-        upstream_q[rows] = np.matmul(dl[rows, None, :], dtheta)[:, 0]
+        upstream_q[rows] = matvecs(dtheta.swapaxes(-1, -2), dl[rows])
         if dproto is not None:
             for term in dl[rows, :, None] * dproto:  # queries in order
                 grad_protos += term

@@ -15,7 +15,7 @@ from .errors import (
     ZeroNormError,
 )
 from .memory import bipolarize, quantize_rows
-from .numerics import ZERO_NORM_FLOOR, row_norms
+from .numerics import ZERO_NORM_FLOOR, row_norms, rowdot
 
 
 @dataclass
@@ -80,8 +80,7 @@ def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
         raise ZeroNormError("zero-norm vector in cosine objective")
     y_hat = y / ny[:, None]
     t_hat = targets / nt[:, None]
-    # per-pair dot products, see numerics.row_norms
-    cos = np.matmul(y_hat[:, None, :], t_hat[:, :, None])[:, 0, 0]
+    cos = rowdot(y_hat, t_hat)
     grads = -(t_hat - cos[:, None] * y_hat) / ny[:, None]
     return 1.0 - cos, grads
 

@@ -106,6 +106,15 @@ class TestConfigDefaults:
     def test_cli_default_recipe_is_train_recipe(self):
         assert load_config().recipe(16 * 16) == replace(TrainRecipe(), grid=(16, 16))
 
+    def test_only_the_default_grid_gives_way_to_inference(self, tmp_path):
+        assert load_config().recipe(64).grid is None
+        assert load_config().recipe(16 * 16).grid == (16, 16)
+        assert load_config(overrides=["grid=3"]).recipe(64).grid == (3, 3)
+        assert load_config(overrides=["grid=16"]).recipe(64).grid == (16, 16)
+        path = tmp_path / "run.cfg"
+        path.write_text("grid=3\n")
+        assert load_config(path).recipe(64).grid == (3, 3)
+
     def test_every_key_is_read_by_the_cli(self):
         # a RECIPE_KEYS row reaches the library through RunConfig.recipe
         # (test_recipe_key_sets_its_field); the CLI reads every other key
@@ -521,6 +530,19 @@ class TestCliCommands:
             err = capsys.readouterr().err
             assert err.startswith("config error") and "grid" in err and "mix_probability" in err
             assert list(out.iterdir()) == []
+
+    def test_set_grid_that_does_not_tile_exits_2(self, tmp_path, capsys):
+        # 64 columns are square, but a grid the run sets is used as set:
+        # 3 x 3 cells do not tile them, so no silent 8 x 8 fallback
+        path = tmp_path / "wide64.csv"
+        save_dataset_csv(make_points_dataset(TINY["classes"], 11, dim=64, seed=4), path)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = tiny_overrides(out, dataset=str(path), mix_probability=0.4, grid=3)
+        assert cli.main(["pretrain", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "grid 3x3" in err and "mix_probability" in err
+        assert list(out.iterdir()) == []
 
     def test_pretrain_batch_size_one(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0

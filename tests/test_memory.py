@@ -1,5 +1,7 @@
 import copy
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +371,45 @@ class TestClassifyBatch:
             cid, one = classify(em, np.full(4, -1e300))
         assert cid == 1
         assert one.tolist() == pytest.approx([-s for s in like_ones], rel=1e-15)
+
+    def test_overflowing_query_warns_nothing(self):
+        em = ExplicitMemory(4, QuantSpec())
+        em.add_accumulated(3, [1, 2, 3, 4], 1)
+        em.add_accumulated(1, [-4, 1, 0, 2], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds, _ = classify_batch(em, np.full((1, 4), 1e300))
+        assert preds.tolist() == [3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 7, 32, 257]),
+        st.lists(st.sampled_from([0.25, 0.5, 1 - 2**-52, 1.0, 1 + 2**-52, 2.0, 64.0, 2.0**300]),
+                 min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_peaks_either_side_of_the_rescale_limit(self, d_p, ratios, seed):
+        # rows whose peak |entry| is above sqrt(DBL_MAX / (2d)) are scaled by a
+        # power of two before scoring: a finite squared norm keeps every bit
+        # of cossim, and an overflowing one scores like the scaled row
+        rng = np.random.default_rng(seed)
+        em = ExplicitMemory(d_p, QuantSpec())
+        for cid in range(3):
+            accum = rng.integers(-99, 99, size=d_p)
+            em.add_accumulated(cid, np.zeros(d_p) if cid == 2 else accum, 1)
+        protos = em.reduced.astype(np.float64)
+        limit = math.sqrt(np.finfo(np.float64).max / (2 * d_p))
+        queries = rng.standard_normal((len(ratios), d_p))
+        queries *= limit * np.array(ratios)[:, None] / np.abs(queries).max(axis=1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, scores = classify_batch(em, queries)
+        for q, row in zip(queries, scores):
+            with np.errstate(over="ignore"):
+                finite = math.isfinite(np.dot(q, q))
+            if not finite:
+                q = np.ldexp(q, -np.frexp(np.abs(q).max())[1])
+            assert row.tolist() == [cossim(q, p) if np.any(p) else 0.0 for p in protos]
 
     def test_no_queries_give_empty_results(self):
         em = ExplicitMemory(2, QuantSpec())

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from helpers import assert_same_bits, central_diff, naive_matmul, rel_err
 from protomem import numerics
 from protomem.errors import ShapeMismatchError, ZeroNormError
 from protomem.losses import softmax_ce_batch
-from protomem.numerics import cossim, matmul, relu
+from protomem.numerics import cossim, matmul, matvecs, relu, rowdot
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -268,6 +270,118 @@ class TestMatmul:
     def test_rejects_empty(self):
         with pytest.raises(ShapeMismatchError):
             matmul(np.ones((0, 3)), np.ones((3, 2)))
+
+
+def _layout_case(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+
+class TestRowdotMatvecs:
+    """The two BLAS calls of the package, bitwise those of one pair at a time."""
+
+    @LAYOUTS
+    @pytest.mark.parametrize("n,d", [(1, 1), (6, 1), (1, 9), (5, 7), (3, 96), (4, 257)])
+    def test_rowdot_is_np_dot_of_each_pair(self, layout, n, d):
+        x, y = _layout_case((n, d), n * 1000 + d), _layout_case((n, d), n * 1000 + d + 1)
+        for lx, ly in [(layout(x), layout(y)), (layout(x), y), (x, layout(y))]:
+            assert_same_bits(lx, x)
+            assert_same_bits(ly, y)
+            got = rowdot(lx, ly)
+            assert got.shape == (n,)
+            assert_same_bits(got, np.array([np.dot(a, b) for a, b in zip(lx, ly)]))
+
+    @LAYOUTS
+    @pytest.mark.parametrize("n,c,d", [(1, 1, 1), (3, 4, 1), (2, 5, 96), (7, 3, 257)])
+    def test_rowdot_broadcasts_leading_axes(self, layout, n, c, d):
+        # queries against prototypes: every query row meets every prototype row
+        q, p = layout(_layout_case((n, d), c * d)), layout(_layout_case((c, d), n * d))
+        got = rowdot(q[:, None, :], p)
+        assert got.shape == (n, c)
+        assert_same_bits(got, np.array([[np.dot(a, b) for b in p] for a in q]))
+        assert_same_bits(rowdot(q[0], p[0]), np.dot(q[0], p[0]))
+
+    @LAYOUTS
+    @pytest.mark.parametrize("n,r,d", [(1, 1, 1), (4, 3, 1), (3, 1, 8), (2, 5, 96), (5, 7, 257)])
+    def test_matvecs_is_np_matmul_of_each_vector(self, layout, n, r, d):
+        m, v = layout(_layout_case((r, d), n + r + d)), layout(_layout_case((n, d), n * r * d))
+        got = matvecs(m, v)
+        assert got.shape == (n, r)
+        assert_same_bits(got, np.array([np.matmul(m, b) for b in v]))
+        # one matrix per vector, C-ordered or transposed views of a stack
+        stack = _layout_case((n, d, r), r * d)
+        for mats in (np.ascontiguousarray(stack.swapaxes(-1, -2)), stack.swapaxes(-1, -2)):
+            got = matvecs(mats, v)
+            assert got.shape == (n, r)
+            assert_same_bits(got, np.array([np.matmul(a, b) for a, b in zip(mats, v)]))
+
+
+SRC = Path(numerics.__file__).parent
+# numpy functions that hand float products to BLAS, or may on some version
+_BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "vecdot", "matvec"}
+
+
+def _dotted(node):
+    """'np.linalg.norm' for that attribute chain, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    root = "np" if node.id == "numpy" else node.id
+    return ".".join([root, *reversed(parts)])
+
+
+def blas_uses(source: str, allowed=()):
+    """(line, what) of each float product a module hands to BLAS, outside
+    its top-level functions named in `allowed`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in allowed:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((node.lineno, "@"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = _dotted(node.func) or f"(...).{node.func.attr}"
+                np_call = name.startswith("np.") and name[3:] in _BLAS_CALLS
+                whole_norm = name == "np.linalg.norm" and len(node.args) < 3 and not any(
+                    k.arg == "axis" for k in node.keywords
+                )
+                if np_call or whole_norm or node.func.attr == "dot":
+                    found.append((node.lineno, name))
+    return found
+
+
+class TestBlasBoundary:
+    """numerics.rowdot and numerics.matvecs are the one place that hands
+    floats to BLAS, so a kernel swap there reaches every caller."""
+
+    def test_guard_sees_every_form(self):
+        source = "\n".join([
+            "import numpy as np",
+            "np.dot(a, b)",
+            "a @ b",
+            "a @= b",
+            "np.linalg.norm(a)",
+            "np.linalg.norm(a, axis=1)",
+            "x.dot(y)",
+            "numpy.einsum('i,i', a, b)",
+            "np.linalg.norm(a, 2, 1)",
+            "np.matvec(m, v)",
+            "a[0].dot(b)",
+            "def rowdot(x, y):",
+            "    return np.matmul(x, y)",
+        ])
+        assert [line for line, _ in blas_uses(source)] == [2, 3, 4, 5, 7, 8, 10, 11, 13]
+        assert [line for line, _ in blas_uses(source, allowed={"rowdot"})][-1] == 11
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+    def test_only_the_numerics_primitives_reach_blas(self, module):
+        allowed = {"rowdot", "matvecs"} if module == "numerics.py" else ()
+        uses = blas_uses((SRC / module).read_text(encoding="utf-8"), allowed)
+        assert [f"{module}:{line}: {what}" for line, what in uses] == []
 
 
 class TestSoftmaxCE:
