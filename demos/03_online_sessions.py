@@ -56,7 +56,7 @@ print("(the extractor and old prototypes are frozen, so any drop comes only",
 print("\n== optional projection-layer finetuning from the activation memory ==")
 ft_report = run_protocol(
     copy.deepcopy(params), stream, QuantSpec(),
-    finetune=True, ft_cfg=FinetuneConfig(epochs=20, sub_batch=4, lr=0.01),
+    finetune=FinetuneConfig(epochs=20, sub_batch=4, lr=0.01),
 )
 row = " ".join(f"{a:.3f}" for a in ft_report.session_accuracies)
 print(f"with FT  {row}  {ft_report.average:.4f}")

@@ -128,9 +128,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
     recipe = cfg.recipe(stream.base.input_dim)
-    report = run_protocol(
-        params, stream, recipe.quant, finetune=cfg.finetune, ft_cfg=recipe.finetune
-    )
+    report = run_protocol(params, stream, recipe.quant, recipe.finetune if cfg.finetune else None)
     label = f"pb{cfg.prototype_bits}" + ("+FT" if cfg.finetune else "")
     _write_report(cfg.report_out, [(label, report)])
     print(f"protocol avg accuracy {report.average:.4f} -> {cfg.report_out}")
@@ -243,10 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_data_source(command: str, cfg: RunConfig):
+    """Refuse a data-source key that the command would ignore: learn-class
+    and classify read one dataset, and a manifest names its own files."""
+    if cfg.stream_manifest and command in ("learn-class", "classify"):
+        raise ConfigError(f"{command} reads dataset= or synthetic data, not stream_manifest=")
+    if cfg.stream_manifest and cfg.dataset:
+        raise ConfigError("set dataset= or stream_manifest=, not both")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        _check_data_source(args.command, cfg)
         return _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

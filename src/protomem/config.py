@@ -123,15 +123,14 @@ DEFAULTS = {
 
 
 class RunConfig:
-    """Resolved configuration: defaults, then file, then overrides, then env."""
+    """The keys set by a config file, overrides or OFSCIL_SEED; DEFAULTS has the rest."""
 
-    def __init__(self, values: dict, explicit=frozenset()):
+    def __init__(self, values: dict):
         self._values = values
-        self._explicit = explicit  # keys a config file or an override set
 
     def __getattr__(self, key):
         try:
-            return self._values[key]
+            return self._values[key] if key in self._values else DEFAULTS[key][1]
         except KeyError as exc:
             raise AttributeError(key) from exc
 
@@ -143,25 +142,25 @@ class RunConfig:
         fields = {"": {}}
         for key, (_, field) in RECIPE_KEYS.items():
             owner, _, name = field.rpartition(".")
-            fields.setdefault(owner, {})[name] = self._values[key]
+            fields.setdefault(owner, {})[name] = getattr(self, key)
         top = fields.pop("")
         for owner, values in fields.items():  # validated in table order
             top[owner] = replace(getattr(_RECIPE, owner), **values)
         g = self.grid
         fits = g > 0 and input_dim % (g * g) == 0
-        top["grid"] = (g, g) if fits or "grid" in self._explicit else None
+        top["grid"] = (g, g) if fits or "grid" in self._values else None
         return replace(_RECIPE, **top)
 
     def dump(self) -> str:
+        """The keys this run set as sorted key=value lines, which reload as is."""
         lines = []
-        for key in sorted(self._values):
-            val = self._values[key]
+        for key, val in sorted(self._values.items()):
             if isinstance(val, tuple):
                 val = ",".join(str(v) for v in val)
             elif isinstance(val, bool):
                 val = "true" if val else "false"
-            lines.append(f"{key}={val}")
-        return "\n".join(lines) + "\n"
+            lines.append(f"{key}={val}\n")
+        return "".join(lines)
 
 
 def parse_kv_file(path) -> dict:
@@ -192,7 +191,6 @@ def _apply(values: dict, pairs: dict, origin: str):
             values[key] = parser(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
-    return pairs.keys()
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -201,11 +199,10 @@ def load_config(path=None, overrides=()) -> RunConfig:
     Precedence, lowest to highest: built-in defaults, config file,
     key=value overrides, the OFSCIL_SEED environment variable.
     """
-    values = {k: d for k, (_, d) in DEFAULTS.items()}
-    explicit = set()
+    values = {}
     if path:
         try:
-            explicit.update(_apply(values, parse_kv_file(path), str(path)))
+            _apply(values, parse_kv_file(path), str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     pairs = {}
@@ -214,11 +211,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"override {item!r} is not key=value")
         key, _, value = item.partition("=")
         pairs[key.strip()] = value.strip()
-    explicit.update(_apply(values, pairs, "override"))
+    _apply(values, pairs, "override")
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
             values["seed"] = _seed(env_seed)
         except ValueError as exc:
             raise ConfigError(f"bad value for {ENV_SEED}: {exc}") from exc
-    return RunConfig(values, frozenset(explicit))
+    return RunConfig(values)

@@ -97,13 +97,12 @@ def run_protocol(
     params,
     stream: SessionStream,
     quant: QuantSpec,
-    finetune: bool = False,
-    ft_cfg: FinetuneConfig | None = None,
+    finetune: FinetuneConfig | None = None,
     probes=None,
 ) -> SessionReport:
     """Play the stream: build the base memory, absorb each incremental
-    session with single-pass updates (optionally finetuning the
-    projection), and evaluate each stage on the union of classes seen.
+    session with single-pass updates (then finetune the projection, unless
+    `finetune` is None), and evaluate each stage on the union of classes seen.
 
     Test rows and probes, a (P, input_dim) array-like, go through the frozen
     extractor once, and through the projection again after each finetune.
@@ -123,8 +122,8 @@ def run_protocol(
     for t in range(len(stream.sessions) + 1):
         if t:
             learn_dataset(em, act_mem, params, stream.sessions[t - 1])
-            if finetune:
-                finetune_fcr(params, act_mem, em, ft_cfg or FinetuneConfig())
+            if finetune is not None:
+                finetune_fcr(params, act_mem, em, finetune)
                 feats = forward_fcr(params, theta_a)
         seen = stream.classes_through(t)
         in_stage = np.isin(test.labels, seen)
@@ -146,7 +145,7 @@ def run_protocol(
         config_echo={
             "ways": stream.ways,
             "shots": stream.shots,
-            "finetune": finetune,
+            "finetune": finetune is not None,
             "prototype_bits": quant.prototype_bits,
             "feature_bits": quant.feature_bits,
             "d_a": params.d_a,
@@ -194,17 +193,22 @@ def pretrain_model(base: LabeledDataset, recipe: TrainRecipe):
     return params, history
 
 
+def _check_flags(flags):
+    """Refuse an ablation row with an unknown flag, or with both MM and CE."""
+    bad = set(flags) - set(ABLATION_FLAGS)
+    if bad:
+        raise ConflictingFlagsError(f"unknown flags {sorted(bad)}")
+    if "MM" in flags and "CE" in flags:
+        raise ConflictingFlagsError("MM and CE metalearning are mutually exclusive")
+
+
 def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
     """One full pipeline for an ablation row: init, pretrain, optional
     metalearning, protocol run. The flags switch the recipe's
     augmentation and orthogonality terms off and pick the metalearning
     objective. Returns (params, report)."""
     require_base_test_rows(stream)
-    bad = set(flags) - set(ABLATION_FLAGS)
-    if bad:
-        raise ConflictingFlagsError(f"unknown flags {sorted(bad)}")
-    if "MM" in flags and "CE" in flags:
-        raise ConflictingFlagsError("MM and CE metalearning are mutually exclusive")
+    _check_flags(flags)
     loss = recipe.loss
     row = replace(
         recipe,
@@ -218,9 +222,7 @@ def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
     params, _ = pretrain_model(stream.base, row)
     if "MM" in flags or "CE" in flags:
         metalearn(params, stream.base, row.meta, seed=row.seed + 2)
-    report = run_protocol(
-        params, stream, row.quant, finetune="FT" in flags, ft_cfg=row.finetune
-    )
+    report = run_protocol(params, stream, row.quant, row.finetune if "FT" in flags else None)
     report.config_echo["flags"] = "+".join(sorted(flags)) if flags else "none"
     report.config_echo["lambda_ortho"] = row.loss.lambda_ortho
     report.config_echo["mix_probability"] = row.loss.mix_probability
@@ -230,12 +232,15 @@ def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
 def ablation_matrix(stream: SessionStream, rows, recipe: TrainRecipe) -> list:
     """Train and evaluate one configuration per flag set.
 
-    rows: iterable of flag collections over {AG, OR, MM, CE, FT}.
+    rows: iterable of flag collections over {AG, OR, MM, CE, FT}, each
+    checked before the first row trains.
     Returns [(flags_label, SessionReport), ...] in input order.
     """
+    rows = [set(row) for row in rows]
+    for flags in rows:
+        _check_flags(flags)
     out = []
-    for row in rows:
-        flags = set(row)
+    for flags in rows:
         _, report = train_pipeline(stream, recipe, flags)
         out.append((report.config_echo["flags"], report))
     return out

@@ -122,6 +122,8 @@ def pretrain(
     """
     if batch_size < 1:
         raise SettingValueError(f"batch_size must be >= 1, got {batch_size}")
+    if epochs < 1 or not lr > 0:
+        raise SettingValueError(f"pretrain needs epochs >= 1 and lr > 0, got {epochs} and {lr}")
     rng = np.random.default_rng(seed)
     class_ids = base_dataset.class_ids()
     if len(class_ids) != fcc.d_p:  # the head's output width

@@ -13,7 +13,7 @@ from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
 from protomem.memory import bipolarize, classify_batch
 from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
 from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows, build_base_em
-from protomem.online import FinetuneConfig, finetune_fcr, learn_class
+from protomem.online import finetune_fcr, learn_class
 
 
 def central_diff(f, x, step=1e-5):
@@ -233,20 +233,19 @@ def finetune_fcr_per_row(params, act_mem, em, cfg):
     return history
 
 
-def run_protocol_per_stage(params, stream, quant, finetune=False, ft_cfg=None, probes=None):
+def run_protocol_per_stage(params, stream, quant, finetune=None, probes=None):
     """`harness.run_protocol` with every stage running the whole extractor
     again on its test subset and on the probes, and each scored apart."""
     em, act_mem = build_base_em(params, stream.base, quant)
     base_ids = stream.base.class_ids()
-    ft_cfg = ft_cfg or FinetuneConfig()
     accs, base_accs, class_sets, counts, probe_rows = [], [], [], [], []
     for t in range(len(stream.sessions) + 1):
         if t:
             session = stream.sessions[t - 1]
             for cid in session.class_ids():
                 learn_class(em, act_mem, params, session.inputs[session.indices_of(cid)], cid)
-            if finetune:
-                finetune_fcr(params, act_mem, em, ft_cfg)
+            if finetune is not None:
+                finetune_fcr(params, act_mem, em, finetune)
         seen = stream.classes_through(t)
         subset = stream.test.subset_by_classes(seen)
         preds, _ = classify_batch(em, extract_features(params, subset))
@@ -272,7 +271,7 @@ def run_protocol_per_stage(params, stream, quant, finetune=False, ft_cfg=None, p
         config_echo={
             "ways": stream.ways,
             "shots": stream.shots,
-            "finetune": finetune,
+            "finetune": finetune is not None,
             "prototype_bits": quant.prototype_bits,
             "feature_bits": quant.feature_bits,
             "d_a": params.d_a,

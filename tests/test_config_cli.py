@@ -162,6 +162,46 @@ class TestConfigDefaults:
         again = load_config(path)
         assert again.dump() == cfg.dump()
 
+    def test_dump_writes_only_the_keys_a_run_set(self, monkeypatch):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        assert load_config().dump() == ""
+        assert load_config(overrides=["seed=3", "grid=16"]).dump() == "grid=16\nseed=3\n"
+
+    @pytest.mark.parametrize("case", ["default", "overrides", "file", "env"])
+    def test_dump_reloads_the_same_run(self, tmp_path, monkeypatch, case):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        path = None
+        if case == "file":
+            path = tmp_path / "run.cfg"
+            path.write_text("grid=3\n")
+        elif case == "env":
+            monkeypatch.setenv(ENV_SEED, "11")
+        cfg = load_config(path, ["grid=16", "seed=3"] if case == "overrides" else ())
+        dumped = tmp_path / "dump.cfg"
+        dumped.write_text(cfg.dump())
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        again = load_config(dumped)
+        for key in DEFAULTS:
+            assert getattr(again, key) == getattr(cfg, key), key
+        for width in (64, 256):
+            assert again.recipe(width) == cfg.recipe(width), width
+        assert again.dump() == cfg.dump()
+
+    def test_readme_headline_defaults_match(self):
+        # README's table is a second copy of these defaults; keep it honest
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Headline defaults\n\n", 1)[1].split("\n\n", 1)[0]
+        cells = [
+            cell.strip()
+            for line in table.splitlines()[2:]
+            for cell in line.strip().strip("|").split("|")
+        ]
+        pairs = dict(zip(cells[::2], cells[1::2]))
+        assert len(pairs) >= 10
+        for key, text in pairs.items():
+            parser, default = DEFAULTS[key.strip("`")]
+            assert parser(text) == default, key
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["no_such_key=1"])
@@ -297,6 +337,46 @@ class TestCliCommands:
         ]) == 0
         report = (tmp_path / "report.csv").read_text()
         assert "+FT" in report
+
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("pretrain_epochs", 0), ("pretrain_epochs", -3), ("pretrain_lr", -1), ("pretrain_lr", 0)],
+    )
+    def test_pretrain_schedule_out_of_range_exits_2(self, tmp_path, capsys, command, key, value):
+        assert cli.main([command, *tiny_overrides(tmp_path, **{key: value})]) == 2
+        assert "epochs >= 1 and lr > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["learn-class", "classify"])
+    def test_manifest_refused_where_one_dataset_is_read(self, tmp_path, capsys, command):
+        manifest = novel_test_stream(tmp_path)
+        params = str(tmp_path / "params.ofsc")
+        assert cli.main([
+            "learn-class",
+            *tiny_overrides(tmp_path, params_in=params, dataset=str(tmp_path / "base.ofds"),
+                            class_id=0),
+        ]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = tiny_overrides(out, params_in=params, em_in=str(tmp_path / "em.ofem"),
+                              stream_manifest=str(manifest), class_id=1)
+        assert cli.main([command, *argv]) == 2
+        assert "not stream_manifest" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", ["pretrain", "metalearn", "protocol", "sweep", "ablate", "validate"]
+    )
+    def test_dataset_beside_a_manifest_exits_2(self, tmp_path, capsys, command):
+        manifest = novel_test_stream(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = tiny_overrides(out, params_in=str(tmp_path / "params.ofsc"),
+                              stream_manifest=str(manifest), dataset=str(tmp_path / "base.ofds"))
+        assert cli.main([command, *argv]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_validate_ok(self, tmp_path):
         assert cli.main(["validate", *tiny_overrides(tmp_path)]) == 0

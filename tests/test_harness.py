@@ -121,8 +121,8 @@ class TestRunProtocol:
             stream = replace(stream, sessions=[])
         probes = [stream.test.inputs[i] for i in (0, 7, 19)] if "probes" in kind else None
         params, twin = desk_params(stream, 13), desk_params(stream, 13)
-        got = run_protocol(params, stream, QuantSpec(), ft_cfg is not None, ft_cfg, probes)
-        want = run_protocol_per_stage(twin, stream, QuantSpec(), ft_cfg is not None, ft_cfg, probes)
+        got = run_protocol(params, stream, QuantSpec(), ft_cfg, probes)
+        want = run_protocol_per_stage(twin, stream, QuantSpec(), ft_cfg, probes)
         assert got == want
         assert params_checksum(params) == params_checksum(twin)
 
@@ -131,7 +131,7 @@ class TestRunProtocol:
         stream = desk_stream(14)
         probes = stream.test.inputs[:4]
         params = desk_params(stream, 14)
-        run_protocol(params, stream, QuantSpec(), finetune, SMALL_FT, probes)
+        run_protocol(params, stream, QuantSpec(), SMALL_FT if finetune else None, probes)
         rows = len(stream.base) + sum(len(s) for s in stream.sessions)
         assert params.forward_calls == rows + len(stream.test) + len(probes)
 
@@ -198,12 +198,19 @@ class TestRunProtocol:
         twin = copy.deepcopy(params)
         run_protocol(params, stream, QuantSpec())
         checksum_plain = params_checksum(params)
-        run_protocol(twin, stream, QuantSpec(), finetune=True, ft_cfg=SMALL_FT)
+        run_protocol(twin, stream, QuantSpec(), finetune=SMALL_FT)
         assert params_checksum(twin) != checksum_plain
         # extractor still frozen even with finetuning
         fresh = desk_params(stream, 4)
         for i in range(len(twin.layers) - 1):
             np.testing.assert_array_equal(twin.layers[i].weight, fresh.layers[i].weight)
+
+    def test_finetune_echo_is_a_bool(self):
+        stream = desk_stream(4)
+        plain = run_protocol(desk_params(stream, 4), stream, QuantSpec())
+        tuned = run_protocol(desk_params(stream, 4), stream, QuantSpec(), SMALL_FT)
+        assert plain.config_echo["finetune"] is False
+        assert tuned.config_echo["finetune"] is True
 
     def test_disabled_learning_control(self):
         # control: base memory only; novel classes score zero, base unchanged
@@ -323,6 +330,16 @@ class TestAblation:
         stream = desk_stream(10, classes=7, base=5, ways=1, sessions=2)
         with pytest.raises(ConflictingFlagsError):
             train_pipeline(stream, self.recipe(), {"XX"})
+
+    @pytest.mark.parametrize("bad", [{"XX"}, {"MM", "CE"}], ids=["unknown", "MM+CE"])
+    def test_every_row_checked_before_the_first_trains(self, monkeypatch, bad):
+        stream = desk_stream(10, classes=7, base=5, ways=1, sessions=2)
+        calls = []
+        real = harness.pretrain_model
+        monkeypatch.setattr(harness, "pretrain_model", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ConflictingFlagsError):
+            ablation_matrix(stream, [{"AG"}, bad], self.recipe())
+        assert calls == []
 
     def test_row_uses_recipe_quantization(self):
         stream = desk_stream(10, classes=7, base=5, ways=1, sessions=1)
