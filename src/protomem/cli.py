@@ -23,6 +23,7 @@ from .harness import (
     ablation_matrix,
     extract_features,
     make_blob_dataset,
+    metalearn_model,
     pretrain_model,
     require_test_rows,
     run_protocol,
@@ -30,7 +31,7 @@ from .harness import (
 )
 from .memory import ActivationMemory, ExplicitMemory, classify_batch, precision_sweep
 from .memory import load_actmem, load_em, save_actmem, save_em
-from .offline import build_base_em, metalearn
+from .offline import build_base_em
 from .online import learn_class, learn_dataset
 
 
@@ -111,7 +112,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 def cmd_metalearn(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     base = _resolve_stream(cfg).base
-    _, history = metalearn(params, base, cfg.recipe(base.input_dim).meta, seed=cfg.seed)
+    _, history = metalearn_model(params, base, cfg.recipe(base.input_dim))
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("iteration", "loss", "accuracy"), history)
     print(f"metalearned {cfg.meta_iterations} iterations -> {cfg.params_out}")

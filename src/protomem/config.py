@@ -69,7 +69,6 @@ RECIPE_KEYS = {
     "meta_lr": (_float, "meta.lr"),
     "query_batch": (int, "meta.query_batch"),
     "meta_objective": (str, "meta.objective"),
-    "prototype_gradient": (_bool, "meta.prototype_gradient"),
     # finetuning
     "finetune_epochs": (int, "finetune.epochs"),
     "finetune_sub_batch": (int, "finetune.sub_batch"),
@@ -130,7 +129,8 @@ class RunConfig:
 
     def __getattr__(self, key):
         try:
-            return self._values[key] if key in self._values else DEFAULTS[key][1]
+            values = vars(self).get("_values", {})  # unset while copy or pickle rebuilds
+            return values[key] if key in values else DEFAULTS[key][1]
         except KeyError as exc:
             raise AttributeError(key) from exc
 

@@ -26,7 +26,6 @@ class SessionReport:
     evaluated_class_sets: list  # sorted class ids evaluated per session
     evaluated_counts: list  # test samples touched per session
     probe_scores: list  # per session: list of {class_id: score} per probe
-    config_echo: dict = field(default_factory=dict)
 
 
 def validate_stream(stream: SessionStream) -> list:
@@ -142,15 +141,6 @@ def run_protocol(
         evaluated_class_sets=class_sets,
         evaluated_counts=counts,
         probe_scores=probe_scores,
-        config_echo={
-            "ways": stream.ways,
-            "shots": stream.shots,
-            "finetune": finetune is not None,
-            "prototype_bits": quant.prototype_bits,
-            "feature_bits": quant.feature_bits,
-            "d_a": params.d_a,
-            "d_p": params.d_p,
-        },
     )
 
 
@@ -193,6 +183,13 @@ def pretrain_model(base: LabeledDataset, recipe: TrainRecipe):
     return params, history
 
 
+def metalearn_model(params, base: LabeledDataset, recipe: TrainRecipe):
+    """Metalearn params in place on the base classes with the recipe's
+    metalearning settings, seeded two past the recipe's seed (pretraining
+    draws from the seed, its head from the next). Returns (params, history)."""
+    return metalearn(params, base, recipe.meta, seed=recipe.seed + 2)
+
+
 def _check_flags(flags):
     """Refuse an ablation row with an unknown flag, or with both MM and CE."""
     bad = set(flags) - set(ABLATION_FLAGS)
@@ -221,12 +218,8 @@ def train_pipeline(stream: SessionStream, recipe: TrainRecipe, flags: set):
     )
     params, _ = pretrain_model(stream.base, row)
     if "MM" in flags or "CE" in flags:
-        metalearn(params, stream.base, row.meta, seed=row.seed + 2)
-    report = run_protocol(params, stream, row.quant, row.finetune if "FT" in flags else None)
-    report.config_echo["flags"] = "+".join(sorted(flags)) if flags else "none"
-    report.config_echo["lambda_ortho"] = row.loss.lambda_ortho
-    report.config_echo["mix_probability"] = row.loss.mix_probability
-    return params, report
+        metalearn_model(params, stream.base, row)
+    return params, run_protocol(params, stream, row.quant, row.finetune if "FT" in flags else None)
 
 
 def ablation_matrix(stream: SessionStream, rows, recipe: TrainRecipe) -> list:
@@ -239,11 +232,10 @@ def ablation_matrix(stream: SessionStream, rows, recipe: TrainRecipe) -> list:
     rows = [set(row) for row in rows]
     for flags in rows:
         _check_flags(flags)
-    out = []
-    for flags in rows:
-        _, report = train_pipeline(stream, recipe, flags)
-        out.append((report.config_echo["flags"], report))
-    return out
+    return [
+        ("+".join(sorted(flags)) or "none", train_pipeline(stream, recipe, flags)[1])
+        for flags in rows
+    ]
 
 
 def make_blob_dataset(

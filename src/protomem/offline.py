@@ -56,7 +56,6 @@ class MetaConfig:
     margin: float = 0.1
     query_batch: int = 64
     objective: str = "mm"  # "mm" | "ce"
-    prototype_gradient: bool = False
 
     def __post_init__(self):
         if self.meta_samples < 1 or self.iterations < 1:
@@ -181,8 +180,7 @@ def pretrain(
 
 def _cosines(theta_q, protos):
     """Cosine of each query row against each prototype row: (cos, q_hat,
-    q_norm, p_hat, p_norm), each query's values bitwise those of scoring
-    it alone."""
+    q_norm, p_hat), each query's values bitwise those of scoring it alone."""
     p_norm = np.linalg.norm(protos, axis=1)
     if np.any(p_norm < ZERO_NORM_FLOOR):
         raise ZeroNormError("a prototype has near-zero norm")
@@ -192,19 +190,15 @@ def _cosines(theta_q, protos):
     q_hat = theta_q / q_norm[:, None]
     p_hat = protos / p_norm[:, None]
     cos = matvecs(p_hat, q_hat)
-    return cos, q_hat, q_norm, p_hat, p_norm
+    return cos, q_hat, q_norm, p_hat
 
 
-def _score_jacobians(cos, q_hat, q_norm, p_hat, p_norm, with_dproto: bool):
-    """Per query and class, d(score)/d(theta_p) and d(score)/d(proto) rows
-    of the ReLU-sharpened cosine scores, zero where the ReLU gate is
-    closed: two (B, C, d) arrays, the second None unless with_dproto."""
+def _score_jacobians(cos, q_hat, q_norm, p_hat):
+    """Per query and class, the d(score)/d(theta_p) row of the
+    ReLU-sharpened cosine scores, zero where the ReLU gate is closed: a
+    (B, C, d) array."""
     gate = (cos > 0).astype(np.float64)[:, :, None]
-    cos = cos[:, :, None]
-    dtheta = gate * (p_hat - cos * q_hat[:, None, :]) / q_norm[:, None, None]
-    if not with_dproto:
-        return dtheta, None
-    return dtheta, gate * (q_hat[:, None, :] - cos * p_hat) / p_norm[:, None]
+    return gate * (p_hat - cos[:, :, None] * q_hat[:, None, :]) / q_norm[:, None, None]
 
 
 # elements in each (queries, classes, d_p) gradient temporary of metalearn
@@ -212,11 +206,11 @@ _JACOBIAN_CHUNK = 1 << 15
 
 
 def _query_step(theta_q, protos, gts, cfg: MetaConfig):
-    """Objective and gradients of one query batch against fixed
+    """Objective and gradient of one query batch against fixed
     prototypes: (loss summed over the queries in order, hits,
-    d loss / d theta_q, d loss / d protos or None), each query's terms
-    bitwise those of scoring it alone."""
-    cos, q_hat, q_norm, p_hat, p_norm = _cosines(theta_q, protos)
+    d loss / d theta_q), each query's terms bitwise those of scoring it
+    alone."""
+    cos, q_hat, q_norm, p_hat = _cosines(theta_q, protos)
     scores = relu(cos)
     if cfg.objective == "mm":
         loss_sum, dl = multi_margin_loss(scores, gts, cfg.margin)
@@ -224,18 +218,12 @@ def _query_step(theta_q, protos, gts, cfg: MetaConfig):
         loss_sum, dl = softmax_ce_batch(scores, gts)
     hits = int(np.count_nonzero(scores.argmax(axis=1) == gts))
     upstream_q = np.empty_like(theta_q)
-    grad_protos = np.zeros_like(protos) if cfg.prototype_gradient else None
     step = max(1, _JACOBIAN_CHUNK // protos.size)
     for lo in range(0, len(theta_q), step):
         rows = slice(lo, lo + step)
-        dtheta, dproto = _score_jacobians(
-            cos[rows], q_hat[rows], q_norm[rows], p_hat, p_norm, cfg.prototype_gradient
-        )
+        dtheta = _score_jacobians(cos[rows], q_hat[rows], q_norm[rows], p_hat)
         upstream_q[rows] = matvecs(dtheta.swapaxes(-1, -2), dl[rows])
-        if dproto is not None:
-            for term in dl[rows, :, None] * dproto:  # queries in order
-                grad_protos += term
-    return loss_sum, hits, upstream_q, grad_protos
+    return loss_sum, hits, upstream_q
 
 
 def metalearn(params, base_dataset, cfg: MetaConfig, seed):
@@ -243,9 +231,9 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
     N meta-samples per class, scores a query batch, and updates the
     extractor and projection by SGD on the margin (or CE) objective.
 
-    Prototypes are constants for the gradient unless
-    cfg.prototype_gradient is set. Returns (params, history) with history
-    rows (iteration, mean loss, query accuracy).
+    Prototypes are constants for the gradient, so the meta-sample
+    forward keeps no tape. Returns (params, history) with history rows
+    (iteration, mean loss, query accuracy).
     """
     rng = np.random.default_rng(seed)
     class_ids = base_dataset.class_ids()
@@ -262,12 +250,7 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
             take = rng.choice(len(pools[c]), size=cfg.meta_samples, replace=False)
             meta_rows.append(pools[c][take])
         meta_idx = np.concatenate(meta_rows)
-        meta_tape = GradientTape() if cfg.prototype_gradient else None
-        theta_meta = forward_fcr(
-            params,
-            forward_backbone(params, base_dataset.inputs[meta_idx], meta_tape),
-            meta_tape,
-        )
+        theta_meta = forward_fcr(params, forward_backbone(params, base_dataset.inputs[meta_idx]))
         protos = theta_meta.reshape(len(class_ids), cfg.meta_samples, -1).mean(axis=1)
         free = np.ones(len(base_dataset), dtype=bool)
         free[meta_idx] = False
@@ -283,21 +266,13 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
             params, forward_backbone(params, base_dataset.inputs[q_idx], q_tape), q_tape
         )
         gts = np.searchsorted(class_ids, base_dataset.labels[q_idx])
-        loss_sum, hits, upstream_q, grad_protos = _query_step(theta_q, protos, gts, cfg)
+        loss_sum, hits, upstream_q = _query_step(theta_q, protos, gts, cfg)
         nq = len(q_idx)
         mean_loss = loss_sum / nq
         if not np.isfinite(mean_loss):
             raise NumericFailureError(f"non-finite metalearning loss at iteration {it}")
-        # both backwards run against the pre-update weights; updates land after
         backward(params, q_tape, upstream_q / nq)
-        if cfg.prototype_gradient:
-            upstream_meta = np.repeat(
-                grad_protos / (cfg.meta_samples * nq), cfg.meta_samples, axis=0
-            )
-            backward(params, meta_tape, upstream_meta)
         sgd_step(params, q_tape, cfg.lr)
-        if cfg.prototype_gradient:
-            sgd_step(params, meta_tape, cfg.lr)
         history.append((it, mean_loss, hits / nq))
     return params, history
 

@@ -268,15 +268,6 @@ def run_protocol_per_stage(params, stream, quant, finetune=None, probes=None):
         evaluated_class_sets=class_sets,
         evaluated_counts=counts,
         probe_scores=probe_rows,
-        config_echo={
-            "ways": stream.ways,
-            "shots": stream.shots,
-            "finetune": finetune is not None,
-            "prototype_bits": quant.prototype_bits,
-            "feature_bits": quant.feature_bits,
-            "d_a": params.d_a,
-            "d_p": params.d_p,
-        },
     )
 
 
@@ -335,8 +326,7 @@ def multi_margin_loss_rows(scores, gts, m: float):
 
 
 def scores_and_grad_row(theta_p, protos):
-    """ReLU-cosine scores of one query, with d(score)/d(theta_p) and
-    d(score)/d(proto) rows."""
+    """ReLU-cosine scores of one query, with d(score)/d(theta_p) rows."""
     nq = float(np.linalg.norm(theta_p))
     if nq < ZERO_NORM_FLOOR:
         raise ZeroNormError("query feature has near-zero norm")
@@ -346,19 +336,17 @@ def scores_and_grad_row(theta_p, protos):
     cos = p_hat @ q_hat
     gate = (cos > 0).astype(np.float64)
     dtheta = gate[:, None] * (p_hat - cos[:, None] * q_hat[None, :]) / nq
-    dproto = gate[:, None] * (q_hat[None, :] - cos[:, None] * p_hat) / pnorms[:, None]
-    return relu(cos), (dtheta, dproto)
+    return relu(cos), dtheta
 
 
 def query_step_per_row(theta_q, protos, gts, cfg):
     """Metalearning query-batch step, one query at a time: (loss sum,
-    hits, upstream, prototype gradient)."""
+    hits, upstream)."""
     upstream_q = np.zeros_like(theta_q)
-    grad_protos = np.zeros_like(protos)
     loss_sum = 0.0
     hits = 0
     for qi in range(len(theta_q)):
-        scores, (dtheta, dproto) = scores_and_grad_row(theta_q[qi], protos)
+        scores, dtheta = scores_and_grad_row(theta_q[qi], protos)
         gt = int(gts[qi])
         if cfg.objective == "mm":
             loss, dl = multi_margin_loss_row(scores, gt, cfg.margin)
@@ -367,9 +355,7 @@ def query_step_per_row(theta_q, protos, gts, cfg):
         loss_sum += loss
         hits += int(scores.argmax() == gt)
         upstream_q[qi] = dl @ dtheta
-        if cfg.prototype_gradient:
-            grad_protos += dl[:, None] * dproto
-    return loss_sum, hits, upstream_q, grad_protos
+    return loss_sum, hits, upstream_q
 
 
 def metalearn_per_query(params, base_dataset, cfg, seed):
@@ -384,10 +370,7 @@ def metalearn_per_query(params, base_dataset, cfg, seed):
             pools[c][rng.choice(len(pools[c]), size=cfg.meta_samples, replace=False)]
             for c in class_ids
         ])
-        meta_tape = GradientTape() if cfg.prototype_gradient else None
-        theta_meta = forward_fcr(
-            params, forward_backbone(params, base_dataset.inputs[meta_idx], meta_tape), meta_tape
-        )
+        theta_meta = forward_fcr(params, forward_backbone(params, base_dataset.inputs[meta_idx]))
         protos = theta_meta.reshape(len(class_ids), cfg.meta_samples, -1).mean(axis=1)
         free = np.ones(len(base_dataset), dtype=bool)
         free[meta_idx] = False
@@ -399,20 +382,13 @@ def metalearn_per_query(params, base_dataset, cfg, seed):
             params, forward_backbone(params, base_dataset.inputs[q_idx], q_tape), q_tape
         )
         gts = [col[int(l)] for l in base_dataset.labels[q_idx]]
-        loss_sum, hits, upstream_q, grad_protos = query_step_per_row(theta_q, protos, gts, cfg)
+        loss_sum, hits, upstream_q = query_step_per_row(theta_q, protos, gts, cfg)
         nq = len(q_idx)
         mean_loss = loss_sum / nq
         if not np.isfinite(mean_loss):
             raise NumericFailureError(f"non-finite metalearning loss at iteration {it}")
         backward(params, q_tape, upstream_q / nq)
-        if cfg.prototype_gradient:
-            upstream_meta = np.repeat(
-                grad_protos / (cfg.meta_samples * nq), cfg.meta_samples, axis=0
-            )
-            backward(params, meta_tape, upstream_meta)
         sgd_step(params, q_tape, cfg.lr)
-        if cfg.prototype_gradient:
-            sgd_step(params, meta_tape, cfg.lr)
         history.append((it, mean_loss, hits / nq))
     return params, history
 

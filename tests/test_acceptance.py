@@ -205,7 +205,7 @@ class TestCriterion1Gradients:
                 continue
             done += 1
             # metalearn's query step on a one-query batch
-            _, _, upstream, _ = _query_step(theta, protos, np.array([gt]), cfg)
+            _, _, upstream = _query_step(theta, protos, np.array([gt]), cfg)
             backward(params, tape, upstream)
             analytic = param_grad_flat(tape, params)
             flat0 = flatten_params(params)

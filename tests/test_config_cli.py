@@ -1,12 +1,14 @@
 import ast
-from dataclasses import asdict, replace
+import copy
+import pickle
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_points_dataset, save_dataset_csv
-from protomem.backbone import init_model, load_params, save_params
+from protomem.backbone import init_model, load_params, params_checksum, save_params
 from protomem import errors
 from protomem.config import DEFAULTS, ENV_SEED, RECIPE_KEYS, load_config
 from protomem.data import LabeledDataset, save_dataset
@@ -17,11 +19,8 @@ from protomem.errors import (
     NumericFailureError,
     SettingValueError,
 )
-from protomem.harness import TrainRecipe, make_blob_dataset
-from protomem.losses import PretrainLossConfig
-from protomem.memory import QuantSpec, load_em
-from protomem.offline import MetaConfig
-from protomem.online import FinetuneConfig
+from protomem.harness import TrainRecipe, make_blob_dataset, train_pipeline
+from protomem.memory import load_em
 from protomem import cli
 
 
@@ -79,29 +78,24 @@ def novel_test_stream(tmp_path):
 
 class TestConfigDefaults:
     def test_defaults_match_owning_modules(self):
-        # the config table is the single source of truth; every default
-        # named by an owning dataclass must agree with it
-        loss = PretrainLossConfig()
-        meta = MetaConfig()
-        ft = FinetuneConfig()
-        quant = QuantSpec()
+        # every leaf field of TrainRecipe but the cutmix grid has exactly one
+        # key, whose default is the one the owning dataclass declares
+        recipe = TrainRecipe()
+        owned = {}
+        for top in fields(recipe):
+            value = getattr(recipe, top.name)
+            if is_dataclass(value):
+                owner = type(value)()
+                owned.update(
+                    {f"{top.name}.{f.name}": getattr(owner, f.name) for f in fields(owner)}
+                )
+            else:
+                owned[top.name] = value
+        del owned["grid"]
+        assert sorted(field for _, field in RECIPE_KEYS.values()) == sorted(owned)
         cfg = load_config()
-        assert cfg.lambda_ortho == loss.lambda_ortho
-        assert cfg.mix_probability == loss.mix_probability
-        assert cfg.mix_alpha == loss.mix_alpha
-        assert cfg.margin == meta.margin
-        assert cfg.meta_samples == meta.meta_samples
-        assert cfg.meta_iterations == meta.iterations
-        assert cfg.meta_lr == meta.lr
-        assert cfg.query_batch == meta.query_batch
-        assert cfg.meta_objective == meta.objective
-        assert cfg.finetune_epochs == ft.epochs
-        assert cfg.finetune_sub_batch == ft.sub_batch
-        assert cfg.finetune_lr == ft.lr
-        assert cfg.feature_bits == quant.feature_bits
-        assert cfg.accum_bits == quant.accum_bits
-        assert cfg.prototype_bits == quant.prototype_bits
-        assert cfg.max_shots == quant.max_shots
+        for key, (_, field) in RECIPE_KEYS.items():
+            assert getattr(cfg, key) == owned[field], key
 
     def test_cli_default_recipe_is_train_recipe(self):
         assert load_config().recipe(16 * 16) == replace(TrainRecipe(), grid=(16, 16))
@@ -133,7 +127,7 @@ class TestConfigDefaults:
         seed="11", hidden="20,10", d_p="5", pretrain_epochs="3", pretrain_lr="0.5",
         batch_size="8", lambda_ortho="0.3", mix_probability="0.2", mix_alpha="2.0",
         margin="0.2", meta_samples="3", meta_iterations="7", meta_lr="0.02", query_batch="16",
-        meta_objective="ce", prototype_gradient="true", finetune_epochs="4",
+        meta_objective="ce", finetune_epochs="4",
         finetune_sub_batch="2", finetune_lr="0.05", feature_bits="6", accum_bits="40",
         prototype_bits="12", max_shots="128",
     )
@@ -232,6 +226,23 @@ class TestConfigDefaults:
         path.write_text("# comment\n\nseed=12\n")
         assert load_config(path).seed == 12
 
+    @pytest.mark.parametrize("case", ["default", "overrides", "file", "env"])
+    def test_copy_and_pickle_keep_the_run(self, tmp_path, monkeypatch, case):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        path = None
+        if case == "file":
+            path = tmp_path / "run.cfg"
+            path.write_text("grid=16\nmeta_objective=ce\n")
+        elif case == "env":
+            monkeypatch.setenv(ENV_SEED, "11")
+        cfg = load_config(path, ["seed=3"] if case == "overrides" else ())
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        for again in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert again.dump() == cfg.dump()
+            assert again.recipe(256) == cfg.recipe(256)
+            for key in DEFAULTS:
+                assert getattr(again, key) == getattr(cfg, key), key
+
     def test_every_default_parses_its_own_dump(self):
         cfg = load_config()
         for key, (parser, default) in DEFAULTS.items():
@@ -316,6 +327,19 @@ class TestCliCommands:
         for name in ("params.ofsc", "meta.ofsc", "meta_history.csv",
                      "report.csv", "sweep.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_metalearn_matches_train_pipeline(self, tmp_path):
+        # the CLI chain and an ablation row seed metalearning alike
+        assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
+        assert cli.main([
+            "metalearn",
+            *tiny_overrides(tmp_path, params_in=str(tmp_path / "params.ofsc"),
+                            params_out=str(tmp_path / "meta.ofsc")),
+        ]) == 0
+        cfg = load_config(overrides=tiny_overrides(tmp_path))
+        stream = cli._resolve_stream(cfg)
+        params, _ = train_pipeline(stream, cfg.recipe(stream.base.input_dim), {"AG", "OR", "MM"})
+        assert params_checksum(load_params(tmp_path / "meta.ofsc")) == params_checksum(params)
 
     def test_sweep_emits_requested_rows(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
@@ -628,9 +652,20 @@ class TestCliCommands:
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0
 
     def test_removed_keys_are_unknown(self):
-        for key in ("threads", "right_shift"):
+        for key in ("threads", "right_shift", "prototype_gradient"):
             with pytest.raises(ConfigError):
                 load_config(overrides=[f"{key}=1"])
+
+    @pytest.mark.parametrize("key", ["threads", "right_shift", "prototype_gradient"])
+    def test_removed_key_in_a_config_file_exits_2(self, tmp_path, capsys, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}=true\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["pretrain", "-c", str(path), *tiny_overrides(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"unknown key '{key}'" in err
+        assert list(out.iterdir()) == []
 
     def test_learn_class_beyond_max_shots_exits_2(self, tmp_path, capsys):
         # the synthetic class 1 has per_class_cap + test_per_class = 11 shots

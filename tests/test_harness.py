@@ -26,7 +26,7 @@ from protomem.harness import (
     validate_stream,
 )
 from protomem.memory import QuantSpec, classify
-from protomem.offline import MetaConfig, build_base_em
+from protomem.offline import MetaConfig, build_base_em, metalearn
 from protomem.online import FinetuneConfig
 
 
@@ -205,13 +205,6 @@ class TestRunProtocol:
         for i in range(len(twin.layers) - 1):
             np.testing.assert_array_equal(twin.layers[i].weight, fresh.layers[i].weight)
 
-    def test_finetune_echo_is_a_bool(self):
-        stream = desk_stream(4)
-        plain = run_protocol(desk_params(stream, 4), stream, QuantSpec())
-        tuned = run_protocol(desk_params(stream, 4), stream, QuantSpec(), SMALL_FT)
-        assert plain.config_echo["finetune"] is False
-        assert tuned.config_echo["finetune"] is True
-
     def test_disabled_learning_control(self):
         # control: base memory only; novel classes score zero, base unchanged
         stream = desk_stream(5)
@@ -293,14 +286,47 @@ class TestAblation:
             finetune=FinetuneConfig(epochs=2), seed=3,
         )
 
-    def test_flag_echo_differs_only_in_augmentation(self):
+    def test_flag_rows_differ_only_in_augmentation(self):
+        # without OR both rows pretrain with no orthogonality term; AG
+        # keeps the recipe's augmentation rate
         stream = desk_stream(9, classes=7, base=5, ways=1, sessions=2)
-        rows = ablation_matrix(stream, [set(), {"AG"}], self.recipe())
-        (label_a, rep_a), (label_b, rep_b) = rows
-        assert label_a == "none" and label_b == "AG"
-        assert rep_a.config_echo["mix_probability"] == 0.0
-        assert rep_b.config_echo["mix_probability"] == 0.4
-        assert rep_a.config_echo["lambda_ortho"] == rep_b.config_echo["lambda_ortho"]
+        recipe = self.recipe()
+        rows = ablation_matrix(stream, [set(), {"AG"}], recipe)
+        assert [label for label, _ in rows] == ["none", "AG"]
+        for (flags, mix), (_, report) in zip([(set(), 0.0), ({"AG"}, 0.4)], rows):
+            params, again = train_pipeline(stream, recipe, flags)
+            loss = replace(recipe.loss, lambda_ortho=0.0, mix_probability=mix)
+            want, _ = harness.pretrain_model(stream.base, replace(recipe, loss=loss))
+            assert params_checksum(params) == params_checksum(want)
+            assert again == report
+
+    @pytest.mark.parametrize("row,label", [
+        ([], "none"),
+        (["FT"], "FT"),
+        (["OR", "AG"], "AG+OR"),
+        (["MM", "AG", "AG"], "AG+MM"),
+        (("OR", "FT", "CE", "AG"), "AG+CE+FT+OR"),
+    ], ids=["empty", "one", "unsorted", "repeated", "four"])
+    def test_row_label_joins_the_sorted_flags(self, monkeypatch, row, label):
+        stream = desk_stream(10, classes=7, base=5, ways=1, sessions=2)
+        seen = []
+        monkeypatch.setattr(
+            harness, "train_pipeline", lambda s, r, flags: seen.append(flags) or (None, "report")
+        )
+        assert ablation_matrix(stream, [row], self.recipe()) == [(label, "report")]
+        assert seen == [set(row)]
+
+    def test_metalearn_model_seeds_two_past_the_recipe(self):
+        stream = desk_stream(12, classes=7, base=5, ways=1, sessions=1)
+        recipe = self.recipe()
+        params = desk_params(stream, 12)
+        twin, other = copy.deepcopy(params), copy.deepcopy(params)
+        got, history = harness.metalearn_model(params, stream.base, recipe)
+        _, want = metalearn(twin, stream.base, recipe.meta, seed=recipe.seed + 2)
+        metalearn(other, stream.base, recipe.meta, seed=recipe.seed)
+        assert got is params and history == want
+        assert params_checksum(params) == params_checksum(twin)
+        assert params_checksum(params) != params_checksum(other)
 
     def test_empty_test_set_refused_before_training(self, monkeypatch):
         stream = without_test_rows(desk_stream(9, classes=7, base=5, ways=1, sessions=2))
@@ -344,9 +370,9 @@ class TestAblation:
     def test_row_uses_recipe_quantization(self):
         stream = desk_stream(10, classes=7, base=5, ways=1, sessions=1)
         recipe = replace(self.recipe(), quant=QuantSpec(feature_bits=6, prototype_bits=4))
-        _, report = train_pipeline(stream, recipe, set())
-        assert report.config_echo["prototype_bits"] == 4
-        assert report.config_echo["feature_bits"] == 6
+        params, report = train_pipeline(stream, recipe, set())
+        assert report == run_protocol(params, stream, recipe.quant)
+        assert report != run_protocol(params, stream, QuantSpec())
 
     def test_ce_row_produces_report(self):
         stream = desk_stream(11, classes=7, base=5, ways=1, sessions=2)

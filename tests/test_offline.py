@@ -224,7 +224,7 @@ class TestMetaScore:
                 continue
             checked += 1
             # the query step metalearn trains with, on a one-query batch
-            _, _, upstream, _ = offline._query_step(theta, protos, np.array([gt]), cfg)
+            _, _, upstream = offline._query_step(theta, protos, np.array([gt]), cfg)
             backward(params, tape, upstream)
             analytic = param_grad_flat(tape, params)
 
@@ -299,58 +299,41 @@ class TestMetalearn:
         _, history = metalearn(params, ds, cfg, seed=1)
         assert len(history) == 3
 
-    def test_prototype_gradient_path_runs_and_differs(self):
-        # overlapping classes keep the hinge active so both paths move
-        ds = make_points_dataset(3, 40, dim=2, separation=1.0, seed=12)
-        params = init_model([2, 16, 8], seed=12)
-        twin = copy.deepcopy(params)
-        base = MetaConfig(meta_samples=3, iterations=4, lr=0.05, query_batch=16)
-        through = MetaConfig(
-            meta_samples=3, iterations=4, lr=0.05, query_batch=16, prototype_gradient=True
+    @pytest.mark.parametrize("objective", ["mm", "ce"])
+    def test_one_taped_forward_backward_and_step_per_iteration(self, monkeypatch, objective):
+        # prototypes are constants for the gradient: the meta-sample forward
+        # keeps no tape, and the query tape alone is backpropagated and stepped
+        ds, params, _ = toy_problem(14)
+        calls = []
+        real_forward, real_backward, real_step = (
+            offline.forward_backbone, offline.backward, offline.sgd_step,
         )
-        metalearn(params, ds, base, seed=2)
-        metalearn(twin, ds, through, seed=2)
-        assert params_checksum(params) != params_checksum(twin)
 
-    def test_prototype_gradient_matches_fd(self):
-        # one pinned episode, differentiating through the prototype means
-        rng = np.random.default_rng(55)
-        params = init_model([4, 5, 3], seed=9)
-        meta_x = rng.standard_normal((4, 4)) + 0.5  # 2 classes x 2 meta-samples
-        query_x = rng.standard_normal((3, 4)) + 0.5
-        query_y = np.array([0, 1, 0])
-        n_meta = 2
-        cfg = MetaConfig(margin=0.3, prototype_gradient=True)
+        def forward(p, x, tape=None):
+            calls.append(("forward", tape))
+            return real_forward(p, x, tape)
 
-        def episode_loss(p):
-            theta_m = forward_fcr(p, forward_backbone(p, meta_x))
-            protos = theta_m.reshape(2, n_meta, -1).mean(axis=1)
-            theta_q = forward_fcr(p, forward_backbone(p, query_x))
-            return offline._query_step(theta_q, protos, query_y, cfg)[0] / len(query_x)
+        def backward_(p, tape, upstream):
+            calls.append(("backward", tape))
+            return real_backward(p, tape, upstream)
 
-        meta_tape = GradientTape()
-        theta_m = forward_fcr(params, forward_backbone(params, meta_x, meta_tape), meta_tape)
-        protos = theta_m.reshape(2, n_meta, -1).mean(axis=1)
-        q_tape = GradientTape()
-        theta_q = forward_fcr(params, forward_backbone(params, query_x, q_tape), q_tape)
-        _, _, upstream_q, grad_protos = offline._query_step(theta_q, protos, query_y, cfg)
-        backward(params, q_tape, upstream_q / len(query_x))
-        backward(
-            params,
-            meta_tape,
-            np.repeat(grad_protos / (n_meta * len(query_x)), n_meta, axis=0),
-        )
-        analytic = param_grad_flat(q_tape, params) + param_grad_flat(meta_tape, params)
+        def step(p, tape, lr):
+            calls.append(("step", tape))
+            return real_step(p, tape, lr)
 
-        flat0 = flatten_params(params)
-
-        def loss_at(flat):
-            set_params_from_flat(params, flat)
-            return episode_loss(params)
-
-        numeric = central_diff(loss_at, flat0)
-        set_params_from_flat(params, flat0)
-        assert rel_err(analytic, numeric) < 1e-4
+        monkeypatch.setattr(offline, "forward_backbone", forward)
+        monkeypatch.setattr(offline, "backward", backward_)
+        monkeypatch.setattr(offline, "sgd_step", step)
+        cfg = MetaConfig(meta_samples=3, iterations=3, lr=0.02, query_batch=16, objective=objective)
+        metalearn(params, ds, cfg, seed=5)
+        assert len(calls) == 4 * cfg.iterations
+        for it in range(cfg.iterations):
+            (meta, meta_tape), (query, tape), (back, back_tape), (upd, upd_tape) = (
+                calls[4 * it : 4 * it + 4]
+            )
+            assert (meta, query, back, upd) == ("forward", "forward", "backward", "step")
+            assert meta_tape is None and tape is not None
+            assert back_tape is tape and upd_tape is tape
 
     def test_shapes_preserved(self):
         ds, params, _ = toy_problem(13)
@@ -410,20 +393,15 @@ class TestBatchedQueryStep:
         return theta_q, protos, gts
 
     @pytest.mark.parametrize("objective", ["mm", "ce"])
-    @pytest.mark.parametrize("through_protos", [False, True])
     @pytest.mark.parametrize("chunk", [1 << 15, 7 * 12 * 6, 1])
-    def test_equals_per_query_loop(self, monkeypatch, objective, through_protos, chunk):
+    def test_equals_per_query_loop(self, monkeypatch, objective, chunk):
         monkeypatch.setattr(offline, "_JACOBIAN_CHUNK", chunk)
         theta_q, protos, gts = self.episode()
-        cfg = MetaConfig(margin=1.5, objective=objective, prototype_gradient=through_protos)
-        loss, hits, upstream, grad_protos = offline._query_step(theta_q, protos, gts, cfg)
+        cfg = MetaConfig(margin=1.5, objective=objective)
+        loss, hits, upstream = offline._query_step(theta_q, protos, gts, cfg)
         want = query_step_per_row(theta_q, protos, gts, cfg)
         np.testing.assert_array_equal([loss, hits], want[:2])
         np.testing.assert_array_equal(upstream, want[2])
-        if through_protos:
-            np.testing.assert_array_equal(grad_protos, want[3])
-        else:
-            assert grad_protos is None
 
     def test_episode_has_ties_and_long_margin_sums(self):
         theta_q, protos, gts = self.episode()
@@ -437,22 +415,20 @@ class TestBatchedQueryStep:
         theta_q, protos, _ = self.episode()
         cos, *unit = offline._cosines(theta_q, protos)
         scores = relu(cos)
-        dtheta, dproto = offline._score_jacobians(cos, *unit, with_dproto=True)
+        dtheta = offline._score_jacobians(cos, *unit)
         for i, theta in enumerate(theta_q):
-            want_scores, (want_dtheta, want_dproto) = scores_and_grad_row(theta, protos)
+            want_scores, want_dtheta = scores_and_grad_row(theta, protos)
             np.testing.assert_array_equal(scores[i], want_scores)
             np.testing.assert_array_equal(dtheta[i], want_dtheta)
-            np.testing.assert_array_equal(dproto[i], want_dproto)
 
     @pytest.mark.parametrize("objective", ["mm", "ce"])
-    @pytest.mark.parametrize("through_protos", [False, True])
-    def test_metalearn_equals_per_query_loop(self, objective, through_protos):
+    def test_metalearn_equals_per_query_loop(self, objective):
         ds = make_points_dataset(12, 12, dim=4, separation=1.0, seed=3)
         params = init_model([4, 16, 8], seed=3)
         twin = copy.deepcopy(params)
         cfg = MetaConfig(
             meta_samples=3, iterations=2, lr=0.05, margin=0.5, query_batch=40,
-            objective=objective, prototype_gradient=through_protos,
+            objective=objective,
         )
         _, history = metalearn(params, ds, cfg, seed=4)
         _, want_history = metalearn_per_query(twin, ds, cfg, seed=4)
