@@ -51,12 +51,10 @@ def _write_csv(path, header, rows):
 def _resolve_dataset(cfg: RunConfig) -> dio.LabeledDataset:
     if cfg.dataset:
         return dio.load_dataset(cfg.dataset, cfg.dataset_format)
-    if cfg.synthetic:
-        per_class = cfg.per_class_cap + cfg.test_per_class
-        return make_blob_dataset(
-            cfg.classes, per_class, grid=cfg.grid, seed=cfg.seed, noise=cfg.data_noise
-        )
-    raise ConfigError("no data source: set dataset=, stream_manifest=, or synthetic=true")
+    per_class = cfg.per_class_cap + cfg.test_per_class
+    return make_blob_dataset(
+        cfg.classes, per_class, grid=cfg.grid, seed=cfg.seed, noise=cfg.data_noise
+    )
 
 
 def _parse_manifest(path) -> dio.SessionStream:
@@ -102,7 +100,7 @@ def _resolve_stream(cfg: RunConfig) -> dio.SessionStream:
 
 def cmd_pretrain(cfg: RunConfig) -> int:
     base = _resolve_stream(cfg).base
-    params, history = pretrain_model(base, cfg.recipe(base.input_dim))
+    params, history = pretrain_model(base, cfg.recipe())
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("epoch", "ce", "ortho", "accuracy"), history)
     print(f"pretrained {cfg.pretrain_epochs} epochs -> {cfg.params_out}")
@@ -112,7 +110,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 def cmd_metalearn(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     base = _resolve_stream(cfg).base
-    _, history = metalearn_model(params, base, cfg.recipe(base.input_dim))
+    _, history = metalearn_model(params, base, cfg.recipe())
     save_params(params, cfg.params_out)
     _write_csv(cfg.history_out, ("iteration", "loss", "accuracy"), history)
     print(f"metalearned {cfg.meta_iterations} iterations -> {cfg.params_out}")
@@ -128,7 +126,7 @@ def _write_report(path, reports):
 def cmd_protocol(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
-    recipe = cfg.recipe(stream.base.input_dim)
+    recipe = cfg.recipe()
     report = run_protocol(params, stream, recipe.quant, recipe.finetune if cfg.finetune else None)
     label = f"pb{cfg.prototype_bits}" + ("+FT" if cfg.finetune else "")
     _write_report(cfg.report_out, [(label, report)])
@@ -140,7 +138,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
     require_test_rows(stream)
-    em, act_mem = build_base_em(params, stream.base, cfg.recipe(stream.base.input_dim).quant)
+    em, act_mem = build_base_em(params, stream.base, cfg.recipe().quant)
     for session in stream.sessions:
         learn_dataset(em, act_mem, params, session)
     feats = extract_features(params, stream.test)
@@ -160,7 +158,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
             rows.append(frozenset())
         else:
             rows.append(frozenset(f.strip().upper() for f in token.split(",")))
-    reports = ablation_matrix(stream, rows, cfg.recipe(stream.base.input_dim))
+    reports = ablation_matrix(stream, rows, cfg.recipe())
     _write_report(cfg.ablation_out, reports)
     print(f"ablated {len(reports)} rows -> {cfg.ablation_out}")
     return 0
@@ -183,7 +181,7 @@ def cmd_learn_class(cfg: RunConfig) -> int:
     if not 0 <= cfg.class_id < 2**32:
         raise ConfigError("learn-class requires class_id=<id in [0, 2**32)>")
     rows = dataset.indices_of(cfg.class_id)
-    quant = cfg.recipe(dataset.input_dim).quant
+    quant = cfg.recipe().quant
     em = load_em(cfg.em_in) if cfg.em_in else ExplicitMemory(params.d_p, quant)
     if em.quant.prototype_bits != quant.prototype_bits:
         raise ConfigError(

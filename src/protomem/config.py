@@ -89,11 +89,10 @@ DEFAULTS = {
     # what protocol and sweep run
     "finetune": (_bool, False),
     "sweep_bits": (_intlist, (8, 7, 6, 5, 4, 3, 2, 1)),
-    # data source (file, manifest, or synthetic blobs)
+    # data source (file, manifest, or else synthetic blobs)
     "dataset": (str, ""),
     "dataset_format": (str, "auto"),  # resolved by data.load_dataset
     "stream_manifest": (str, ""),
-    "synthetic": (_bool, True),
     "classes": (int, 18),
     "grid": (int, 16),
     "data_noise": (_float, 0.05),
@@ -134,11 +133,12 @@ class RunConfig:
         except KeyError as exc:
             raise AttributeError(key) from exc
 
-    def recipe(self, input_dim: int) -> TrainRecipe:
+    def recipe(self) -> TrainRecipe:
         """The library settings of this run, built through RECIPE_KEYS.
         Each settings object is the default one with this run's values
         replaced, so it validates them; the cutmix grid is (grid, grid) when
-        the run sets grid or it tiles input_dim, else None (inferred)."""
+        the run sets grid, else None, which pretraining infers from the
+        square input width or refuses."""
         fields = {"": {}}
         for key, (_, field) in RECIPE_KEYS.items():
             owner, _, name = field.rpartition(".")
@@ -146,9 +146,7 @@ class RunConfig:
         top = fields.pop("")
         for owner, values in fields.items():  # validated in table order
             top[owner] = replace(getattr(_RECIPE, owner), **values)
-        g = self.grid
-        fits = g > 0 and input_dim % (g * g) == 0
-        top["grid"] = (g, g) if fits or "grid" in self._values else None
+        top["grid"] = (self.grid, self.grid) if "grid" in self._values else None
         return replace(_RECIPE, **top)
 
     def dump(self) -> str:

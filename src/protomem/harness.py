@@ -8,11 +8,9 @@ import numpy as np
 from .backbone import forward_backbone, forward_fcr, init_model
 from .data import LabeledDataset, SessionStream
 from .errors import ConflictingFlagsError, InsufficientSamplesError, SettingValueError
-from .errors import ShapeMismatchError
 from .losses import PretrainLossConfig
 from .memory import QuantSpec, classify_batch
 from .offline import MetaConfig, build_base_em, init_fcc, metalearn, pretrain
-from .numerics import check_finite
 from .online import FinetuneConfig, finetune_fcr, learn_dataset
 
 ABLATION_FLAGS = ("AG", "OR", "MM", "CE", "FT")
@@ -23,9 +21,6 @@ class SessionReport:
     session_accuracies: list
     average: float
     base_class_accuracies: list
-    evaluated_class_sets: list  # sorted class ids evaluated per session
-    evaluated_counts: list  # test samples touched per session
-    probe_scores: list  # per session: list of {class_id: score} per probe
 
 
 def validate_stream(stream: SessionStream) -> list:
@@ -97,50 +92,35 @@ def run_protocol(
     stream: SessionStream,
     quant: QuantSpec,
     finetune: FinetuneConfig | None = None,
-    probes=None,
 ) -> SessionReport:
     """Play the stream: build the base memory, absorb each incremental
     session with single-pass updates (then finetune the projection, unless
     `finetune` is None), and evaluate each stage on the union of classes seen.
 
-    Test rows and probes, a (P, input_dim) array-like, go through the frozen
-    extractor once, and through the projection again after each finetune.
+    The test rows go through the frozen extractor once, and through the
+    projection again after each finetune.
     """
     is_base = require_base_test_rows(stream)
     test = stream.test
-    probe_x = check_finite([] if probes is None else probes, "probes")
-    if probe_x.shape == (0,):  # an empty sequence
-        probe_x = probe_x.reshape(0, test.input_dim)
-    if probe_x.ndim != 2 or probe_x.shape[1] != test.input_dim:
-        raise ShapeMismatchError(f"probes must be (P, {test.input_dim}), got {probe_x.shape}")
     em, act_mem = build_base_em(params, stream.base, quant)
-    theta_a = forward_backbone(params, np.concatenate([test.inputs, probe_x]))
+    theta_a = forward_backbone(params, test.inputs)
     feats = forward_fcr(params, theta_a)
-    is_probe = np.ones(len(probe_x), dtype=bool)
-    accs, base_accs, class_sets, counts, probe_scores = [], [], [], [], []
+    accs, base_accs = [], []
     for t in range(len(stream.sessions) + 1):
         if t:
             learn_dataset(em, act_mem, params, stream.sessions[t - 1])
             if finetune is not None:
                 finetune_fcr(params, act_mem, em, finetune)
                 feats = forward_fcr(params, theta_a)
-        seen = stream.classes_through(t)
-        in_stage = np.isin(test.labels, seen)
-        preds, scores = classify_batch(em, feats[np.append(in_stage, is_probe)])
-        n = int(in_stage.sum())
-        ok = preds[:n] == test.labels[in_stage]
-        accs.append(int(ok.sum()) / n)
+        in_stage = np.isin(test.labels, stream.classes_through(t))
+        preds, _ = classify_batch(em, feats[in_stage])
+        ok = preds == test.labels[in_stage]
+        accs.append(int(ok.sum()) / len(ok))
         base_accs.append(int(ok[is_base[in_stage]].sum()) / int(is_base.sum()))
-        class_sets.append(seen)
-        counts.append(n)
-        probe_scores.append([dict(zip(em.class_ids(), row)) for row in scores[n:].tolist()])
     return SessionReport(
         session_accuracies=accs,
         average=float(np.mean(accs)),
         base_class_accuracies=base_accs,
-        evaluated_class_sets=class_sets,
-        evaluated_counts=counts,
-        probe_scores=probe_scores,
     )
 
 

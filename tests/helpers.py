@@ -8,12 +8,13 @@ import numpy as np
 from protomem.backbone import GradientTape, backward, forward_backbone, forward_fcr, sgd_step
 from protomem.data import LabeledDataset
 from protomem.errors import NumericFailureError, ShapeMismatchError, ZeroNormError
+from protomem import harness
 from protomem.harness import SessionReport, extract_features, pretrain_model
 from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
 from protomem.memory import bipolarize, classify_batch
 from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
 from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows, build_base_em
-from protomem.online import finetune_fcr, learn_class
+from protomem.online import finetune_fcr, learn_class, learn_dataset
 
 
 def central_diff(f, x, step=1e-5):
@@ -233,12 +234,12 @@ def finetune_fcr_per_row(params, act_mem, em, cfg):
     return history
 
 
-def run_protocol_per_stage(params, stream, quant, finetune=None, probes=None):
+def run_protocol_per_stage(params, stream, quant, finetune=None):
     """`harness.run_protocol` with every stage running the whole extractor
-    again on its test subset and on the probes, and each scored apart."""
+    again on its test subset."""
     em, act_mem = build_base_em(params, stream.base, quant)
     base_ids = stream.base.class_ids()
-    accs, base_accs, class_sets, counts, probe_rows = [], [], [], [], []
+    accs, base_accs = [], []
     for t in range(len(stream.sessions) + 1):
         if t:
             session = stream.sessions[t - 1]
@@ -246,29 +247,40 @@ def run_protocol_per_stage(params, stream, quant, finetune=None, probes=None):
                 learn_class(em, act_mem, params, session.inputs[session.indices_of(cid)], cid)
             if finetune is not None:
                 finetune_fcr(params, act_mem, em, finetune)
-        seen = stream.classes_through(t)
-        subset = stream.test.subset_by_classes(seen)
+        subset = stream.test.subset_by_classes(stream.classes_through(t))
         preds, _ = classify_batch(em, extract_features(params, subset))
         ok = preds == subset.labels
         is_base = np.isin(subset.labels, base_ids)
         accs.append(int(ok.sum()) / len(subset))
         base_accs.append(int(ok[is_base].sum()) / int(is_base.sum()))
-        class_sets.append(seen)
-        counts.append(len(subset))
-        scores = []
-        if probes is not None and len(probes):
-            feats = extract_features(params, LabeledDataset(probes, np.zeros(len(probes))))
-            _, rows = classify_batch(em, feats)
-            scores = [dict(zip(em.class_ids(), row)) for row in rows.tolist()]
-        probe_rows.append(scores)
-    return SessionReport(
-        session_accuracies=accs,
-        average=float(np.mean(accs)),
-        base_class_accuracies=base_accs,
-        evaluated_class_sets=class_sets,
-        evaluated_counts=counts,
-        probe_scores=probe_rows,
-    )
+    return SessionReport(accs, float(np.mean(accs)), base_accs)
+
+
+def base_scores_per_stage(params, stream, quant, feats) -> list:
+    """The scores of `feats` against the base classes of the memory that
+    `build_base_em` builds, and again after each session's `learn_dataset`:
+    one (N, base classes) array per stage."""
+    em, act_mem = build_base_em(params, stream.base, quant)
+    base = [em.class_ids().index(cid) for cid in stream.base.class_ids()]
+    stages = [classify_batch(em, feats)[1][:, base]]
+    for session in stream.sessions:
+        learn_dataset(em, act_mem, params, session)
+        stages.append(classify_batch(em, feats)[1][:, base])
+    return stages
+
+
+def protocol_stage_features(monkeypatch, params, stream, quant) -> list:
+    """The features `harness.run_protocol` scores at each stage, recorded
+    by patching the `classify_batch` it calls."""
+    staged = []
+
+    def recording(em, feats):
+        staged.append(feats.copy())
+        return classify_batch(em, feats)
+
+    monkeypatch.setattr(harness, "classify_batch", recording)
+    harness.run_protocol(params, stream, quant)
+    return staged
 
 
 def softmax_ce_rows(logits, targets):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    base_scores_per_stage,
     central_diff,
     flatten_params,
     meta_score,
     param_grad_flat,
+    protocol_stage_features,
     rel_err,
     set_params_from_flat,
 )
@@ -80,11 +82,8 @@ class DeskRun:
         self.params_aom = copy.deepcopy(self.params_agor)
         meta = MetaConfig(meta_samples=5, iterations=150, lr=0.01, query_batch=64)
         metalearn(self.params_aom, self.stream.base, meta, seed=self.SEED + 2)
-        self.probes = [self.stream.test.inputs[i] for i in range(5)]
         self.report_ag = run_protocol(self.params_ag, self.stream, QuantSpec())
-        self.report_aom = run_protocol(
-            self.params_aom, self.stream, QuantSpec(), probes=self.probes
-        )
+        self.report_aom = run_protocol(self.params_aom, self.stream, QuantSpec())
         self.em, self.act_mem = self._populate_em(self.params_aom)
         self.test_features = extract_features(self.params_aom, self.stream.test)
         self.elapsed = time.monotonic() - t0
@@ -358,23 +357,24 @@ class TestCriterion4Protocol:
                "validator accepts the well-formed stream and rejects duplicate-class, "
                "short-shot, and uncovered-test constructions")
 
-    def test_frozen_scores_and_coverage(self, desk):
-        rep = desk.report_aom
-        base_ids = desk.stream.base.class_ids()
-        stable = all(
-            row[cid] == rep.probe_scores[0][i][cid]
-            for t in range(1, len(rep.probe_scores))
-            for i, row in enumerate(rep.probe_scores[t])
-            for cid in base_ids
+    def test_frozen_scores_and_coverage(self, desk, monkeypatch):
+        params, stream = desk.params_aom, desk.stream
+        first, *later = base_scores_per_stage(
+            params, stream, QuantSpec(), desk.test_features[:5]
         )
-        coverage = all(
-            rep.evaluated_class_sets[t] == desk.stream.classes_through(t)
-            and rep.evaluated_counts[t]
-            == len(desk.stream.test.subset_by_classes(desk.stream.classes_through(t)))
-            for t in range(len(rep.session_accuracies))
+        stable = len(later) == len(stream.sessions) and all(
+            scores.tobytes() == first.tobytes() for scores in later
+        )
+        staged = protocol_stage_features(monkeypatch, params, stream, QuantSpec())
+        coverage = len(staged) == len(desk.report_aom.session_accuracies) and all(
+            feats.tobytes()
+            == extract_features(
+                params, stream.test.subset_by_classes(stream.classes_through(t))
+            ).tobytes()
+            for t, feats in enumerate(staged)
         )
         report(4, stable and coverage,
-               "base-class probe scores bitwise identical across sessions (FT off); "
+               "base-class scores bitwise identical across sessions (FT off); "
                "evaluation touches exactly the union-of-classes test subset")
 
 

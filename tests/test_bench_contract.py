@@ -8,6 +8,7 @@ without importing or editing them."""
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -108,6 +109,43 @@ def test_every_lifecycle_call_binds_to_its_signature():
         except TypeError as exc:
             unbound.append(f"{where}: {exc}")
     assert not unbound, unbound
+
+
+def protocol_report_reads(path) -> set:
+    """Every attribute that `path` reads, in the function that binds it,
+    off a name bound to a `harness.run_protocol(...)` result."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "harness" in protomem_modules(tree)
+    reads = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        reports = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "harness.run_protocol"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        reads |= {
+            node.attr
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in reports
+        }
+    return reads
+
+
+def test_every_report_field_the_lifecycle_reads_exists():
+    from protomem.harness import SessionReport
+
+    reads = protocol_report_reads(LIFECYCLE)
+    assert "session_accuracies" in reads
+    missing = reads - {field.name for field in fields(SessionReport)}
+    assert not missing, sorted(missing)
 
 
 def test_rebuilt_at_bits_is_patchable():

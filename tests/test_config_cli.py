@@ -1,7 +1,7 @@
 import ast
 import copy
 import pickle
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from protomem.errors import (
 )
 from protomem.harness import TrainRecipe, make_blob_dataset, train_pipeline
 from protomem.memory import load_em
-from protomem import cli
+from protomem import cli, offline
 
 
 TINY = dict(
@@ -57,6 +57,20 @@ def tiny_overrides(tmp_path, **extra):
     items.setdefault("em_out", str(tmp_path / "em.ofem"))
     items.setdefault("actmem_out", str(tmp_path / "am.ofam"))
     return [f"{k}={v}" for k, v in items.items()]
+
+
+def without_grid(argv):
+    """CLI overrides with no grid=, so the cutmix grid is inferred."""
+    return [item for item in argv if not item.startswith("grid=")]
+
+
+def write_cifar_batch(path, fine_labels, seed=3):
+    """One CIFAR100 binary record of random pixels per fine label."""
+    rng = np.random.default_rng(seed)
+    path.write_bytes(b"".join(
+        bytes([0, fine]) + rng.integers(0, 256, 3072, dtype=np.uint8).tobytes()
+        for fine in fine_labels
+    ))
 
 
 def novel_test_stream(tmp_path):
@@ -98,16 +112,15 @@ class TestConfigDefaults:
             assert getattr(cfg, key) == owned[field], key
 
     def test_cli_default_recipe_is_train_recipe(self):
-        assert load_config().recipe(16 * 16) == replace(TrainRecipe(), grid=(16, 16))
+        assert load_config().recipe() == TrainRecipe()
 
     def test_only_the_default_grid_gives_way_to_inference(self, tmp_path):
-        assert load_config().recipe(64).grid is None
-        assert load_config().recipe(16 * 16).grid == (16, 16)
-        assert load_config(overrides=["grid=3"]).recipe(64).grid == (3, 3)
-        assert load_config(overrides=["grid=16"]).recipe(64).grid == (16, 16)
+        assert load_config().recipe().grid is None
+        assert load_config(overrides=["grid=3"]).recipe().grid == (3, 3)
+        assert load_config(overrides=["grid=16"]).recipe().grid == (16, 16)
         path = tmp_path / "run.cfg"
         path.write_text("grid=3\n")
-        assert load_config(path).recipe(64).grid == (3, 3)
+        assert load_config(path).recipe().grid == (3, 3)
 
     def test_every_key_is_read_by_the_cli(self):
         # a RECIPE_KEYS row reaches the library through RunConfig.recipe
@@ -144,7 +157,7 @@ class TestConfigDefaults:
             return flat
 
         cfg = load_config(overrides=[f"{key}={self.NON_DEFAULT[key]}"])
-        default, changed = fields(load_config().recipe(64)), fields(cfg.recipe(64))
+        default, changed = fields(load_config().recipe()), fields(cfg.recipe())
         field = RECIPE_KEYS[key][1]
         assert changed[field] == getattr(cfg, key) != default[field]
         assert {f for f in changed if changed[f] != default[f]} == {field}
@@ -177,8 +190,7 @@ class TestConfigDefaults:
         again = load_config(dumped)
         for key in DEFAULTS:
             assert getattr(again, key) == getattr(cfg, key), key
-        for width in (64, 256):
-            assert again.recipe(width) == cfg.recipe(width), width
+        assert again.recipe() == cfg.recipe()
         assert again.dump() == cfg.dump()
 
     def test_readme_headline_defaults_match(self):
@@ -239,7 +251,7 @@ class TestConfigDefaults:
         monkeypatch.delenv(ENV_SEED, raising=False)
         for again in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
             assert again.dump() == cfg.dump()
-            assert again.recipe(256) == cfg.recipe(256)
+            assert again.recipe() == cfg.recipe()
             for key in DEFAULTS:
                 assert getattr(again, key) == getattr(cfg, key), key
 
@@ -338,7 +350,7 @@ class TestCliCommands:
         ]) == 0
         cfg = load_config(overrides=tiny_overrides(tmp_path))
         stream = cli._resolve_stream(cfg)
-        params, _ = train_pipeline(stream, cfg.recipe(stream.base.input_dim), {"AG", "OR", "MM"})
+        params, _ = train_pipeline(stream, cfg.recipe(), {"AG", "OR", "MM"})
         assert params_checksum(load_params(tmp_path / "meta.ofsc")) == params_checksum(params)
 
     def test_sweep_emits_requested_rows(self, tmp_path):
@@ -648,15 +660,45 @@ class TestCliCommands:
         assert err.startswith("config error") and "grid 3x3" in err and "mix_probability" in err
         assert list(out.iterdir()) == []
 
+    def test_unset_grid_cuts_a_square_width_on_its_square_grid(self, tmp_path, monkeypatch):
+        # 1024 columns are a 32 x 32 image: the 16 x 16 blob default is no cutmix grid of them
+        path = tmp_path / "wide1024.ofds"
+        save_dataset(make_points_dataset(TINY["classes"], 11, dim=1024, seed=4), path)
+        grids, infer = [], offline._cutmix_grid
+
+        def recording(dim, grid):
+            grids.append(infer(dim, grid))
+            return grids[-1]
+
+        monkeypatch.setattr(offline, "_cutmix_grid", recording)
+        argv = without_grid(tiny_overrides(tmp_path, dataset=str(path), mix_probability=0.4))
+        assert cli.main(["pretrain", *argv]) == 0
+        assert grids == [(32, 32)]
+
+    @pytest.mark.parametrize("grid,code", [(None, 2), (32, 0)])
+    def test_cifar_rows_need_a_set_cutmix_grid(self, tmp_path, capsys, grid, code):
+        # a 3072-wide CIFAR row is three 32 x 32 planes, not a square
+        batch = tmp_path / "batch.bin"
+        write_cifar_batch(batch, [c for c in range(TINY["classes"]) for _ in range(11)])
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = tiny_overrides(out, dataset=str(batch), dataset_format="cifar", mix_probability=0.4)
+        argv = without_grid(argv) + ([f"grid={grid}"] if grid else [])
+        assert cli.main(["pretrain", *argv]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "3072 is not square" in err
+            assert list(out.iterdir()) == []
+
     def test_pretrain_batch_size_one(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0
 
     def test_removed_keys_are_unknown(self):
-        for key in ("threads", "right_shift", "prototype_gradient"):
+        for key in ("threads", "right_shift", "prototype_gradient", "synthetic"):
             with pytest.raises(ConfigError):
                 load_config(overrides=[f"{key}=1"])
 
-    @pytest.mark.parametrize("key", ["threads", "right_shift", "prototype_gradient"])
+    @pytest.mark.parametrize("key", ["threads", "right_shift", "prototype_gradient", "synthetic"])
     def test_removed_key_in_a_config_file_exits_2(self, tmp_path, capsys, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key}=true\n")
@@ -761,13 +803,8 @@ class TestCliCommands:
 
     def test_cifar_ingestion_path(self, tmp_path):
         # two classes x 4 records in the CIFAR batch layout
-        records = []
-        rng = np.random.default_rng(3)
-        for fine in (0, 0, 0, 0, 1, 1, 1, 1):
-            pix = bytes(rng.integers(0, 256, 3072, dtype=np.uint8).tolist())
-            records.append(bytes([0, fine]) + pix)
         batch = tmp_path / "batch.bin"
-        batch.write_bytes(b"".join(records))
+        write_cifar_batch(batch, (0, 0, 0, 0, 1, 1, 1, 1))
         code = cli.main([
             "validate",
             f"dataset={batch}", "dataset_format=cifar",

@@ -5,7 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ortho_strength_sweep, run_protocol_per_stage
+from helpers import (
+    base_scores_per_stage,
+    ortho_strength_sweep,
+    protocol_stage_features,
+    run_protocol_per_stage,
+)
 from protomem import harness
 from protomem.backbone import init_model, params_checksum
 from protomem.data import SessionStream, split_fscil
@@ -13,7 +18,6 @@ from protomem.errors import (
     ConflictingFlagsError,
     InsufficientSamplesError,
     SettingValueError,
-    ShapeMismatchError,
 )
 from protomem.harness import (
     TrainRecipe,
@@ -112,48 +116,25 @@ class TestRunProtocol:
             run_protocol(desk_params(stream), stream, QuantSpec())
 
     @pytest.mark.parametrize("kind,ft_cfg", [
-        ("plain", None), ("probes", None), ("finetune", SMALL_FT),
-        ("finetune+probes", SMALL_FT), ("zero sessions", None),
+        ("plain", None), ("finetune", SMALL_FT), ("zero sessions", None),
     ])
     def test_matches_the_per_stage_oracle(self, kind, ft_cfg):
         stream = desk_stream(13)
         if kind == "zero sessions":
             stream = replace(stream, sessions=[])
-        probes = [stream.test.inputs[i] for i in (0, 7, 19)] if "probes" in kind else None
         params, twin = desk_params(stream, 13), desk_params(stream, 13)
-        got = run_protocol(params, stream, QuantSpec(), ft_cfg, probes)
-        want = run_protocol_per_stage(twin, stream, QuantSpec(), ft_cfg, probes)
+        got = run_protocol(params, stream, QuantSpec(), ft_cfg)
+        want = run_protocol_per_stage(twin, stream, QuantSpec(), ft_cfg)
         assert got == want
         assert params_checksum(params) == params_checksum(twin)
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_extracts_each_row_once(self, finetune):
         stream = desk_stream(14)
-        probes = stream.test.inputs[:4]
         params = desk_params(stream, 14)
-        run_protocol(params, stream, QuantSpec(), SMALL_FT if finetune else None, probes)
+        run_protocol(params, stream, QuantSpec(), SMALL_FT if finetune else None)
         rows = len(stream.base) + sum(len(s) for s in stream.sessions)
-        assert params.forward_calls == rows + len(stream.test) + len(probes)
-
-    def test_array_probes_score_like_a_list(self):
-        stream = desk_stream(15)
-        rows = stream.test.inputs[:3]
-        as_list = run_protocol(desk_params(stream, 15), stream, QuantSpec(), probes=list(rows))
-        as_array = run_protocol(desk_params(stream, 15), stream, QuantSpec(), probes=rows)
-        assert as_array == as_list
-        none = run_protocol(desk_params(stream, 15), stream, QuantSpec())
-        empty = run_protocol(desk_params(stream, 15), stream, QuantSpec(), probes=rows[:0])
-        assert empty == none
-        assert empty.probe_scores == [[]] * (1 + len(stream.sessions))
-
-    @pytest.mark.parametrize("probes", [np.zeros((2, 5)), np.zeros((0, 5)), np.zeros(64)])
-    def test_probes_of_another_shape_refused_before_the_memory_is_built(
-        self, monkeypatch, probes
-    ):
-        stream = desk_stream()
-        monkeypatch.setattr(harness, "build_base_em", must_not_run)
-        with pytest.raises(ShapeMismatchError, match="probes"):
-            run_protocol(desk_params(stream), stream, QuantSpec(), probes=probes)
+        assert params.forward_calls == rows + len(stream.test)
 
     def test_zero_sessions(self):
         stream = desk_stream()
@@ -169,28 +150,36 @@ class TestRunProtocol:
         report = run_protocol(params, stream, QuantSpec())
         assert abs(report.average - np.mean(report.session_accuracies)) < 1e-12
 
-    def test_coverage_audit(self):
+    def test_coverage_audit(self, monkeypatch):
+        # each stage scores exactly the test rows of the classes seen so far
         stream = desk_stream()
         params = desk_params(stream)
-        report = run_protocol(params, stream, QuantSpec())
-        for t, (cls, count) in enumerate(
-            zip(report.evaluated_class_sets, report.evaluated_counts)
-        ):
-            assert cls == stream.classes_through(t)
-            expected = stream.test.subset_by_classes(cls)
-            assert count == len(expected)
+        staged = protocol_stage_features(monkeypatch, params, stream, QuantSpec())
+        assert len(staged) == 1 + len(stream.sessions)
+        for t, feats in enumerate(staged):
+            subset = stream.test.subset_by_classes(stream.classes_through(t))
+            assert feats.tobytes() == extract_features(params, subset).tobytes()
 
-    def test_probe_scores_bitwise_stable_without_finetune(self):
+    def test_base_scores_bitwise_stable_across_sessions(self):
         stream = desk_stream(3)
         params = desk_params(stream, 3)
-        probes = [stream.test.inputs[i] for i in range(4)]
-        report = run_protocol(params, stream, QuantSpec(), probes=probes)
-        base_ids = stream.base.class_ids()
-        first = report.probe_scores[0]
-        for session_rows in report.probe_scores[1:]:
-            for probe_idx, row in enumerate(session_rows):
-                for cid in base_ids:
-                    assert row[cid] == first[probe_idx][cid]
+        feats = extract_features(params, stream.test.take(range(4)))
+        first, *later = base_scores_per_stage(params, stream, QuantSpec(), feats)
+        assert len(later) == len(stream.sessions)
+        for scores in later:
+            assert scores.tobytes() == first.tobytes()
+
+    def test_base_scores_bitwise_stable_with_3_bit_prototypes(self):
+        # new classes are reduced to 3 bits as they arrive; the base rows
+        # they join must still score the same
+        stream = desk_stream(3)
+        params = desk_params(stream, 3)
+        feats = extract_features(params, stream.test.take(range(4)))
+        quant = QuantSpec(prototype_bits=3)
+        first, *later = base_scores_per_stage(params, stream, quant, feats)
+        assert len(later) == len(stream.sessions)
+        for scores in later:
+            assert scores.tobytes() == first.tobytes()
 
     def test_finetune_changes_projection(self):
         stream = desk_stream(4)
@@ -243,17 +232,15 @@ class TestForgetting:
     def test_frozen_scores_attribute_drop_to_competition(self):
         stream = desk_stream(7)
         params = desk_params(stream, 7)
-        probes = [stream.test.inputs[i] for i in range(3)]
-        report = run_protocol(params, stream, QuantSpec(), probes=probes)
+        report = run_protocol(params, stream, QuantSpec())
         drops = forgetting_metrics(report.base_class_accuracies)
         assert drops[0] == 0.0
-        # base-class scores never moved (checked bitwise above), so any drop
-        # can only come from new prototypes winning the argmax
-        base_ids = stream.base.class_ids()
-        for t in range(1, len(report.probe_scores)):
-            for probe_idx, row in enumerate(report.probe_scores[t]):
-                for cid in base_ids:
-                    assert row[cid] == report.probe_scores[0][probe_idx][cid]
+        # base-class scores never move, so any drop can only come from new
+        # prototypes winning the argmax
+        feats = extract_features(params, stream.test.take(range(3)))
+        first, *later = base_scores_per_stage(params, stream, QuantSpec(), feats)
+        for scores in later:
+            assert scores.tobytes() == first.tobytes()
 
     def test_adversarial_duplicate_prototypes_cause_drop(self):
         stream = desk_stream(8)
