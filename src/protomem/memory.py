@@ -7,18 +7,18 @@ dividing by the shot count (or shifting right) changes no decision.
 """
 
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .data import check_end, read_frame, write_frame
 from .errors import (
     ClassIdRangeError,
     DuplicateClassError,
     EmptyMemoryError,
     EmptySampleSetError,
-    FormatVersionMismatchError,
+    MalformedFileError,
     NonFiniteValueError,
     OverflowAfterShiftError,
     SettingValueError,
@@ -140,6 +140,15 @@ def reduce_rows(accum, bits: int):
     return accum >> shifts[:, None], shifts
 
 
+def aligned_copy(a) -> np.ndarray:
+    """A float64 copy of `a` that starts on a 64-byte boundary, so that no
+    wide load of a row of a multiple of 8 entries spans two cache lines."""
+    buf = np.empty(np.size(a) + 8)
+    out = np.ndarray(np.shape(a), np.float64, buf, -buf.ctypes.data % 64)
+    out[...] = a
+    return out
+
+
 class ScoringView(NamedTuple):
     """An `ExplicitMemory`'s scoring inputs, derived from `reduced` and `ids`."""
 
@@ -228,10 +237,7 @@ class ExplicitMemory(_ClassRows):
         """What `classify_batch` reads, read-only and kept until the memory
         next changes."""
         if self._scoring is None:
-            # 64-byte aligned, so that no wide load of a row spans two cache lines
-            buf = np.empty(self.reduced.size + 8)
-            protos = np.ndarray(self.reduced.shape, np.float64, buf, -buf.ctypes.data % 64)
-            protos[...] = self.reduced
+            protos = aligned_copy(self.reduced)
             view = ScoringView(protos, row_norms(protos), np.argsort(self.ids, kind="stable"))
             for array in view:
                 array.flags.writeable = False
@@ -368,39 +374,32 @@ def _int_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def _save_rows(path, magic, mem: _ClassRows, bits: int, shift: int, words):
-    """The snapshot writer of both memories: magic, the header (version,
-    class count, entries per class, bits, shift; u32 each), then per class
-    its id and count (u32 each) and its entries, each the low
-    `_int_bytes(bits)` bytes of a little-endian 8-byte word of the (C, d)
-    `words`."""
+_ROWS_HEAD = "IIII"  # class count, entries per class, entry bits, right shift
+
+
+def _rows_frame(mem: _ClassRows, bits: int, shift: int, words):
+    """`write_frame`'s header (`_ROWS_HEAD`) and payload for both memories:
+    per class its id and count (u32 each) and its entries, each the low
+    `_int_bytes(bits)` bytes of a little-endian 8-byte word of (C, d) `words`."""
     n, d = words.shape
     width = _int_bytes(bits)
     payload = words.view(np.uint8).reshape(n, d, 8)[..., :width].reshape(n, d * width)
     head = np.column_stack([mem.ids, mem.counts]).astype("<u4").view(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<IIIII", SNAPSHOT_VERSION, n, d, bits, shift))
-        fh.write(np.concatenate([head, payload], axis=1).tobytes())
+    return (n, d, bits, shift), np.concatenate([head, payload], axis=1).tobytes()
 
 
-def _load_rows(path, magic, widths):
-    """The snapshot reader of both memories: `_save_rows`'s container,
-    with bits in `widths`, filling the file exactly. Returns the header's
-    (d, bits, shift), the id and count columns, and each entry's stored
-    bytes on top of a little-endian 8-byte word, as (C, d, 8) uint8."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 24 or blob[:4] != magic:
-        raise FormatVersionMismatchError(f"{path}: bad magic")
-    version, n, d, bits, shift = struct.unpack_from("<IIIII", blob, 4)
-    if version != SNAPSHOT_VERSION or bits not in widths:
-        raise FormatVersionMismatchError(f"{path}: unsupported version {version} or {bits} bits")
+def _read_rows(path, frame, widths):
+    """Inverse of `_rows_frame` for a `read_frame` result, with bits in
+    `widths`. Returns the header's (d, bits, shift), the id and count
+    columns, and each entry's stored bytes on top of a little-endian 8-byte
+    word, as (C, d, 8) uint8."""
+    (n, d, bits, shift), blob, off = frame
+    if bits not in widths:
+        raise MalformedFileError(f"{path}: unsupported entry width of {bits} bits")
     width = _int_bytes(bits)
     record = 8 + d * width
-    if len(blob) != 24 + n * record:
-        raise FormatVersionMismatchError(f"{path}: {len(blob)} bytes, not the header's {n} records")
-    rows = np.frombuffer(blob, dtype=np.uint8, offset=24).reshape(n, record)
+    check_end(path, blob, off + n * record)
+    rows = np.frombuffer(blob, dtype=np.uint8, count=n * record, offset=off).reshape(n, record)
     head = rows[:, :8].copy().view("<u4").astype(np.int64)
     words = np.zeros((n, d, 8), dtype=np.uint8)
     words[..., 8 - width :] = rows[:, 8:].reshape(n, d, width)
@@ -411,32 +410,52 @@ def save_em(em: ExplicitMemory, path):
     """Snapshot of the reduced-precision store (accumulators are runtime
     state and are not persisted). The header's shift is the largest
     per-prototype shift."""
-    width = _int_bytes(em.quant.prototype_bits)
+    bits = em.quant.prototype_bits
+    width = _int_bytes(bits)
     limit = 1 << (8 * width - 1)
     if len(em) and (int(em.reduced.min()) < -limit or int(em.reduced.max()) >= limit):
         raise OverflowAfterShiftError(f"reduced values exceed {width}-byte storage")
-    shift = int(em.shifts.max(initial=0))
-    _save_rows(path, EM_MAGIC, em, em.quant.prototype_bits, shift, em.reduced.astype("<i8"))
+    frame = _rows_frame(em, bits, int(em.shifts.max(initial=0)), em.reduced.astype("<i8"))
+    write_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD, *frame)
 
 
 def load_em(path) -> ExplicitMemory:
-    (d_p, bits, shift), ids, counts, words = _load_rows(path, EM_MAGIC, range(1, 65))
-    spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
-    em = ExplicitMemory(d_p, spec)
+    """Inverse of save_em. Refuses entries outside the signed `bits` range
+    ({-1, +1} at 1 bit) and a shift above the largest that `reduce_rows`
+    gives at that width."""
+    frame = read_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
+    (d_p, bits, shift), ids, counts, words = _read_rows(path, frame, range(1, 65))
     # the stored bytes fill the top of each word; shifting down sign-extends
     vals = words.view("<i8")[..., 0].astype(np.int64) >> (64 - 8 * _int_bytes(bits))
+    # signs are +-1 at 1 bit; wider entries lie in the signed range
+    lo, hi = (-1, 1) if bits == 1 else (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    if vals.size and (vals.min() < lo or vals.max() > hi or bits == 1 and not vals.all()):
+        raise MalformedFileError(f"{path}: an entry lies outside the {bits}-bit range")
+    max_shift = 0 if bits in (1, 64) else 65 - bits
+    if shift > max_shift:
+        raise MalformedFileError(f"{path}: shift {shift} above {bits}-bit storage's {max_shift}")
+    spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
+    em = ExplicitMemory(d_p, spec)
     em._append(ids, counts, shifts=np.full(len(ids), shift), accum=vals, reduced=vals.copy())
     return em
 
 
 def save_actmem(act_mem: ActivationMemory, path):
     """Activation-memory snapshot: the prototype store's container with
-    64-bit entries, the float64 running sums."""
-    _save_rows(path, ACTMEM_MAGIC, act_mem, 64, 0, act_mem.sums.astype("<f8"))
+    64-bit entries, the float64 running sums, and shift 0."""
+    frame = _rows_frame(act_mem, 64, 0, act_mem.sums.astype("<f8"))
+    write_frame(path, ACTMEM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD, *frame)
 
 
 def load_actmem(path) -> ActivationMemory:
-    (d_a, _bits, _shift), ids, counts, words = _load_rows(path, ACTMEM_MAGIC, (64,))
+    """Inverse of save_actmem. Refuses a nonzero shift and non-finite sums."""
+    frame = read_frame(path, ACTMEM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
+    (d_a, _bits, shift), ids, counts, words = _read_rows(path, frame, (64,))
+    sums = words.view("<f8")[..., 0].astype(np.float64)
+    if shift != 0:
+        raise MalformedFileError(f"{path}: shift {shift} in an activation memory")
+    if not np.isfinite(sums).all():
+        raise MalformedFileError(f"{path}: a running sum is not finite")
     mem = ActivationMemory(d_a)
-    mem._append(ids, counts, sums=words.view("<f8")[..., 0].astype(np.float64))
+    mem._append(ids, counts, sums=sums)
     return mem

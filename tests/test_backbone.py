@@ -16,8 +16,8 @@ from protomem.backbone import (
     sgd_step,
 )
 from protomem.errors import (
-    FormatVersionMismatchError,
     LayerWidthError,
+    MalformedFileError,
     NoForwardRecordedError,
     ShapeMismatchError,
 )
@@ -398,14 +398,14 @@ class TestSaveLoad:
         save_params(params, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(FormatVersionMismatchError):
+        with pytest.raises(MalformedFileError):
             load_params(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "net.ofsc"
         save_params(tiny_net(8), path)
         path.write_bytes(path.read_bytes() + bytes(4))
-        with pytest.raises(FormatVersionMismatchError, match="4 bytes past the payload"):
+        with pytest.raises(MalformedFileError, match="4 bytes past the payload"):
             load_params(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -415,7 +415,7 @@ class TestSaveLoad:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatVersionMismatchError):
+        with pytest.raises(MalformedFileError):
             load_params(path)
 
     def test_wrong_version(self, tmp_path):
@@ -425,7 +425,7 @@ class TestSaveLoad:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatVersionMismatchError):
+        with pytest.raises(MalformedFileError):
             load_params(path)
 
 

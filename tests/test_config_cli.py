@@ -1,6 +1,7 @@
 import ast
 import copy
 import pickle
+import struct
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -11,16 +12,17 @@ from helpers import make_points_dataset, save_dataset_csv
 from protomem.backbone import init_model, load_params, params_checksum, save_params
 from protomem import errors
 from protomem.config import DEFAULTS, ENV_SEED, RECIPE_KEYS, load_config
-from protomem.data import LabeledDataset, save_dataset
+from protomem.data import LabeledDataset, load_dataset, save_dataset
 from protomem.errors import (
     ConfigError,
     ConflictingFlagsError,
     LayerWidthError,
+    MalformedFileError,
     NumericFailureError,
     SettingValueError,
 )
 from protomem.harness import TrainRecipe, make_blob_dataset, train_pipeline
-from protomem.memory import load_em
+from protomem.memory import load_actmem, load_em
 from protomem import cli, offline
 
 
@@ -822,3 +824,77 @@ class TestCliCommands:
         assert len(rows) == 3
         assert rows[1].startswith("none,")
         assert rows[2].startswith("AG,")
+
+
+# per CLI key in the sweep below: the file it reads, its library reader,
+# the length of its fixed header, and the command that reads it
+SWEEP_FILES = {
+    "params_in": ("params.ofsc", load_params, 12, "classify"),
+    "em_in": ("em.ofem", load_em, 24, "classify"),
+    "actmem_in": ("am.ofam", load_actmem, 24, "learn-class"),
+    "dataset": ("data.ofds", load_dataset, 17, "classify"),
+}
+SWEEP_OUTPUTS = {"classify": ["pred.csv"], "learn-class": ["em.ofem", "am.ofam"]}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A TINY extractor, the 3-bit memory and activation memory of one class
+    learned through it, and a dataset of that class and the next."""
+    root = tmp_path_factory.mktemp("inputs")
+    ds = make_blob_dataset(TINY["classes"], 4, grid=TINY["grid"], seed=9)
+    save_dataset(ds.subset_by_classes([0, 1]), root / "data.ofds")
+    assert cli.main(["pretrain", *tiny_overrides(root)]) == 0
+    assert cli.main([
+        "learn-class",
+        *tiny_overrides(root, params_in=root / "params.ofsc", dataset=root / "data.ofds",
+                        class_id=0, prototype_bits=3),
+    ]) == 0
+    assert load_em(root / "em.ofem").get(0).scale_shift > 0
+    return {key: root / name for key, (name, *_) in SWEEP_FILES.items()}
+
+
+def corruptions(blob: bytes, header: int):
+    """(what, bytes) for each of the first `header` bytes XORed with 0xFF,
+    then for the last byte dropped and for one byte appended."""
+    for at in range(header):
+        bad = bytearray(blob)
+        bad[at] ^= 0xFF
+        yield f"byte {at} flipped", bytes(bad)
+    yield "last byte dropped", blob[:-1]
+    yield "one byte appended", blob + b"\0"
+
+
+class TestMalformedFileSweep:
+    """Every corrupted input file is a `MalformedFileError` from its reader,
+    and exit 3 with no output file from the command that reads it."""
+
+    @pytest.mark.parametrize("key", list(SWEEP_FILES))
+    def test_each_corruption_is_refused_and_exits_3(self, sweep_inputs, tmp_path, capsys, key):
+        name, reader, header, command = SWEEP_FILES[key]
+        outputs = [tmp_path / out for out in SWEEP_OUTPUTS[command]]
+        blob = sweep_inputs[key].read_bytes()
+        if key == "params_in":  # OFSC's layer table, 9 bytes per layer
+            header += 9 * struct.unpack_from("<I", blob, 8)[0]
+
+        def run(path):
+            argv = tiny_overrides(tmp_path, **{**sweep_inputs, key: path}, class_id=1, prototype_bits=3)
+            return cli.main([command, *argv])
+
+        assert run(sweep_inputs[key]) == 0  # the intact inputs pass
+        for out in outputs:
+            out.unlink()
+        capsys.readouterr()
+        missed = []
+        path = tmp_path / f"bad_{name}"
+        for what, bad in corruptions(blob, header):
+            path.write_bytes(bad)
+            try:
+                reader(path)
+                missed.append(f"{what}: {reader.__name__} loads")
+            except MalformedFileError:
+                pass
+            code, err = run(path), capsys.readouterr().err
+            if code != 3 or not err.startswith("data error") or any(o.exists() for o in outputs):
+                missed.append(f"{what}: {command} exits {code}: {err.strip()}")
+        assert missed == []

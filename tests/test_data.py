@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import save_dataset_csv
+from protomem import data
 from protomem.data import (
     CIFAR_RECORD_BYTES,
     LabeledDataset,
@@ -14,12 +18,10 @@ from protomem.data import (
 )
 from protomem.errors import (
     ClassIdRangeError,
-    CorruptHeaderError,
     InsufficientClassesError,
     InsufficientSamplesError,
+    MalformedFileError,
     SettingValueError,
-    SizeNotMultipleOfRecordError,
-    TruncatedPayloadError,
 )
 from protomem.harness import validate_stream
 
@@ -69,20 +71,20 @@ class TestBinaryContainer:
         save_dataset(ds, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(MalformedFileError):
             load_dataset(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "d.ofds"
         save_dataset(toy_dataset(np.random.default_rng(4)), path)
         path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(CorruptHeaderError, match="8 bytes past the payload"):
+        with pytest.raises(MalformedFileError, match="8 bytes past the payload"):
             load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.ofds"
         path.write_bytes(b"BAD!" + bytes(32))
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(MalformedFileError):
             load_dataset(path)
 
     def test_bad_dtype_code(self, tmp_path):
@@ -93,7 +95,7 @@ class TestBinaryContainer:
         blob = bytearray(path.read_bytes())
         blob[16] = 77
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(MalformedFileError):
             load_dataset(path)
 
 
@@ -111,7 +113,7 @@ class TestCsv:
     def test_header_check(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n0,0,1\n")
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(MalformedFileError):
             load_dataset(path, format="csv")
 
 
@@ -137,8 +139,83 @@ class TestCifar:
     def test_bad_size(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(CIFAR_RECORD_BYTES - 1))
-        with pytest.raises(SizeNotMultipleOfRecordError):
+        with pytest.raises(MalformedFileError):
             load_cifar_batch(path)
+
+
+SRC = Path(data.__file__).parent
+_FRAMING = {"write_frame", "read_frame"}
+# calls that read or write a file's bytes without `open`
+_BYTE_IO = {"read_bytes", "write_bytes", "fromfile", "tofile", "memmap"}
+
+
+def _is_mode(node, binary):
+    """A string constant that reads as an `open` mode, binary or not."""
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return False
+    return set(node.value) <= set("rwxabt+") and ("b" in node.value) == binary
+
+
+def framing_leaks(source: str, open_ok=False):
+    """(line, what) of each binary file access, unless `open_ok`, and of each
+    use of a `*_MAGIC` constant other than as the magic argument of
+    `write_frame` or `read_frame`."""
+    framed, magics, found = set(), [], []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(getattr(node, "ctx", None), ast.Load) and str(name).endswith("_MAGIC"):
+            magics.append((node.lineno, name, id(node)))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        call = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if call in _FRAMING and len(node.args) > 1:
+            framed.add(id(node.args[1]))
+        args = [*node.args, *(k.value for k in node.keywords)]
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+        unknown_mode = mode is not None and not _is_mode(mode, False)
+        if open_ok:
+            continue
+        if call == "open" and (any(_is_mode(a, True) for a in args) or unknown_mode):
+            found.append((node.lineno, "binary open"))
+        elif call in _BYTE_IO:
+            found.append((node.lineno, call))
+    return sorted(found + [(line, name) for line, name, key in magics if key not in framed])
+
+
+class TestOneFraming:
+    """data.write_frame and data.read_frame are the one place that frames a
+    binary file, so a framing change or a new header check reaches every
+    format, and data.py is the one module that opens a file in binary."""
+
+    def test_guard_sees_every_form(self):
+        source = "\n".join([
+            'EM_MAGIC = b"OFEM"',
+            "write_frame(p, EM_MAGIC, 1, 'I', ())",
+            "data.read_frame(p, memory.EM_MAGIC, 1, 'I')",
+            "fh.write(EM_MAGIC)",
+            "ok = blob[:4] == memory.ACTMEM_MAGIC",
+            "_save_rows(p, EM_MAGIC)",
+            "write_frame(p, b'OFEM', 1, 'I', (), EM_MAGIC)",
+            "open(p, 'rb')",
+            "open(p, mode='wb')",
+            "io.open(p, 'r+b')",
+            "path.open('ab')",
+            "open(p, 'r', encoding='utf-8')",
+            "open(p)",
+            "open(p, mode=m)",
+            "path.read_bytes()",
+            "np.fromfile(p)",
+        ])
+        magic, binary = [4, 5, 6, 7], [8, 9, 10, 11, 14, 15, 16]
+        assert [line for line, _ in framing_leaks(source)] == sorted(magic + binary)
+        assert [line for line, _ in framing_leaks(source, open_ok=True)] == magic
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+    def test_only_data_frames_binary_files(self, module):
+        source = (SRC / module).read_text(encoding="utf-8")
+        leaks = framing_leaks(source, open_ok=module == "data.py")
+        assert [f"{module}:{line}: {what}" for line, what in leaks] == []
 
 
 def synthetic_classes(num_classes, per_class, dim=6, seed=0):

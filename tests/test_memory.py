@@ -15,7 +15,7 @@ from protomem.errors import (
     DuplicateClassError,
     EmptyMemoryError,
     EmptySampleSetError,
-    FormatVersionMismatchError,
+    MalformedFileError,
     NonFiniteValueError,
     ShapeMismatchError,
     ZeroNormError,
@@ -687,14 +687,14 @@ class TestSnapshot:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofem"
         path.write_bytes(b"NOPE" + bytes(40))
-        with pytest.raises(FormatVersionMismatchError):
+        with pytest.raises(MalformedFileError):
             load_em(path)
 
     def test_unsupported_width(self, tmp_path):
         path = tmp_path / "w.ofem"
         for bits in (0, 65):
             path.write_bytes(b"OFEM" + struct.pack("<IIIII", 1, 1, 2, bits, 0) + bytes(40))
-            with pytest.raises(FormatVersionMismatchError):
+            with pytest.raises(MalformedFileError):
                 load_em(path)
 
     def test_truncated(self, tmp_path):
@@ -704,7 +704,45 @@ class TestSnapshot:
         save_em(em, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(FormatVersionMismatchError):
+        with pytest.raises(MalformedFileError):
+            load_em(path)
+
+    @staticmethod
+    def write_one_class(path, bits, entries, shift):
+        """An OFEM holding class 0 (1 shot) with `entries` as stored values."""
+        width = (bits + 7) // 8
+        values = b"".join(int(v).to_bytes(width, "little", signed=True) for v in entries)
+        head = struct.pack("<IIIII", 1, 1, len(entries), bits, shift)
+        path.write_bytes(b"OFEM" + head + struct.pack("<II", 0, 1) + values)
+
+    @pytest.mark.parametrize("bits,entries", [
+        (3, [100, -100, 3]),
+        (3, [4, 0, 0]),
+        (3, [-5, 0, 0]),
+        (1, [1, 0, -1]),
+        (1, [2, 1, 1]),
+        (17, [2**16, 0, 0]),
+    ])
+    def test_entries_outside_the_stored_width_are_refused(self, tmp_path, bits, entries):
+        # save_em writes only reduce_rows output: signs at 1 bit, else the
+        # signed range; the whole bytes of a file could hold more
+        path = tmp_path / "e.ofem"
+        self.write_one_class(path, bits, entries, 0)
+        with pytest.raises(MalformedFileError, match=f"outside the {bits}-bit range"):
+            load_em(path)
+
+    @pytest.mark.parametrize("bits,entries", [(3, [-4, 3, 0]), (1, [-1, 1, 1])])
+    def test_entries_at_the_ends_of_the_stored_width_load(self, tmp_path, bits, entries):
+        path = tmp_path / "e.ofem"
+        self.write_one_class(path, bits, entries, 0)
+        assert load_em(path).reduced.tolist() == [entries]
+
+    @pytest.mark.parametrize("bits,shift", [(3, 4_000_000_000), (3, 63), (33, 33), (1, 1), (64, 1)])
+    def test_shift_above_what_reduce_rows_gives_is_refused(self, tmp_path, bits, shift):
+        # reduce_rows shifts by at most 64 - (bits - 1), and not at all at 1 or 64 bits
+        path = tmp_path / "s.ofem"
+        self.write_one_class(path, bits, [1, -1, 1], shift)
+        with pytest.raises(MalformedFileError, match=f"shift {shift} above"):
             load_em(path)
 
 
@@ -733,12 +771,16 @@ class TestReduceRows:
         reduced, shifts = reduce_rows(np.array([[-(2**63), 0]]), 64)
         assert shifts.tolist() == [0] and reduced.tolist() == [[-(2**63), 0]]
 
-    def test_int64_minimum_row_fits_its_snapshot(self, tmp_path):
-        em = ExplicitMemory(2, QuantSpec(prototype_bits=8))
+    @pytest.mark.parametrize("bits", [2, 8, 33, 63])
+    def test_int64_minimum_row_fits_its_snapshot(self, tmp_path, bits):
+        # 65 - bits is the largest shift reduce_rows gives, and load_em's bound
+        em = ExplicitMemory(2, QuantSpec(accum_bits=64, prototype_bits=bits))
         em.add_accumulated(3, [-(2**63), 0], 1)
-        assert em.get(3).scale_shift == 57
+        assert em.get(3).scale_shift == 65 - bits
         save_em(em, tmp_path / "min.ofem")
-        assert load_em(tmp_path / "min.ofem").get(3).quantized.tolist() == [-64, 0]
+        loaded = load_em(tmp_path / "min.ofem").get(3)
+        assert loaded.quantized.tolist() == [-(2**63) >> (65 - bits), 0]
+        assert loaded.scale_shift == 65 - bits
 
     def test_one_bit_is_sign_vector_with_no_shift(self):
         reduced, shifts = reduce_rows(np.array([[5, 0, -3], [0, 0, 0]]), 1)

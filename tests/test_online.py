@@ -24,6 +24,7 @@ from protomem.backbone import (
 from protomem.errors import (
     DuplicateClassError,
     EmptySampleSetError,
+    MalformedFileError,
     MisalignedMemoriesError,
     ShapeMismatchError,
 )
@@ -403,9 +404,17 @@ class TestActivationMemorySnapshot:
         )
 
     def test_bad_magic(self, tmp_path):
-        from protomem.errors import FormatVersionMismatchError
-
         path = tmp_path / "x.ofam"
         path.write_bytes(b"HUH?" + bytes(24))
-        with pytest.raises(FormatVersionMismatchError):
+        with pytest.raises(MalformedFileError):
+            load_actmem(path)
+
+    @pytest.mark.parametrize("shift,value", [(7, 1.0), (0, np.nan), (0, np.inf), (0, -np.inf)],
+                             ids=["shift_7", "nan_sum", "inf_sum", "minus_inf_sum"])
+    def test_load_refuses_a_shift_or_sum_save_cannot_write(self, tmp_path, shift, value):
+        # save_actmem writes shift 0 and the running sums of finite activations
+        path = tmp_path / "x.ofam"
+        head = struct.pack("<IIIII", 1, 1, 2, 64, shift)
+        path.write_bytes(b"OFAM" + head + struct.pack("<II2d", 3, 1, value, 0.5))
+        with pytest.raises(MalformedFileError):
             load_actmem(path)
