@@ -249,11 +249,17 @@ def save_params(params: ModelParams, path):
 def load_params(path) -> ModelParams:
     """Inverse of save_params."""
     (n_layers,), blob, off = read_frame(path, PARAMS_MAGIC, PARAMS_VERSION, "I")
+    if n_layers == 0:
+        raise MalformedFileError(f"{path}: 0 layers")
     # a table cut short parses in part, and its payload then ends past the file
     table_end = off + 9 * n_layers
     ends = range(off + 9, min(table_end, len(blob)) + 1, 9)
     shapes = [struct.unpack_from("<IIB", blob, end - 9) for end in ends]
     check_end(path, blob, table_end + sum((rows + 1) * cols * 8 for rows, cols, _ in shapes))
+    if any(0 in (rows, cols) for rows, cols, _ in shapes):
+        raise MalformedFileError(f"{path}: a layer of width 0")
+    if any(out != into for (_, out, _), (into, _, _) in zip(shapes, shapes[1:])):
+        raise MalformedFileError(f"{path}: layer shapes do not chain")
     layers, off = [], table_end
     for rows, cols, act in shapes:
         if act not in _ACT_NAME:

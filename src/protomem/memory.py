@@ -396,6 +396,8 @@ def _read_rows(path, frame, widths):
     (n, d, bits, shift), blob, off = frame
     if bits not in widths:
         raise MalformedFileError(f"{path}: unsupported entry width of {bits} bits")
+    if d == 0:
+        raise MalformedFileError(f"{path}: 0 entries per class")
     width = _int_bytes(bits)
     record = 8 + d * width
     check_end(path, blob, off + n * record)
@@ -406,16 +408,41 @@ def _read_rows(path, frame, widths):
     return (d, bits, shift), head[:, 0], head[:, 1], words
 
 
+def _append_read(path, mem: _ClassRows, ids, counts, **rows):
+    """`mem._append` of the rows a file holds: a repeated id or a shot
+    count of 0, which no memory holds, makes the file malformed."""
+    try:
+        mem._append(ids, counts, **rows)
+    except (DuplicateClassError, EmptySampleSetError) as exc:
+        raise MalformedFileError(f"{path}: {exc}") from None
+    return mem
+
+
+def _unstorable(vals: np.ndarray, bits: int, shift: int) -> str | None:
+    """Why (C, d) reduced `vals` and a header `shift` are not what
+    `reduce_rows` gives at `bits`, or None. The one range check of `save_em`
+    and `load_em`, so that every file `save_em` writes loads."""
+    # signs are +-1 at 1 bit; wider entries lie in the signed range
+    lo, hi = (-1, 1) if bits == 1 else (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+    if vals.size and (vals.min() < lo or vals.max() > hi or bits == 1 and not vals.all()):
+        return f"an entry lies outside the {bits}-bit range"
+    max_shift = 0 if bits in (1, 64) else 65 - bits
+    if shift > max_shift:
+        return f"shift {shift} above {bits}-bit storage's {max_shift}"
+    return None
+
+
 def save_em(em: ExplicitMemory, path):
     """Snapshot of the reduced-precision store (accumulators are runtime
     state and are not persisted). The header's shift is the largest
-    per-prototype shift."""
-    bits = em.quant.prototype_bits
-    width = _int_bytes(bits)
-    limit = 1 << (8 * width - 1)
-    if len(em) and (int(em.reduced.min()) < -limit or int(em.reduced.max()) >= limit):
-        raise OverflowAfterShiftError(f"reduced values exceed {width}-byte storage")
-    frame = _rows_frame(em, bits, int(em.shifts.max(initial=0)), em.reduced.astype("<i8"))
+    per-prototype shift. Refuses, writing nothing, what `load_em` would
+    refuse: a memory whose `quant` was changed after it learned can hold
+    values outside its `prototype_bits` range."""
+    bits, shift = em.quant.prototype_bits, int(em.shifts.max(initial=0))
+    problem = _unstorable(em.reduced, bits, shift)
+    if problem:
+        raise OverflowAfterShiftError(f"cannot store at {bits} bits: {problem}")
+    frame = _rows_frame(em, bits, shift, em.reduced.astype("<i8"))
     write_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD, *frame)
 
 
@@ -427,17 +454,12 @@ def load_em(path) -> ExplicitMemory:
     (d_p, bits, shift), ids, counts, words = _read_rows(path, frame, range(1, 65))
     # the stored bytes fill the top of each word; shifting down sign-extends
     vals = words.view("<i8")[..., 0].astype(np.int64) >> (64 - 8 * _int_bytes(bits))
-    # signs are +-1 at 1 bit; wider entries lie in the signed range
-    lo, hi = (-1, 1) if bits == 1 else (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-    if vals.size and (vals.min() < lo or vals.max() > hi or bits == 1 and not vals.all()):
-        raise MalformedFileError(f"{path}: an entry lies outside the {bits}-bit range")
-    max_shift = 0 if bits in (1, 64) else 65 - bits
-    if shift > max_shift:
-        raise MalformedFileError(f"{path}: shift {shift} above {bits}-bit storage's {max_shift}")
+    problem = _unstorable(vals, bits, shift)
+    if problem:
+        raise MalformedFileError(f"{path}: {problem}")
     spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
-    em = ExplicitMemory(d_p, spec)
-    em._append(ids, counts, shifts=np.full(len(ids), shift), accum=vals, reduced=vals.copy())
-    return em
+    em, shifts = ExplicitMemory(d_p, spec), np.full(len(ids), shift)
+    return _append_read(path, em, ids, counts, shifts=shifts, accum=vals, reduced=vals.copy())
 
 
 def save_actmem(act_mem: ActivationMemory, path):
@@ -456,6 +478,4 @@ def load_actmem(path) -> ActivationMemory:
         raise MalformedFileError(f"{path}: shift {shift} in an activation memory")
     if not np.isfinite(sums).all():
         raise MalformedFileError(f"{path}: a running sum is not finite")
-    mem = ActivationMemory(d_a)
-    mem._append(ids, counts, sums=sums)
-    return mem
+    return _append_read(path, ActivationMemory(d_a), ids, counts, sums=sums)

@@ -14,9 +14,9 @@ import numpy as np
 from .errors import NonFiniteValueError, ShapeMismatchError, ZeroNormError
 
 ZERO_NORM_FLOOR = 1e-12
-# elements of b a batched matmul gathers and multiplies per block, which
-# bounds its scratch to two such blocks whatever the operands' size
-_ROW_CHUNK = 2**15
+# elements of the (kc, m, n) product stack a batched matmul builds per block,
+# which bounds its scratch to about one such block whatever the operands' size
+_ROW_CHUNK = 2**16
 
 
 def as_vector(x) -> np.ndarray:
@@ -88,26 +88,33 @@ def matmul(a, b) -> np.ndarray:
 
     Every output element is summed in index order, so the result is
     bitwise equal to the naive triple loop on any shape, unlike BLAS gemm.
-    Two paths keep that order:
+    One rule picks between two paths that keep that order:
 
-    - A batch (m > 1, n > 1, fewer rows than live columns) reduces each
-      output row once per block of up to _ROW_CHUNK elements of b. The
-      block holds out[r] in its first row and a[r, i] * b[i] below it,
-      and np.add.reduce over axis 0 of a C-contiguous block with n >= 2
-      columns adds its rows in index order: 0.0 + t_0 + t_1 + ... .
-    - Every other shape runs one rank-1 update per live column. With
-      n == 1 a block is one contiguous column, which numpy sums pairwise,
-      not left to right. With m >= live columns (the weight gradients)
-      the row loop makes more calls than the rank-1 loop. One-row
-      products (m == 1) would also be faster as one reduce (`1 <`
-      dropped below): online_sessions query_us_p50 679 -> 162 us (28 s
-      seed-7 runs, 2 vCPUs, numpy 2.4.6). But the benchmark keeps every
-      timing, twice the rounds fit its window, and peak_rss_mb rose past
-      its 10% bound (55.0 -> 58.1 MB; wide_memory 54.7 -> 58.5), so they
-      move once that memory stops growing with the round count. Several
-      output rows per block ran (32, 48, 32) in 85 us instead of 255 but
-      gave no end-to-end gain (learn_class_ms_p50 0.45-0.48 ms vs
-      0.40-0.49). ROADMAP item 1(b) has every run.
+    - With m > 1 and 2 * m * n <= _ROW_CHUNK, a block holds kc =
+      _ROW_CHUNK // (m * n) >= 2 live columns, and each block is one
+      stacked reduce: buf[0] holds `out`, buf[1:] the (kc, m, n) products
+      a[:, i, None] * b[i] of a contraction-free np.einsum, and
+      np.add.reduce over axis 0 of the C-contiguous stack adds them in
+      index order into `out`: 0.0 + t_0 + t_1 + ... . The einsum writes
+      each product as 0.0 + a*b, which differs from a*b only in turning
+      -0.0 into +0.0, and that sign never reaches a sum that starts at
+      +0.0 (see below). _ROW_CHUNK = 2**16 came from a sweep over every
+      shape the benchmark workloads multiply, weighted by call count:
+      their batched matmul time was 0.74, 1.28 and 2.01 s (offline_train,
+      online_sessions, wide_memory) with the per-row reduce before it,
+      0.52, 0.95 and 2.01 s at 2**15, 0.47, 0.85 and 1.87 s at 2**16
+      (2 vCPUs, numpy 2.4.6). At 2**15 wide_memory's (32, k, 384)
+      products get kc = 2 and run slower; 2**17 (0.44, 0.77, 1.81 s)
+      would fill the 1.05 MB scratch bound with one block.
+    - Every other product runs one rank-1 update per live column: the
+      largest ones, where a block would hold one column, and one-row
+      products (m == 1). A one-row stacked reduce cut online_sessions
+      query_us_p50 from about 675 to 154 us in a 28 s seed-7 run (2 vCPUs,
+      numpy 2.4.6), but 23 rounds fit the window instead of 7 to 12, and
+      peak_rss_mb rose from about 51.3 to 57.6 MB, past the benchmark's
+      10% bound, because its samples grow with the round count (ROADMAP
+      item 1(a)). An (m, n) = (1, 1) stack would also be one contiguous
+      vector, which numpy sums pairwise.
 
     Only the live columns of `a` are visited: those with a nonzero or NaN
     entry, plus any whose row b[i] holds a non-finite value (0 * inf is
@@ -130,17 +137,15 @@ def matmul(a, b) -> np.ndarray:
         cols = live.nonzero()[0]
     out = np.zeros((m, n))
     k_live = len(cols)
-    if n > 1 and 1 < m < k_live:
-        kc = max(1, min(k_live, _ROW_CHUNK // n))
-        buf = np.empty((kc + 1, n))
+    kc = _ROW_CHUNK // (m * n)
+    if m > 1 and kc >= 2:
+        buf = np.empty((min(kc, k_live) + 1, m, n))
         for lo in range(0, k_live, kc):
-            sel = slice(lo, lo + kc) if k_live == k else cols[lo : lo + kc]
-            b_chunk = b[sel]
-            c = len(b_chunk)
-            for r in range(m):
-                buf[0] = out[r]
-                np.multiply(a[r, sel, None], b_chunk, out=buf[1 : c + 1])
-                np.add.reduce(buf[: c + 1], axis=0, out=out[r])
+            hi = min(lo + kc, k_live)
+            sel = slice(lo, hi) if k_live == k else cols[lo:hi]
+            buf[0] = out
+            np.einsum("ir,ij->irj", a.T[sel], b[sel], out=buf[1 : hi - lo + 1])
+            np.add.reduce(buf[: hi - lo + 1], axis=0, out=out)
         return out
     tmp = np.empty((m, n))
     for i in cols.tolist():

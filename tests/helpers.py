@@ -64,6 +64,18 @@ def naive_matmul(a, b):
     return out
 
 
+def rank1_matmul(a, b):
+    """numpy rank-1 loop over every k, none skipped: out += a[:, t] * b[t]
+    for t in index order. Each out[i, j] is the triple loop's sum, so this
+    is the oracle at shapes too large for `naive_matmul`."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for t in range(a.shape[1]):
+        out += a[:, t, None] * b[t]
+    return out
+
+
 def flatten_params(params):
     """All weights and biases as one flat vector, layer order."""
     chunks = []

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,21 @@ class TestSaveLoad:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(MalformedFileError):
+            load_params(path)
+
+    @pytest.mark.parametrize("what,layers", [
+        ("0 layers", []),
+        ("do not chain", [(2, 3), (4, 1)]),
+        ("a layer of width 0", [(3, 0), (0, 2)]),
+    ], ids=["no-layers", "unchained", "zero-width"])
+    def test_layers_no_model_has_are_malformed(self, tmp_path, what, layers):
+        # a model has at least one layer, each of nonzero width and taking
+        # the width the one before it gives
+        table = b"".join(struct.pack("<IIB", rows, cols, 0) for rows, cols in layers)
+        weights = bytes(8 * sum((rows + 1) * cols for rows, cols in layers))
+        path = tmp_path / "net.ofsc"
+        path.write_bytes(b"OFSC" + struct.pack("<II", 1, len(layers)) + table + weights)
+        with pytest.raises(MalformedFileError, match=what):
             load_params(path)
 
 

@@ -17,6 +17,7 @@ from protomem.errors import (
     EmptySampleSetError,
     MalformedFileError,
     NonFiniteValueError,
+    OverflowAfterShiftError,
     ShapeMismatchError,
     ZeroNormError,
 )
@@ -28,6 +29,7 @@ from protomem.memory import (
     classify,
     classify_batch,
     em_memory_bytes,
+    load_actmem,
     load_em,
     precision_sweep,
     quantize_feature,
@@ -736,6 +738,43 @@ class TestSnapshot:
         path = tmp_path / "e.ofem"
         self.write_one_class(path, bits, entries, 0)
         assert load_em(path).reduced.tolist() == [entries]
+
+    @pytest.mark.parametrize(
+        "magic,bits,entry", [(b"OFEM", 8, b"\x01"), (b"OFAM", 64, bytes(8))], ids=["OFEM", "OFAM"]
+    )
+    @pytest.mark.parametrize("what,n_d,rows", [
+        ("0 entries per class", (0, 0), []),
+        ("0 entries per class", (1, 0), [(3, 1)]),
+        ("shot count >= 1", (2, 1), [(3, 1), (4, 0)]),
+        ("class 3 already stored", (2, 1), [(3, 1), (3, 2)]),
+    ], ids=["no-class-0-entries", "0-entries", "0-shots", "repeated-id"])
+    def test_rows_no_memory_can_hold_are_malformed(self, tmp_path, magic, bits, entry, what, n_d, rows):
+        # both memories hold d >= 1 entries per class, and distinct ids
+        # with at least one shot each
+        n, d = n_d
+        payload = b"".join(struct.pack("<II", cid, count) + entry * d for cid, count in rows)
+        path = tmp_path / "rows.bin"
+        path.write_bytes(magic + struct.pack("<IIIII", 1, n, d, bits, 0) + payload)
+        with pytest.raises(MalformedFileError, match=what):
+            (load_em if magic == b"OFEM" else load_actmem)(path)
+
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        # a memory narrowed after learning holds values its new width cannot
+        # store: save_em refuses them and writes nothing
+        em = ExplicitMemory(2, QuantSpec(prototype_bits=8))
+        em.add_accumulated(0, [100, -3], 1)
+        em.quant = QuantSpec(prototype_bits=4)
+        path = tmp_path / "narrowed.ofem"
+        with pytest.raises(OverflowAfterShiftError, match="outside the 4-bit range"):
+            save_em(em, path)
+        assert not path.exists()
+        # and a memory widened after learning a shift its new width never gives
+        em = ExplicitMemory(2, QuantSpec(accum_bits=64, prototype_bits=4))
+        em.add_accumulated(0, [2**62, 1], 1)
+        em.quant = QuantSpec(accum_bits=64, prototype_bits=8)
+        with pytest.raises(OverflowAfterShiftError, match="shift 60 above 8-bit storage's 57"):
+            save_em(em, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("bits,shift", [(3, 4_000_000_000), (3, 63), (33, 33), (1, 1), (64, 1)])
     def test_shift_above_what_reduce_rows_gives_is_refused(self, tmp_path, bits, shift):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import assert_same_bits, central_diff, naive_matmul, rel_err
+from helpers import assert_same_bits, central_diff, naive_matmul, rank1_matmul, rel_err
 from protomem import numerics
 from protomem.errors import ShapeMismatchError, ZeroNormError
 from protomem.losses import softmax_ce_batch
@@ -92,6 +92,12 @@ LAYOUTS = pytest.mark.parametrize(
 )
 
 
+ZERO_CASES = [
+    "pos-zero-cols", "neg-zero-cols", "mixed-sign-zero-cols", "all-zero", "nan-in-a", "inf-in-b",
+    "nan-in-b",
+]
+
+
 def _zero_column_case(case, m, k, n, rng):
     """(a, b) whose all-zero columns of a the rank-1 loop may skip."""
     a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
@@ -114,6 +120,53 @@ def _zero_column_case(case, m, k, n, rng):
         b[k // 2, ::2] = bad[0]
         b[k // 2, 1::2] = bad[-1]
     return a, b
+
+
+
+# every (m, k, n) the benchmark workloads multiply, on seeds 7 and 2024: the
+# desk network (256-96-48-32, 10-class head) and wide_memory's (64-384-256,
+# 60-class head), through pretraining, metalearning, learn_class and queries
+WORKLOAD_SHAPES = {
+    "forward": [
+        (1, 256, 96), (1, 96, 48), (1, 48, 32), (1, 64, 384), (1, 384, 256),
+        (5, 256, 96), (5, 96, 48), (5, 48, 32), (5, 64, 384), (5, 384, 256),
+        (12, 64, 384), (12, 384, 256), (12, 256, 60),
+        (20, 256, 96), (20, 96, 48), (20, 48, 32), (20, 32, 10),
+        (32, 256, 96), (32, 96, 48), (32, 48, 32), (32, 32, 10),
+        (32, 64, 384), (32, 384, 256), (32, 256, 60),
+        (50, 256, 96), (50, 96, 48), (50, 48, 32),
+        (60, 64, 384), (60, 384, 256),
+        (64, 256, 96), (64, 96, 48), (64, 48, 32),
+        (200, 64, 384), (200, 384, 256), (240, 64, 384), (240, 384, 256),
+        (360, 256, 96), (360, 96, 48), (360, 48, 32),
+    ],
+    "weight-gradient": [
+        (256, 20, 96), (256, 32, 96), (256, 64, 96), (96, 20, 48), (96, 32, 48),
+        (96, 64, 48), (48, 20, 32), (48, 32, 32), (48, 64, 32), (32, 20, 10),
+        (32, 32, 10), (64, 12, 384), (64, 32, 384), (64, 60, 384), (384, 12, 256),
+        (384, 32, 256), (384, 60, 256), (256, 12, 60), (256, 32, 60),
+    ],
+    "input-gradient": [
+        (20, 10, 32), (20, 32, 48), (20, 48, 96), (32, 10, 32), (32, 32, 48),
+        (32, 48, 96), (64, 32, 48), (64, 48, 96), (12, 60, 256), (12, 256, 384),
+        (32, 60, 256), (32, 256, 384), (60, 256, 384),
+    ],
+    "ortho-loss": [
+        (20, 32, 20), (20, 20, 32), (32, 32, 32), (12, 256, 12), (12, 12, 256),
+        (32, 256, 32), (32, 32, 256),
+    ],
+}
+
+
+def _path_edge_shapes():
+    """n == 1, and 2 * m * n just below, at and just above _ROW_CHUNK,
+    where the stacked reduce hands over to the rank-1 loop."""
+    half = numerics._ROW_CHUNK // 2
+    return [
+        (2, 300, 1), (5, 256, 1), (64, 48, 1), (360, 96, 1),
+        (2, 40, half // 2 - 1), (2, 40, half // 2), (2, 40, half // 2 + 1),
+        (127, 40, 256), (128, 40, half // 128), (129, 40, 256),
+    ]
 
 
 class TestMatmul:
@@ -147,8 +200,8 @@ class TestMatmul:
         "m,k,n",
         [
             (1, 7, 1), (5, 9, 3), (16, 12, 8), (1, 8, 1), (1, 9, 1), (1, 1000, 1),
-            # where the kernel switches between its row reduce and rank-1 loop:
-            # m in {1, 2}, n in {1, 2}, m = k - 1, k and k + 1
+            # one-row products stay on the rank-1 loop; m >= 2 takes the
+            # stacked reduce, with n in {1, 2} and m on either side of k
             (1, 9, 2), (2, 9, 1), (2, 9, 2), (8, 9, 2), (9, 9, 2), (10, 9, 2),
         ],
     )
@@ -165,20 +218,9 @@ class TestMatmul:
         np.testing.assert_array_equal(matmul(a, lb), want)
 
     @LAYOUTS
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "pos-zero-cols",
-            "neg-zero-cols",
-            "mixed-sign-zero-cols",
-            "all-zero",
-            "nan-in-a",
-            "inf-in-b",
-            "nan-in-b",
-        ],
-    )
+    @pytest.mark.parametrize("case", ZERO_CASES)
     # k = 12 leaves 9 live columns (10 with a NaN in a or a non-finite row
-    # of b), so m = 8..11 crosses the row reduce's m < live-columns edge
+    # of b), so m = 8..11 has fewer, as many and more rows than live columns
     @pytest.mark.parametrize(
         "m,k,n",
         [
@@ -203,13 +245,14 @@ class TestMatmul:
             assert_same_bits(matmul(la, b), want)
             assert_same_bits(matmul(a, lb), want)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("per_block", [2, 7, 64])
     @pytest.mark.parametrize("case", ["dense", "pos-zero-cols", "inf-in-b", "nan-in-b"])
     @pytest.mark.parametrize("m,k,n", [(2, 100, 2), (3, 100, 5), (4, 70, 3)])
-    def test_row_reduce_blocks_keep_triple_loop_bits(self, monkeypatch, chunk, case, m, k, n):
-        # a small block size makes every product span many blocks, each
-        # starting from the running sum of the ones before it
-        monkeypatch.setattr(numerics, "_ROW_CHUNK", chunk)
+    def test_row_reduce_blocks_keep_triple_loop_bits(self, monkeypatch, per_block, case, m, k, n):
+        # a small block size makes every product span many blocks of
+        # `per_block` columns, each starting from the running sum of the
+        # ones before it; 2 is the fewest the stacked reduce takes
+        monkeypatch.setattr(numerics, "_ROW_CHUNK", per_block * m * n)
         rng = np.random.default_rng(m * 100 + k * 10 + n)
         if case == "dense":
             a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
@@ -221,9 +264,9 @@ class TestMatmul:
             assert_same_bits(matmul(np.asfortranarray(a), np.asfortranarray(b)), naive_matmul(a, b))
 
     def test_many_default_blocks_keep_triple_loop_bits(self):
-        # 2 columns make blocks of 2**14 rows of b: 45,000 columns with
-        # every fifth zero (one of them live through an inf in b) leave
-        # 36,001 live ones, three blocks
+        # a 2 x 2 output makes blocks of _ROW_CHUNK // 4 = 2**14 rows of b:
+        # 45,000 columns with every fifth zero (one of them live through an
+        # inf in b) leave 36,001 live ones, three blocks
         k = 45_000
         rng = np.random.default_rng(5)
         a = rng.standard_normal((2, k)) * 10.0 ** rng.uniform(-3, 3, (2, k))
@@ -231,15 +274,15 @@ class TestMatmul:
         a[:, ::5] = 0.0
         b[5, 0] = np.inf
         live = np.count_nonzero(a.any(axis=0)) + 1
-        assert live > 2 * (numerics._ROW_CHUNK // 2)
+        assert live > 2 * (numerics._ROW_CHUNK // (2 * 2))
         with np.errstate(invalid="ignore"):
             assert_same_bits(matmul(a, b), naive_matmul(a, b))
 
     @pytest.mark.parametrize("zero_every_third", [False, True])
     def test_scratch_stays_bounded(self, zero_every_third):
-        # a 2 MiB right operand: the kernel may hold the output and a few
-        # blocks of 2**15 elements (1.05 MB in all), never a copy of an
-        # operand; a larger _ROW_CHUNK fails here too
+        # a 2 MiB right operand: the kernel may hold the output and about
+        # two blocks of 2**16 elements (1.05 MB in all), never a copy of an
+        # operand; a _ROW_CHUNK of 2**17 fails here
         m, k, n = 8, 4096, 64
         rng = np.random.default_rng(0)
         a = rng.standard_normal((m, k))
@@ -262,6 +305,34 @@ class TestMatmul:
         a = relu(rng.standard_normal((m, k)))
         b = rng.standard_normal((k, n)) * 10
         assert_same_bits(matmul(a, b), naive_matmul(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(1, 12), st.integers(1, 6),
+        st.sampled_from(["dense", *ZERO_CASES]), st.integers(0, 2**31),
+    )
+    def test_rank1_oracle_is_the_triple_loop(self, m, k, n, case, seed):
+        a, b = _zero_column_case(case, m, k, n, np.random.default_rng(seed))
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(rank1_matmul(a, b), naive_matmul(a, b))
+
+    @pytest.mark.parametrize("zeros", ["dense", "relu"])
+    @pytest.mark.parametrize(
+        "m,k,n", sorted(set(sum(WORKLOAD_SHAPES.values(), []))) + _path_edge_shapes()
+    )
+    def test_workload_shapes_keep_rank1_bits(self, m, k, n, zeros):
+        rng = np.random.default_rng(m * 1_000_000 + k * 1000 + n)
+        a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+        b = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
+        if zeros == "relu":
+            # about half the entries exact zeros, and every seventh unit dead
+            a = relu(a)
+            a[:, ::7] = 0.0
+        want = rank1_matmul(a, b)
+        assert_same_bits(matmul(a, b), want)
+        # the backward passes hand in transposed views
+        transposed = lambda x: np.ascontiguousarray(x.T).T  # noqa: E731
+        assert_same_bits(matmul(transposed(a), transposed(b)), want)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -333,6 +404,19 @@ def _dotted(node):
     return ".".join([root, *reversed(parts)])
 
 
+def _products_only(call) -> bool:
+    """An np.einsum whose literal subscripts sum over no index and that
+    passes no `optimize`: it multiplies elementwise and hands no reduction
+    to BLAS or to anything else."""
+    if not call.args or any(k.arg in ("optimize", None) for k in call.keywords):
+        return False
+    spec = call.args[0]
+    if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)):
+        return False
+    inputs, arrow, output = spec.value.replace(" ", "").partition("->")
+    return bool(arrow) and "." not in spec.value and set(inputs) - {","} <= set(output)
+
+
 def blas_uses(source: str, allowed=()):
     """(line, what) of each float product a module hands to BLAS, outside
     its top-level functions named in `allowed`."""
@@ -346,6 +430,7 @@ def blas_uses(source: str, allowed=()):
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 name = _dotted(node.func) or f"(...).{node.func.attr}"
                 np_call = name.startswith("np.") and name[3:] in _BLAS_CALLS
+                np_call = np_call and not (name == "np.einsum" and _products_only(node))
                 whole_norm = name == "np.linalg.norm" and len(node.args) < 3 and not any(
                     k.arg == "axis" for k in node.keywords
                 )
@@ -368,14 +453,20 @@ class TestBlasBoundary:
             "np.linalg.norm(a, axis=1)",
             "x.dot(y)",
             "numpy.einsum('i,i', a, b)",
+            "np.einsum('ir,ij->rj', a, b)",
+            "np.einsum('ir,ij->irj', a, b, optimize=True)",
+            "np.einsum('ir,ij->irj', a, b, **kw)",
+            "np.einsum(spec, a, b)",
+            "np.einsum('ir,ij->irj', a, b, out=c)",
             "np.linalg.norm(a, 2, 1)",
             "np.matvec(m, v)",
             "a[0].dot(b)",
             "def rowdot(x, y):",
             "    return np.matmul(x, y)",
         ])
-        assert [line for line, _ in blas_uses(source)] == [2, 3, 4, 5, 7, 8, 10, 11, 13]
-        assert [line for line, _ in blas_uses(source, allowed={"rowdot"})][-1] == 11
+        flagged = [2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 15, 16, 18]
+        assert [line for line, _ in blas_uses(source)] == flagged
+        assert [line for line, _ in blas_uses(source, allowed={"rowdot"})][-1] == 16
 
     @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
     def test_only_the_numerics_primitives_reach_blas(self, module):
