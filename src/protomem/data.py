@@ -148,6 +148,8 @@ def _load_csv_dataset(path) -> LabeledDataset:
     if not cols or cols[0] != "label":
         raise MalformedFileError(f"{path}: CSV header must start with 'label'")
     dim = len(cols) - 1
+    if dim == 0:
+        raise MalformedFileError(f"{path}: CSV header names no feature column")
     xs, ys = [], []
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()

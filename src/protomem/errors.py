@@ -57,7 +57,7 @@ class InsufficientClassesError(ProtomemError):
 
 
 class NumericFailureError(ProtomemError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or pretraining diverged."""
 
 
 class NonFiniteValueError(ProtomemError, ValueError):

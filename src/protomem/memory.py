@@ -182,7 +182,8 @@ class _ClassRows:
         """Append rows once every row invariant holds, else write nothing:
         ids are new, distinct and fit the snapshots' u32 id field, counts
         are >= 1 and fit their u32 count field, and each named array keeps
-        its row width."""
+        its row width. Rows appended to an empty memory are kept as given,
+        so every caller hands in arrays that nothing else holds."""
         new = np.asarray(ids).tolist()
         if any(not 0 <= c < 2**32 for c in new):
             raise ClassIdRangeError(f"class ids {new} must lie in [0, 2**32)")
@@ -199,10 +200,10 @@ class _ClassRows:
             width = getattr(self, name).shape[1:]
             if block.shape[1:] != width:
                 raise ShapeMismatchError(f"{name} rows of shape {block.shape[1:]} != {width}")
-        self.ids = np.concatenate([self.ids, np.asarray(new, dtype=np.int64)])
-        self.counts = np.concatenate([self.counts, np.asarray(counts, dtype=np.int64)])
+        grow = len(self) > 0
+        rows.update(ids=np.asarray(new, dtype=np.int64), counts=np.array(counts, dtype=np.int64))
         for name, block in rows.items():
-            setattr(self, name, np.concatenate([getattr(self, name), block]))
+            setattr(self, name, np.concatenate([getattr(self, name), block]) if grow else block)
 
 
 class ExplicitMemory(_ClassRows):
@@ -253,7 +254,7 @@ class ExplicitMemory(_ClassRows):
 
     def add_accumulated(self, class_id: int, accum, count: int):
         """Store a class from its exact sum, reduced by `reduce_rows`."""
-        accum = np.asarray(accum, dtype=np.int64).reshape(1, -1)
+        accum = np.array(accum, dtype=np.int64).reshape(1, -1)
         reduced, shifts = reduce_rows(accum, self.quant.prototype_bits)
         self._append([class_id], [count], shifts=shifts, accum=accum, reduced=reduced)
 
@@ -453,7 +454,7 @@ def load_em(path) -> ExplicitMemory:
     frame = read_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
     (d_p, bits, shift), ids, counts, words = _read_rows(path, frame, range(1, 65))
     # the stored bytes fill the top of each word; shifting down sign-extends
-    vals = words.view("<i8")[..., 0].astype(np.int64) >> (64 - 8 * _int_bytes(bits))
+    vals = words.view("<i8")[..., 0] >> (64 - 8 * _int_bytes(bits))
     problem = _unstorable(vals, bits, shift)
     if problem:
         raise MalformedFileError(f"{path}: {problem}")

@@ -14,9 +14,13 @@ import numpy as np
 from .errors import NonFiniteValueError, ShapeMismatchError, ZeroNormError
 
 ZERO_NORM_FLOOR = 1e-12
-# elements of the (kc, m, n) product stack a batched matmul builds per block,
-# which bounds its scratch to about one such block whatever the operands' size
+# elements of the (kc, h, n) product stack a batched matmul builds per block
+# of an h-row tile, which bounds its scratch to about one such block whatever
+# the operands' size
 _ROW_CHUNK = 2**16
+# live columns a block of a batched matmul holds at least: its output rows
+# split into tiles of about _ROW_CHUNK // (_KC * n) rows
+_KC = 16
 
 
 def as_vector(x) -> np.ndarray:
@@ -90,31 +94,39 @@ def matmul(a, b) -> np.ndarray:
     bitwise equal to the naive triple loop on any shape, unlike BLAS gemm.
     One rule picks between two paths that keep that order:
 
-    - With m > 1 and 2 * m * n <= _ROW_CHUNK, a block holds kc =
-      _ROW_CHUNK // (m * n) >= 2 live columns, and each block is one
-      stacked reduce: buf[0] holds `out`, buf[1:] the (kc, m, n) products
-      a[:, i, None] * b[i] of a contraction-free np.einsum, and
-      np.add.reduce over axis 0 of the C-contiguous stack adds them in
-      index order into `out`: 0.0 + t_0 + t_1 + ... . The einsum writes
-      each product as 0.0 + a*b, which differs from a*b only in turning
-      -0.0 into +0.0, and that sign never reaches a sum that starts at
-      +0.0 (see below). _ROW_CHUNK = 2**16 came from a sweep over every
-      shape the benchmark workloads multiply, weighted by call count:
-      their batched matmul time was 0.74, 1.28 and 2.01 s (offline_train,
-      online_sessions, wide_memory) with the per-row reduce before it,
-      0.52, 0.95 and 2.01 s at 2**15, 0.47, 0.85 and 1.87 s at 2**16
-      (2 vCPUs, numpy 2.4.6). At 2**15 wide_memory's (32, k, 384)
-      products get kc = 2 and run slower; 2**17 (0.44, 0.77, 1.81 s)
-      would fill the 1.05 MB scratch bound with one block.
-    - Every other product runs one rank-1 update per live column: the
-      largest ones, where a block would hold one column, and one-row
-      products (m == 1). A one-row stacked reduce cut online_sessions
-      query_us_p50 from about 675 to 154 us in a 28 s seed-7 run (2 vCPUs,
-      numpy 2.4.6), but 23 rounds fit the window instead of 7 to 12, and
-      peak_rss_mb rose from about 51.3 to 57.6 MB, past the benchmark's
-      10% bound, because its samples grow with the round count (ROADMAP
-      item 1(a)). An (m, n) = (1, 1) stack would also be one contiguous
-      vector, which numpy sums pairwise.
+    - Every product with m > 1 is a stacked reduce on row tiles. out[r]
+      depends only on a[r], so the rows split into ceil(m / h0) tiles,
+      h0 = _ROW_CHUNK // (_KC * n), whose heights differ by at most one row,
+      and with h0 < 3 into m // 2 tiles of 2 or 3 rows. With h the tallest
+      tile's height, a block holds kc = _ROW_CHUNK // (h * n) live columns:
+      at least _KC whenever h <= h0, as it is for every h0 >= 3, and never
+      fewer than one. Each block of a tile is one stacked reduce: stack[0]
+      holds the tile of `out`, stack[1:] the (kc, h, n) products
+      a[rows, i, None] * b[i] of a contraction-free np.einsum, and
+      np.add.reduce over axis 0 of the C-contiguous stack adds them in index
+      order into `out`: 0.0 + t_0 + t_1 + ... . The einsum writes each
+      product as 0.0 + a*b, which differs from a*b only in turning -0.0 into
+      +0.0, and that sign never reaches a sum that starts at +0.0 (see
+      below). A one-row tile with n == 1 would make a (kc + 1, 1, 1) stack,
+      one contiguous vector, which numpy sums pairwise; hence no tile holds
+      one row. The stack holds one block of about _ROW_CHUNK elements
+      whatever the operands' size. _ROW_CHUNK = 2**16 came from a sweep over
+      every shape the benchmark workloads multiply, weighted by call count,
+      before tiling: their batched matmul time was 0.74, 1.28 and 2.01 s
+      (offline_train, online_sessions, wide_memory) with a per-row reduce,
+      0.52, 0.95 and 2.01 s at 2**15, 0.47, 0.85 and 1.87 s at 2**16 (2
+      vCPUs, numpy 2.4.6). _KC = 16 came from a sweep over the same shapes
+      with m > 1: 0.78, 0.80 and 1.66 s untiled, 0.74, 0.76 and 1.41 s at
+      _KC = 4, 0.73, 0.75 and 1.35 s at 8, 0.69, 0.71 and 1.28 s at 16,
+      0.69, 0.71 and 1.26 s at 32, and 0.71, 0.73 and 1.33 s at 64; 16 is
+      the smallest within 2% of the best in that sitting and in a second
+      one.
+    - One-row products (m == 1) run one rank-1 update per live column. A
+      one-row stacked reduce cut online_sessions query_us_p50 from about
+      675 to 154 us in a 28 s seed-7 run (2 vCPUs, numpy 2.4.6), but 23
+      rounds fit the window instead of 7 to 12, and peak_rss_mb rose from
+      about 51.3 to 57.6 MB, past the benchmark's 10% bound, because its
+      samples grow with the round count (ROADMAP item 1(a)).
 
     Only the live columns of `a` are visited: those with a nonzero or NaN
     entry, plus any whose row b[i] holds a non-finite value (0 * inf is
@@ -136,20 +148,30 @@ def matmul(a, b) -> np.ndarray:
         live[dead] = ~np.isfinite(b[dead]).all(axis=1)
         cols = live.nonzero()[0]
     out = np.zeros((m, n))
+    if m == 1:
+        tmp = np.empty((1, n))
+        for i in cols.tolist():
+            np.multiply(a[:, i, None], b[i, None, :], out=tmp)
+            np.add(out, tmp, out=out)
+        return out
     k_live = len(cols)
-    kc = _ROW_CHUNK // (m * n)
-    if m > 1 and kc >= 2:
-        buf = np.empty((min(kc, k_live) + 1, m, n))
+    h0 = _ROW_CHUNK // (_KC * n)
+    tiles = -(-m // h0) if h0 > 2 else m // 2
+    h = -(-m // tiles)  # the tallest tile; the others are h or h - 1 rows
+    kc = max(1, _ROW_CHUNK // (h * n))
+    depth = min(kc, k_live) + 1
+    scratch = np.empty((depth, h, n))
+    at = a.T
+    for t in range(tiles):
+        r0, r1 = t * m // tiles, (t + 1) * m // tiles
+        o, tile_buf = out[r0:r1], scratch
+        if r1 - r0 < h:  # the head of the scratch, as one C-contiguous stack
+            tile_buf = scratch.reshape(-1)[: depth * o.size].reshape(depth, r1 - r0, n)
         for lo in range(0, k_live, kc):
             hi = min(lo + kc, k_live)
             sel = slice(lo, hi) if k_live == k else cols[lo:hi]
-            buf[0] = out
-            np.einsum("ir,ij->irj", a.T[sel], b[sel], out=buf[1 : hi - lo + 1])
-            np.add.reduce(buf[: hi - lo + 1], axis=0, out=out)
-        return out
-    tmp = np.empty((m, n))
-    for i in cols.tolist():
-        np.multiply(a[:, i, None], b[i, None, :], out=tmp)
-        np.add(out, tmp, out=out)
+            stack = tile_buf[: hi - lo + 1]
+            stack[0] = o
+            np.einsum("ir,ij->irj", at[sel, r0:r1], b[sel], out=stack[1:])
+            np.add.reduce(stack, axis=0, out=o)
     return out
-

@@ -35,6 +35,11 @@ from .memory import ActivationMemory, ExplicitMemory, QuantSpec
 from .numerics import ZERO_NORM_FLOOR, matvecs, relu, row_norms
 from .online import learn_dataset
 
+# pretraining has diverged once an epoch's mean CE exceeds this multiple of
+# the first epoch's: the converging runs of the tests and the benchmark stay
+# below 2x, and a rate known to diverge passes 300x by its second epoch
+DIVERGED_CE_FACTOR = 10.0
+
 
 def init_fcc(num_classes: int, d_p: int, seed) -> ModelParams:
     """The temporary pretraining classifier: one identity DenseLayer from
@@ -113,7 +118,8 @@ def pretrain(
     augmentation decision per batch; interpolation pairs each row with a
     shuffled partner. History rows are (epoch, per-sample CE, per-batch
     ortho, train accuracy on the un-augmented labels). Deterministic
-    under a fixed seed.
+    under a fixed seed. Raises NumericFailureError on a non-finite loss,
+    and once an epoch's CE exceeds DIVERGED_CE_FACTOR times the first's.
 
     fcc is the one-layer head from `init_fcc`: its only layer is its
     projection, so it runs through `forward_fcr` on its own tape, is updated
@@ -175,6 +181,11 @@ def pretrain(
             sgd_step(params, tape, lr)
             sgd_step(fcc, head_tape, lr)
         history.append((epoch, ce_sum / total, ortho_sum / nbatches, hits / total))
+        if history[-1][1] > DIVERGED_CE_FACTOR * history[0][1]:
+            raise NumericFailureError(
+                f"pretraining diverged: epoch {epoch} mean CE {history[-1][1]:.3g} is above "
+                f"{DIVERGED_CE_FACTOR:g}x epoch 0's {history[0][1]:.3g}"
+            )
     return params, fcc, history
 
 

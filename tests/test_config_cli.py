@@ -662,6 +662,18 @@ class TestCliCommands:
         assert err.startswith("config error") and "grid 3x3" in err and "mix_probability" in err
         assert list(out.iterdir()) == []
 
+    def test_csv_with_no_feature_column_exits_3(self, tmp_path, capsys):
+        # a header of just `label` reads as an (N, 0) dataset: a data error,
+        # as the binary reader's zero dim is, not a layer width of 0
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "".join(f"{c}\n" for c in list(range(TINY["classes"])) * 11))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["pretrain", *tiny_overrides(out, dataset=str(path))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "no feature column" in err
+        assert list(out.iterdir()) == []
+
     def test_unset_grid_cuts_a_square_width_on_its_square_grid(self, tmp_path, monkeypatch):
         # 1024 columns are a 32 x 32 image: the 16 x 16 blob default is no cutmix grid of them
         path = tmp_path / "wide1024.ofds"
@@ -828,11 +840,14 @@ class TestCliCommands:
 
 # per CLI key in the sweep below: the file it reads, its library reader,
 # the length of its fixed header, and the command that reads it
+# case: (argument, file, reader, header bytes, command)
 SWEEP_FILES = {
-    "params_in": ("params.ofsc", load_params, 12, "classify"),
-    "em_in": ("em.ofem", load_em, 24, "classify"),
-    "actmem_in": ("am.ofam", load_actmem, 24, "learn-class"),
-    "dataset": ("data.ofds", load_dataset, 17, "classify"),
+    "params_in": ("params_in", "params.ofsc", load_params, 12, "classify"),
+    "em_in": ("em_in", "em.ofem", load_em, 24, "classify"),
+    "actmem_in": ("actmem_in", "am.ofam", load_actmem, 24, "learn-class"),
+    "dataset": ("dataset", "data.ofds", load_dataset, 17, "classify"),
+    # the header line; a CSV records no length, so a cut at the end parses
+    "csv": ("dataset", "data.csv", load_dataset, None, "classify"),
 }
 SWEEP_OUTPUTS = {"classify": ["pred.csv"], "learn-class": ["em.ofem", "am.ofam"]}
 
@@ -840,10 +855,12 @@ SWEEP_OUTPUTS = {"classify": ["pred.csv"], "learn-class": ["em.ofem", "am.ofam"]
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
     """A TINY extractor, the 3-bit memory and activation memory of one class
-    learned through it, and a dataset of that class and the next."""
+    learned through it, and a dataset of that class and the next, binary
+    and CSV."""
     root = tmp_path_factory.mktemp("inputs")
     ds = make_blob_dataset(TINY["classes"], 4, grid=TINY["grid"], seed=9)
     save_dataset(ds.subset_by_classes([0, 1]), root / "data.ofds")
+    save_dataset_csv(ds.subset_by_classes([0, 1]), root / "data.csv")
     assert cli.main(["pretrain", *tiny_overrides(root)]) == 0
     assert cli.main([
         "learn-class",
@@ -851,17 +868,18 @@ def sweep_inputs(tmp_path_factory):
                         class_id=0, prototype_bits=3),
     ]) == 0
     assert load_em(root / "em.ofem").get(0).scale_shift > 0
-    return {key: root / name for key, (name, *_) in SWEEP_FILES.items()}
+    return root
 
 
-def corruptions(blob: bytes, header: int):
+def corruptions(blob: bytes, header: int, cut: bool = True):
     """(what, bytes) for each of the first `header` bytes XORed with 0xFF,
-    then for the last byte dropped and for one byte appended."""
+    then for the last byte dropped (if `cut`) and for one byte appended."""
     for at in range(header):
         bad = bytearray(blob)
         bad[at] ^= 0xFF
         yield f"byte {at} flipped", bytes(bad)
-    yield "last byte dropped", blob[:-1]
+    if cut:
+        yield "last byte dropped", blob[:-1]
     yield "one byte appended", blob + b"\0"
 
 
@@ -869,25 +887,28 @@ class TestMalformedFileSweep:
     """Every corrupted input file is a `MalformedFileError` from its reader,
     and exit 3 with no output file from the command that reads it."""
 
-    @pytest.mark.parametrize("key", list(SWEEP_FILES))
-    def test_each_corruption_is_refused_and_exits_3(self, sweep_inputs, tmp_path, capsys, key):
-        name, reader, header, command = SWEEP_FILES[key]
+    @pytest.mark.parametrize("case", list(SWEEP_FILES))
+    def test_each_corruption_is_refused_and_exits_3(self, sweep_inputs, tmp_path, capsys, case):
+        key, name, reader, header, command = SWEEP_FILES[case]
         outputs = [tmp_path / out for out in SWEEP_OUTPUTS[command]]
-        blob = sweep_inputs[key].read_bytes()
+        blob = (sweep_inputs / name).read_bytes()
         if key == "params_in":  # OFSC's layer table, 9 bytes per layer
             header += 9 * struct.unpack_from("<I", blob, 8)[0]
+        if case == "csv":
+            header = blob.index(b"\n")
+        inputs = {k: sweep_inputs / n for c, (k, n, *_) in SWEEP_FILES.items() if c != "csv"}
 
         def run(path):
-            argv = tiny_overrides(tmp_path, **{**sweep_inputs, key: path}, class_id=1, prototype_bits=3)
+            argv = tiny_overrides(tmp_path, **{**inputs, key: path}, class_id=1, prototype_bits=3)
             return cli.main([command, *argv])
 
-        assert run(sweep_inputs[key]) == 0  # the intact inputs pass
+        assert run(sweep_inputs / name) == 0  # the intact inputs pass
         for out in outputs:
             out.unlink()
         capsys.readouterr()
         missed = []
         path = tmp_path / f"bad_{name}"
-        for what, bad in corruptions(blob, header):
+        for what, bad in corruptions(blob, header, cut=case != "csv"):
             path.write_bytes(bad)
             try:
                 reader(path)

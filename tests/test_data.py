@@ -116,6 +116,12 @@ class TestCsv:
         with pytest.raises(MalformedFileError):
             load_dataset(path, format="csv")
 
+    def test_header_without_a_feature_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label\n0\n1\n")
+        with pytest.raises(MalformedFileError, match="no feature column"):
+            load_dataset(path, format="csv")
+
 
 class TestCifar:
     def make_record(self, coarse, fine, fill):

@@ -17,6 +17,7 @@ from protomem.data import SessionStream, split_fscil
 from protomem.errors import (
     ConflictingFlagsError,
     InsufficientSamplesError,
+    NumericFailureError,
     SettingValueError,
 )
 from protomem.harness import (
@@ -281,10 +282,21 @@ class TestForgetting:
 class TestAblation:
     def recipe(self):
         return TrainRecipe(
-            hidden=(24, 16), d_p=8, pretrain_epochs=4, pretrain_lr=0.05,
+            hidden=(24, 16), d_p=8, pretrain_epochs=4, pretrain_lr=0.01,
             batch_size=32, meta=MetaConfig(iterations=4, query_batch=16),
             finetune=FinetuneConfig(epochs=2), seed=3,
         )
+
+    def test_pretraining_that_diverges_is_refused(self):
+        # at pretrain_lr=0.05 the per-sample CE runs 6.44, 2.05e3, 3.91e8
+        # and 1.99e9 while train accuracy stays at chance; the recipe's rate
+        # converges
+        stream = desk_stream(12, classes=7, base=5, ways=1, sessions=1)
+        with pytest.raises(NumericFailureError, match="diverged: epoch 1 mean CE 2.05e"):
+            harness.pretrain_model(stream.base, replace(self.recipe(), pretrain_lr=0.05))
+        _, history = harness.pretrain_model(stream.base, self.recipe())
+        ce = [row[1] for row in history]
+        assert ce[-1] < ce[0]
 
     def test_flag_rows_differ_only_in_augmentation(self):
         # without OR both rows pretrain with no orthogonality term; AG

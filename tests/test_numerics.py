@@ -159,14 +159,64 @@ WORKLOAD_SHAPES = {
 
 
 def _path_edge_shapes():
-    """n == 1, and 2 * m * n just below, at and just above _ROW_CHUNK,
-    where the stacked reduce hands over to the rank-1 loop."""
+    """n == 1, and 2 * m * n just below, at and just above _ROW_CHUNK, where
+    a one-tile block would hold fewer than two live columns."""
     half = numerics._ROW_CHUNK // 2
     return [
         (2, 300, 1), (5, 256, 1), (64, 48, 1), (360, 96, 1),
         (2, 40, half // 2 - 1), (2, 40, half // 2), (2, 40, half // 2 + 1),
         (127, 40, 256), (128, 40, half // 128), (129, 40, 256),
     ]
+
+
+def _tile_shapes():
+    """Products split into row tiles: tiles of h = _ROW_CHUNK // (_KC * n)
+    rows and ragged ones beside them, 2 * m * n above _ROW_CHUNK, n == 1,
+    outputs too wide for a tile of h >= 2 rows, and a block of one column."""
+    h = numerics._ROW_CHUNK // (numerics._KC * 256)
+    tall = numerics._ROW_CHUNK // numerics._KC + 1
+    wide = numerics._ROW_CHUNK // 2 + 1
+    return [
+        (h, 40, 256), (h + 1, 40, 256), (2 * h + 1, 40, 256), (2 * h + 2, 40, 256),
+        (300, 30, 300), (3, 50, 1), (tall, 6, 1), (2 * tall + 1, 6, 1),
+        (3, 6, 3000), (5, 6, 3000), (2, 5, wide), (5, 4, wide),
+    ]
+
+
+class _ReduceSpy:
+    """np.add as `numerics` sees it, recording the shape and C-contiguity of
+    each stack that np.add.reduce sums."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def reduce(self, stack, *args, **kwargs):
+        self.stacks.append((stack.shape, stack.flags.c_contiguous))
+        return np.add.reduce(stack, *args, **kwargs)
+
+
+class _NumpySpy:
+    """numpy as `numerics` sees it, counting the rank-1 loop's products."""
+
+    def __init__(self):
+        self.add, self.multiplies = _ReduceSpy(), 0
+
+    def multiply(self, *args, **kwargs):
+        self.multiplies += 1
+        return np.multiply(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def numpy_spy(monkeypatch):
+    spy = _NumpySpy()
+    monkeypatch.setattr(numerics, "np", spy)
+    return spy
 
 
 class TestMatmul:
@@ -278,12 +328,21 @@ class TestMatmul:
         with np.errstate(invalid="ignore"):
             assert_same_bits(matmul(a, b), naive_matmul(a, b))
 
-    @pytest.mark.parametrize("zero_every_third", [False, True])
-    def test_scratch_stays_bounded(self, zero_every_third):
-        # a 2 MiB right operand: the kernel may hold the output and about
-        # two blocks of 2**16 elements (1.05 MB in all), never a copy of an
-        # operand; a _ROW_CHUNK of 2**17 fails here
-        m, k, n = 8, 4096, 64
+    @pytest.mark.parametrize(
+        "m,k,n,blocks,zero_every_third",
+        [
+            # a 2 MiB right operand: the kernel may hold the output and about
+            # two blocks of 2**16 elements (1.05 MB in all), never a copy of
+            # an operand; a _ROW_CHUNK of 2**17 fails here
+            (8, 4096, 64, 2, False), (8, 4096, 64, 2, True),
+            # a 786 kB output: one block, with the tile's running sum and the
+            # live rows it gathers beside it (under a quarter block); the
+            # rank-1 loop's (m, n) product and an untiled stack fail here
+            (384, 32, 256, 1.25, False), (384, 32, 256, 1.25, True),
+        ],
+        ids=["False", "True", "wide-output-False", "wide-output-True"],
+    )
+    def test_scratch_stays_bounded(self, m, k, n, blocks, zero_every_third):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
@@ -295,7 +354,58 @@ class TestMatmul:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (m * n + 4 * 2**15)
+        assert peak < 8 * (m * n + blocks * 2**16)
+
+    @pytest.mark.parametrize(
+        "layout", [np.ascontiguousarray, lambda x: np.ascontiguousarray(x.T).T],
+        ids=["c-order", "transposed-view"],
+    )
+    @pytest.mark.parametrize("case", ["dense", *ZERO_CASES])
+    @pytest.mark.parametrize("m,k,n", _tile_shapes())
+    def test_row_tiles_keep_rank1_bits(self, layout, case, m, k, n):
+        # dead columns are found over the whole product, so a column live in
+        # one tile (a NaN in row m // 2) or through a non-finite row of b is
+        # live in every tile
+        rng = np.random.default_rng(m * 1_000_000 + k * 1000 + n)
+        if case == "dense":
+            a = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, k))
+            b = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
+        else:
+            a, b = _zero_column_case(case, m, k, n, rng)
+        with np.errstate(invalid="ignore"):
+            want = rank1_matmul(a, b)
+            assert_same_bits(matmul(layout(a), layout(b)), want)
+
+    @pytest.mark.parametrize(
+        "m,k,n", _tile_shapes() + [(2, 9, 1), (5, 256, 96), (240, 384, 256), (384, 32, 256)]
+    )
+    def test_every_product_of_two_rows_or_more_is_stacked(self, numpy_spy, m, k, n):
+        rng = np.random.default_rng(m + k + n)
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        assert_same_bits(matmul(a, b), rank1_matmul(a, b))
+        assert numpy_spy.multiplies == 0  # the rank-1 loop never ran
+        shapes = [shape for shape, _ in numpy_spy.add.stacks]
+        assert shapes and all(contiguous for _, contiguous in numpy_spy.add.stacks)
+        assert min(rows for _, rows, _ in shapes) >= 2
+        if 2 * numerics._KC * n <= numerics._ROW_CHUNK:
+            assert max(depth for depth, _, _ in shapes) - 1 >= min(numerics._KC, k)
+
+    def test_one_row_products_run_the_rank1_loop(self, numpy_spy):
+        a, b = np.array([[1.0, 0.0, 3.0]]), np.arange(6.0).reshape(3, 2)
+        assert_same_bits(matmul(a, b), naive_matmul(a, b))
+        assert numpy_spy.multiplies == 2 and numpy_spy.add.stacks == []
+
+    def test_a_one_row_tile_would_sum_pairwise(self):
+        # why every tile holds two rows or more: numpy sums a C-contiguous
+        # (c + 1, 1, 1) stack as one vector, in pairwise blocks, while it
+        # adds the slices of a (c + 1, 2, 1) stack in index order
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 3, 64)
+        acc = 0.0
+        for x in v.tolist():
+            acc += x
+        assert np.add.reduce(v.reshape(-1, 1, 1), axis=0)[0, 0] != acc
+        assert_same_bits(np.add.reduce(np.repeat(v, 2).reshape(-1, 2, 1), axis=0), [[acc], [acc]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 24), st.integers(1, 6), st.integers(0, 2**31))
