@@ -160,23 +160,64 @@ class ScoringView(NamedTuple):
 class _ClassRows:
     """One row per class in insertion order: int64 class `ids` and shot
     `counts`, beside the per-class arrays that a subclass names.
-    `_append` is the one writer of both memories."""
+    `_append` is the one writer of both memories.
+
+    Each of these arrays is exactly (C, ...) and views the filled rows of a
+    buffer with spare rows (`_reserve`), so an append writes only its own
+    rows, and a full buffer is replaced by one of twice the rows. A memory
+    writes only into spare rows of buffers that it allocated (`_bufs`), and
+    a written row never changes: a memory that shares another's arrays
+    (`rebuilt_at_bits`) or a row view handed out earlier reads the same
+    values after any append. A pickle holds the filled rows alone, and a
+    copy or an unpickled memory puts them in buffers of its own."""
+
+    def __init__(self, **rows):
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        vars(self).update(rows)
+        self._bufs = dict.fromkeys(["ids", "counts", *rows])
+
+    def __getstate__(self):
+        return {**vars(self), "_bufs": dict.fromkeys(self._bufs)}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        if len(self):
+            self._reserve(len(self) + 1)
+
+    def _reserve(self, rows: int):
+        """Room for `rows` rows in a buffer of this memory's own for each
+        stored array: a buffer too small for them, or none, is replaced by
+        one of max(2·C, rows) rows that holds the C filled rows."""
+        n = len(self)
+        for name, buf in self._bufs.items():
+            if buf is None or len(buf) < rows:
+                filled = getattr(self, name)
+                buf = np.empty((max(2 * n, rows), *filled.shape[1:]), filled.dtype)
+                buf[:n] = filled
+                self._bufs[name] = buf
+                setattr(self, name, buf[:n])
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __contains__(self, class_id: int) -> bool:
-        return class_id in self.ids.tolist()
+        return self._rows_of(class_id).size > 0
 
     def class_ids(self) -> list:
         return self.ids.tolist()
 
+    def _rows_of(self, class_id) -> np.ndarray:
+        """Indices of the rows that store `class_id`: one at most, and none
+        for a value that no int64 id equals."""
+        return (self.ids == class_id).nonzero()[0]
+
     def _row(self, class_id: int) -> int:
         """Row index of a stored class; KeyError for any other id."""
-        ids = self.class_ids()
-        if class_id not in ids:
+        rows = self._rows_of(class_id)
+        if not rows.size:
             raise KeyError(class_id)
-        return ids.index(class_id)
+        return int(rows[0])
 
     def _append(self, ids, counts, **rows):
         """Append rows once every row invariant holds, else write nothing:
@@ -184,11 +225,13 @@ class _ClassRows:
         are >= 1 and fit their u32 count field, and each named array keeps
         its row width. Rows appended to an empty memory are kept as given,
         so every caller hands in arrays that nothing else holds."""
-        new = np.asarray(ids).tolist()
-        if any(not 0 <= c < 2**32 for c in new):
-            raise ClassIdRangeError(f"class ids {new} must lie in [0, 2**32)")
-        both = self.ids.tolist() + new
-        if len(set(both)) < len(both):
+        given = np.asarray(ids).tolist()
+        if any(not 0 <= c < 2**32 for c in given):
+            raise ClassIdRangeError(f"class ids {given} must lie in [0, 2**32)")
+        new = np.array(given, dtype=np.int64)
+        # stored ids are distinct: a clash is a stored id or a repeated new one
+        if np.count_nonzero(self.ids == new[:, None]) or len(set(new.tolist())) < len(new):
+            both = self.ids.tolist() + new.tolist()
             clash = next(c for i, c in enumerate(both) if c in both[:i])
             raise DuplicateClassError(f"class {clash} already stored")
         shots = np.asarray(counts).tolist()
@@ -200,10 +243,16 @@ class _ClassRows:
             width = getattr(self, name).shape[1:]
             if block.shape[1:] != width:
                 raise ShapeMismatchError(f"{name} rows of shape {block.shape[1:]} != {width}")
-        grow = len(self) > 0
-        rows.update(ids=np.asarray(new, dtype=np.int64), counts=np.array(counts, dtype=np.int64))
+        n, k = len(self), len(new)
+        rows.update(ids=new, counts=np.array(counts, dtype=np.int64))
+        if n == 0:  # an empty memory holds no buffer
+            vars(self).update(rows)
+            return
+        self._reserve(n + k)
         for name, block in rows.items():
-            setattr(self, name, np.concatenate([getattr(self, name), block]) if grow else block)
+            buf = self._bufs[name]
+            buf[n : n + k] = block
+            setattr(self, name, buf[: n + k])
 
 
 class ExplicitMemory(_ClassRows):
@@ -221,14 +270,18 @@ class ExplicitMemory(_ClassRows):
     def __init__(self, d_p: int, quant: QuantSpec | None = None):
         if d_p < 1:
             raise ShapeMismatchError("d_p must be positive")
+        super().__init__(
+            shifts=np.zeros(0, dtype=np.int64),
+            accum=np.zeros((0, d_p), dtype=np.int64),
+            reduced=np.zeros((0, d_p), dtype=np.int64),
+        )
         self.d_p = d_p
         self.quant = quant if quant is not None else QuantSpec()
-        self.ids = np.zeros(0, dtype=np.int64)
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.shifts = np.zeros(0, dtype=np.int64)
-        self.accum = np.zeros((0, d_p), dtype=np.int64)
-        self.reduced = np.zeros((0, d_p), dtype=np.int64)
         self._scoring = None
+
+    def __getstate__(self):
+        # the scoring view is derived: a copy or pickle rebuilds it on use
+        return {**super().__getstate__(), "_scoring": None}
 
     def _append(self, ids, counts, **rows):
         super()._append(ids, counts, **rows)
@@ -275,10 +328,8 @@ class ActivationMemory(_ClassRows):
     def __init__(self, d_a: int):
         if d_a < 1:
             raise ShapeMismatchError("d_a must be positive")
+        super().__init__(sums=np.zeros((0, d_a)))
         self.d_a = d_a
-        self.ids = np.zeros(0, dtype=np.int64)
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.sums = np.zeros((0, d_a))
 
     def add_batch(self, class_id: int, thetas):
         """Store a new class from its (shots, d_a) activations."""
@@ -392,8 +443,7 @@ def _rows_frame(mem: _ClassRows, bits: int, shift: int, words):
 def _read_rows(path, frame, widths):
     """Inverse of `_rows_frame` for a `read_frame` result, with bits in
     `widths`. Returns the header's (d, bits, shift), the id and count
-    columns, and each entry's stored bytes on top of a little-endian 8-byte
-    word, as (C, d, 8) uint8."""
+    columns, and the (C, d) entries as int64 with the sign extended."""
     (n, d, bits, shift), blob, off = frame
     if bits not in widths:
         raise MalformedFileError(f"{path}: unsupported entry width of {bits} bits")
@@ -404,9 +454,14 @@ def _read_rows(path, frame, widths):
     check_end(path, blob, off + n * record)
     rows = np.frombuffer(blob, dtype=np.uint8, count=n * record, offset=off).reshape(n, record)
     head = rows[:, :8].copy().view("<u4").astype(np.int64)
-    words = np.zeros((n, d, 8), dtype=np.uint8)
-    words[..., 8 - width :] = rows[:, 8:].reshape(n, d, width)
-    return (d, bits, shift), head[:, 0], head[:, 1], words
+    # each entry's bytes are the top of the little-endian word that ends
+    # where the entry ends (the bytes before it lie in the same record), so
+    # an arithmetic shift drops the rest and extends the sign
+    if n:
+        words = np.ndarray((n, d), "<i8", blob, off + width, (record, width))
+    else:  # no word of an empty payload lies inside the blob
+        words = np.zeros((0, d), dtype=np.int64)
+    return (d, bits, shift), head[:, 0], head[:, 1], words >> (64 - 8 * width)
 
 
 def _append_read(path, mem: _ClassRows, ids, counts, **rows):
@@ -452,15 +507,14 @@ def load_em(path) -> ExplicitMemory:
     ({-1, +1} at 1 bit) and a shift above the largest that `reduce_rows`
     gives at that width."""
     frame = read_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
-    (d_p, bits, shift), ids, counts, words = _read_rows(path, frame, range(1, 65))
-    # the stored bytes fill the top of each word; shifting down sign-extends
-    vals = words.view("<i8")[..., 0] >> (64 - 8 * _int_bytes(bits))
+    (d_p, bits, shift), ids, counts, vals = _read_rows(path, frame, range(1, 65))
     problem = _unstorable(vals, bits, shift)
     if problem:
         raise MalformedFileError(f"{path}: {problem}")
     spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
     em, shifts = ExplicitMemory(d_p, spec), np.full(len(ids), shift)
-    return _append_read(path, em, ids, counts, shifts=shifts, accum=vals, reduced=vals.copy())
+    # no stored row is ever written again, so one array serves as both
+    return _append_read(path, em, ids, counts, shifts=shifts, accum=vals, reduced=vals)
 
 
 def save_actmem(act_mem: ActivationMemory, path):
@@ -474,7 +528,7 @@ def load_actmem(path) -> ActivationMemory:
     """Inverse of save_actmem. Refuses a nonzero shift and non-finite sums."""
     frame = read_frame(path, ACTMEM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
     (d_a, _bits, shift), ids, counts, words = _read_rows(path, frame, (64,))
-    sums = words.view("<f8")[..., 0].astype(np.float64)
+    sums = words.view(np.float64)
     if shift != 0:
         raise MalformedFileError(f"{path}: shift {shift} in an activation memory")
     if not np.isfinite(sums).all():

@@ -11,7 +11,7 @@ from protomem.errors import NumericFailureError, ShapeMismatchError, ZeroNormErr
 from protomem import harness
 from protomem.harness import SessionReport, extract_features, pretrain_model
 from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
-from protomem.memory import bipolarize, classify_batch
+from protomem.memory import ActivationMemory, bipolarize, classify_batch, quantize_rows, reduce_rows
 from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
 from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows, build_base_em
 from protomem.online import finetune_fcr, learn_class, learn_dataset
@@ -471,3 +471,63 @@ def pretrain_hand_head(params, weight, bias, base_dataset, cfg, epochs, lr, seed
             bias -= lr * grad_b
         history.append((epoch, ce_sum / total, ortho_sum / nbatches, hits / total))
     return history
+
+
+class ConcatRows:
+    """Oracle for what a class memory stores: each array that it names,
+    grown by one `np.concatenate` per append, so that every append leaves
+    fresh (C, ...) arrays that nothing else holds."""
+
+    def __init__(self, **arrays):
+        self.arrays = {name: np.array(a) for name, a in arrays.items()}
+
+    @classmethod
+    def of(cls, mem):
+        """An oracle holding a copy of each array that `mem` stores now."""
+        names = ("sums",) if isinstance(mem, ActivationMemory) else ("shifts", "accum", "reduced")
+        return cls(**{name: getattr(mem, name) for name in ("ids", "counts", *names)})
+
+    def append(self, **rows):
+        for name, block in rows.items():
+            old = self.arrays[name]
+            self.arrays[name] = np.concatenate([old, np.asarray(block, dtype=old.dtype)])
+
+    def add_accumulated(self, class_id, accum, count, bits):
+        accum = np.asarray(accum, dtype=np.int64).reshape(1, -1)
+        reduced, shifts = reduce_rows(accum, bits)
+        self.append(ids=[class_id], counts=[count], shifts=shifts, accum=accum, reduced=reduced)
+
+    def add_batch(self, class_id, thetas):
+        self.append(ids=[class_id], counts=[len(thetas)], sums=thetas.sum(axis=0, keepdims=True))
+
+    def assert_holds(self, mem):
+        """Every stored array of `mem` equals the oracle's, bit for bit."""
+        for name, want in self.arrays.items():
+            got = getattr(mem, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def held_nbytes(obj) -> int:
+    """Bytes of the distinct arrays that own data and that `obj`'s
+    attributes reach, through containers and the bases of views."""
+    held, todo = {}, list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, (list, tuple)):
+            todo += item
+        elif isinstance(item, np.ndarray):
+            if item.flags.owndata:
+                held[id(item)] = item.nbytes
+            todo.append(item.base)
+    return sum(held.values())
+
+
+def learn_class_oracles(em_rows, am_rows, quant, params, samples, class_id):
+    """What `learn_class` appends to the two memories, on their oracles."""
+    theta_a = forward_backbone(params, np.asarray(samples, dtype=np.float64))
+    q = quantize_rows(forward_fcr(params, theta_a), quant.feature_bits).values
+    em_rows.add_accumulated(class_id, q.sum(axis=0), len(q), quant.prototype_bits)
+    am_rows.add_batch(class_id, theta_a)

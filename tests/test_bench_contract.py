@@ -3,13 +3,20 @@ lifecycle calls them as `<module>.<name>(...)`; a refactor that renames or
 moves one of them, or renames a parameter the lifecycle passes by keyword,
 would silently drop its spans from traced runs, or break the benchmark
 while every other test passes. Both files are read from their source,
-without importing or editing them."""
+without importing or editing them. The lifecycle also learns on deep
+copies of the base memories every round, which the last test checks."""
 
 import ast
+import copy
 import importlib
 import inspect
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
+
+from helpers import ConcatRows, held_nbytes, learn_class_oracles, make_points_dataset
+from protomem import backbone, memory, offline, online
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 TRACER = BENCHMARKS / "tracer.py"
@@ -152,3 +159,39 @@ def test_rebuilt_at_bits_is_patchable():
     from protomem.memory import ExplicitMemory
 
     assert "rebuilt_at_bits" in ExplicitMemory.__dict__
+
+
+def lifecycle_deepcopies() -> set:
+    """The source of every argument that lifecycle.py hands `copy.deepcopy`."""
+    tree = ast.parse(LIFECYCLE.read_text(encoding="utf-8"))
+    return {
+        ast.unparse(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "copy.deepcopy"
+    }
+
+
+def test_deep_copied_base_memories_learn_alone_and_hold_each_row_once():
+    # Every round learns on deep copies of the learned base memories. A copy
+    # that wrote into its source's buffers would change the next round's
+    # base; one that kept a view beside the buffer it views would hold rows
+    # twice and raise peak_rss_mb.
+    assert {"trained.base_em", "trained.base_am"} <= lifecycle_deepcopies()
+    params = backbone.init_model([8, 6, 4], seed=0)
+    quant = memory.QuantSpec(prototype_bits=3)
+    base_em, base_am = offline.build_base_em(params, make_points_dataset(6, 5, dim=8), quant)
+    copies = [(copy.deepcopy(base_em), copy.deepcopy(base_am)) for _ in range(2)]
+    for mem in [base_em, base_am, *(m for pair in copies for m in pair)]:
+        stored = sum(array.nbytes for array in ConcatRows.of(mem).arrays.values())
+        assert held_nbytes(mem) <= 2 * stored
+    pairs = [(base_em, base_am), *copies]
+    oracles = [(ConcatRows.of(em), ConcatRows.of(am)) for em, am in pairs]
+    rng = np.random.default_rng(4)
+    for cid in range(100, 106):
+        who = cid % len(pairs)
+        samples = rng.standard_normal((5, 8))
+        online.learn_class(*pairs[who], params, samples, cid)
+        learn_class_oracles(*oracles[who], quant, params, samples, cid)
+        for (em, am), (em_rows, am_rows) in zip(pairs, oracles):
+            em_rows.assert_holds(em)
+            am_rows.assert_holds(am)

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import math
+import pickle
 import struct
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ConcatRows, assert_same_bits, held_nbytes, learn_class_oracles
 from protomem import memory
 from protomem.backbone import forward_backbone, forward_fcr, init_model
 from protomem.errors import (
@@ -35,6 +38,7 @@ from protomem.memory import (
     quantize_feature,
     quantize_rows,
     reduce_rows,
+    save_actmem,
     save_em,
 )
 from protomem.numerics import cossim
@@ -710,12 +714,20 @@ class TestSnapshot:
             load_em(path)
 
     @staticmethod
-    def write_one_class(path, bits, entries, shift):
-        """An OFEM holding class 0 (1 shot) with `entries` as stored values."""
+    def em_file(bits, rows, shift=0):
+        """OFEM bytes of classes 7, 8, ... (1, 2, ... shots) storing `rows`."""
         width = (bits + 7) // 8
-        values = b"".join(int(v).to_bytes(width, "little", signed=True) for v in entries)
-        head = struct.pack("<IIIII", 1, 1, len(entries), bits, shift)
-        path.write_bytes(b"OFEM" + head + struct.pack("<II", 0, 1) + values)
+        payload = b"".join(
+            struct.pack("<II", 7 + i, 1 + i)
+            + b"".join(int(v).to_bytes(width, "little", signed=True) for v in row)
+            for i, row in enumerate(rows)
+        )
+        return b"OFEM" + struct.pack("<IIIII", 1, len(rows), len(rows[0]), bits, shift) + payload
+
+    @classmethod
+    def write_one_class(cls, path, bits, entries, shift):
+        """An OFEM holding class 7 (1 shot) with `entries` as stored values."""
+        path.write_bytes(cls.em_file(bits, [entries], shift))
 
     @pytest.mark.parametrize("bits,entries", [
         (3, [100, -100, 3]),
@@ -783,6 +795,197 @@ class TestSnapshot:
         self.write_one_class(path, bits, [1, -1, 1], shift)
         with pytest.raises(MalformedFileError, match=f"shift {shift} above"):
             load_em(path)
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_every_width_round_trips_its_extremes(self, tmp_path, bits):
+        # each entry is decoded from its own bytes beside the bytes of its
+        # neighbours and of the record head, which must not leak into it
+        lo, hi = (-1, 1) if bits == 1 else (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
+        rows = [[lo, hi, -1], [1, hi, lo], [hi, lo, hi]] if bits == 1 else [
+            [lo, hi, -1], [0, 1, lo], [hi, lo + 1, hi - 1],
+        ]
+        blob = self.em_file(bits, rows)
+        (tmp_path / "in.ofem").write_bytes(blob)
+        em = load_em(tmp_path / "in.ofem")
+        assert em.reduced.tolist() == em.accum.tolist() == rows
+        assert em.class_ids() == [7, 8, 9] and em.counts.tolist() == [1, 2, 3]
+        assert em.reduced.dtype == np.int64 and em.quant.prototype_bits == bits
+        save_em(em, tmp_path / "out.ofem")
+        assert (tmp_path / "out.ofem").read_bytes() == blob
+        # and what learning stores at this width saves to the same layout
+        learned = ExplicitMemory(3, QuantSpec(accum_bits=64, prototype_bits=bits))
+        for i, accum in enumerate([[-(2**63), 2**63 - 1, 5], [1, -1, 0], [hi, lo, 0]]):
+            learned.add_accumulated(7 + i, accum, 1 + i)
+        save_em(learned, tmp_path / "learned.ofem")
+        shift = int(learned.shifts.max())
+        assert (tmp_path / "learned.ofem").read_bytes() == self.em_file(
+            bits, learned.reduced.tolist(), shift
+        )
+        back = load_em(tmp_path / "learned.ofem")
+        assert back.reduced.tolist() == learned.reduced.tolist()
+
+    def test_activation_sums_round_trip_bit_for_bit(self, tmp_path):
+        top = np.finfo(np.float64).max
+        am = ActivationMemory(6)
+        am.add_batch(4, [[0.0, 5e-324, -5e-324, top, -top, 1.0 / 3.0]])
+        am.add_batch(2, [[0.0, -2.5, 2.0**-1074, 7.0, -0.0, 1e300]])
+        save_actmem(am, tmp_path / "a.ofam")
+        back = load_actmem(tmp_path / "a.ofam")
+        assert back.class_ids() == [4, 2] and back.sums.dtype == np.float64
+        assert_same_bits(back.sums, am.sums)
+
+
+class TestRowStore:
+    """Both memories keep their rows in buffers with spare rows that they
+    alone write; every memory must still read as if each append had
+    concatenated fresh arrays (`helpers.ConcatRows`)."""
+
+    PARAMS = init_model([8, 6, 4], seed=3)
+
+    @classmethod
+    def learn(cls, em, am, rng, cid, oracles=None):
+        samples = rng.standard_normal((int(rng.integers(1, 6)), 8)) + rng.standard_normal(8)
+        learn_class(em, am, cls.PARAMS, samples, cid)
+        if oracles is not None:
+            learn_class_oracles(*oracles, em.quant, cls.PARAMS, samples, cid)
+
+    OPS = ("add_accumulated", "add_batch", "learn_class", "rebuilt_at_bits", "deepcopy",
+           "pickle", "snapshot")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**31)), max_size=25))
+    def test_every_memory_matches_a_concatenating_oracle(self, tmp_path_factory, steps):
+        d_p, d_a = self.PARAMS.d_p, self.PARAMS.d_a
+        root = ExplicitMemory(d_p, QuantSpec(prototype_bits=5)), ActivationMemory(d_a)
+        ems, ams = [(root[0], ConcatRows.of(root[0]))], [(root[1], ConcatRows.of(root[1]))]
+        fresh_ids, folder = itertools.count(), tmp_path_factory.mktemp("rows")
+        for op, seed in steps:
+            rng = np.random.default_rng(seed)
+            em, em_rows = ems[rng.integers(len(ems))]
+            am, am_rows = ams[rng.integers(len(ams))]
+            if op == "add_accumulated":
+                accum, count = rng.integers(-(2**20), 2**20, d_p), int(rng.integers(1, 9))
+                em.add_accumulated(next(fresh_ids), accum, count)
+                em_rows.add_accumulated(em.ids[-1], accum, count, em.quant.prototype_bits)
+            elif op == "add_batch":
+                thetas = rng.standard_normal((int(rng.integers(1, 5)), d_a))
+                am.add_batch(next(fresh_ids), thetas)
+                am_rows.add_batch(am.ids[-1], thetas)
+            elif op == "learn_class":
+                self.learn(em, am, rng, next(fresh_ids), (em_rows, am_rows))
+            elif op == "rebuilt_at_bits":
+                bits = int(rng.integers(1, 33))
+                reduced, shifts = reduce_rows(em_rows.arrays["accum"], bits)
+                rows = {**em_rows.arrays, "reduced": reduced, "shifts": shifts}
+                ems.append((em.rebuilt_at_bits(bits), ConcatRows(**rows)))
+            elif op in ("deepcopy", "pickle"):
+                clone = copy.deepcopy if op == "deepcopy" else lambda m: pickle.loads(pickle.dumps(m))
+                ems.append((clone(em), ConcatRows(**em_rows.arrays)))
+                ams.append((clone(am), ConcatRows(**am_rows.arrays)))
+            else:  # snapshot both, then learn on what loads
+                save_em(em, folder / "em.ofem")
+                save_actmem(am, folder / "am.ofam")
+                em2, am2 = load_em(folder / "em.ofem"), load_actmem(folder / "am.ofam")
+                reduced = em_rows.arrays["reduced"]
+                shifts = np.full(len(reduced), em_rows.arrays["shifts"].max(initial=0))
+                rows = {**em_rows.arrays, "shifts": shifts, "accum": reduced}
+                oracles = ConcatRows(**rows), ConcatRows(**am_rows.arrays)
+                self.learn(em2, am2, rng, next(fresh_ids), oracles)
+                ems.append((em2, oracles[0]))
+                ams.append((am2, oracles[1]))
+            for mem, rows in ems + ams:
+                rows.assert_holds(mem)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_learning_on_one_relative_leaves_the_others_unchanged(self, order):
+        # the source has spare rows; its rebuild shares its arrays
+        rng = np.random.default_rng(5)
+        em, am = ExplicitMemory(self.PARAMS.d_p), ActivationMemory(self.PARAMS.d_a)
+        for cid in range(3):
+            self.learn(em, am, rng, cid)
+        em_copy, am_copy = copy.deepcopy(em), copy.deepcopy(am)
+        pairs = [(em, am), (em.rebuilt_at_bits(3), ActivationMemory(self.PARAMS.d_a)),
+                 (em_copy, am_copy)]
+        oracles = [(ConcatRows.of(e), ConcatRows.of(a)) for e, a in pairs]
+        for cid, who in enumerate(order, start=10):
+            self.learn(*pairs[who], rng, cid, oracles[who])
+            for (e, a), (e_rows, a_rows) in zip(pairs, oracles):
+                e_rows.assert_holds(e)
+                a_rows.assert_holds(a)
+
+    def test_an_append_writes_its_row_beside_the_rows_before(self):
+        # a full buffer doubles, so of 16 appends to a non-empty memory at
+        # most 5 (at 1, 2, 4, 8 and 16 rows) copy the rows before them
+        rng = np.random.default_rng(8)
+        em, am = ExplicitMemory(self.PARAMS.d_p), ActivationMemory(self.PARAMS.d_a)
+        self.learn(em, am, rng, 0)
+        in_place = []
+        for cid in range(1, 17):
+            accum, sums = em.accum, am.sums
+            self.learn(em, am, rng, cid)
+            assert np.array_equal(em.accum[:cid], accum) and np.array_equal(am.sums[:cid], sums)
+            in_place.append(np.shares_memory(em.accum, accum) and np.shares_memory(am.sums, sums))
+        assert in_place.count(False) <= 5
+
+    def test_a_copy_holds_each_row_once_and_learns_in_place(self):
+        rng = np.random.default_rng(9)
+        em, am = ExplicitMemory(64), ActivationMemory(64)
+        for cid in range(5):
+            em.add_accumulated(cid, rng.integers(-99, 99, 64), 1)
+            am.add_batch(cid, rng.standard_normal((2, 64)))
+        classify(em, np.ones(64))  # a scored memory holds a derived float copy too
+        learn = {em: lambda m: m.add_accumulated(9, np.ones(64), 1),
+                 am: lambda m: m.add_batch(9, np.ones((1, 64)))}
+        for mem in (em, am):
+            rows = ConcatRows.of(mem).arrays
+            stored = sum(array.nbytes for array in rows.values())
+            assert len(pickle.dumps(mem)) < stored + 1024
+            for clone in (copy.deepcopy(mem), pickle.loads(pickle.dumps(mem))):
+                assert held_nbytes(clone) <= 2 * stored
+                ConcatRows(**rows).assert_holds(clone)
+                before = {name: getattr(clone, name) for name in rows}
+                learn[mem](clone)
+                assert all(np.shares_memory(getattr(clone, n), a) for n, a in before.items())
+            ConcatRows(**rows).assert_holds(mem)
+
+    def test_a_loaded_memory_keeps_the_rows_it_decoded(self, tmp_path):
+        # load_em decodes once; accumulators and reduced values are one
+        # array until the next append gives each a buffer of its own
+        em = ExplicitMemory(3, QuantSpec(prototype_bits=4))
+        for cid in range(3):
+            em.add_accumulated(cid, [cid, -5, 7], 1)
+        save_em(em, tmp_path / "em.ofem")
+        loaded = load_em(tmp_path / "em.ofem")
+        assert loaded.accum is loaded.reduced and loaded.reduced.flags.owndata
+        loaded.add_accumulated(9, [99, 0, -99], 1)
+        assert not np.shares_memory(loaded.accum, loaded.reduced)
+        assert loaded.accum[:3].tolist() == em.reduced.tolist() == loaded.reduced[:3].tolist()
+
+    @pytest.mark.parametrize("class_id", [3, np.int64(3), 3.0])
+    def test_stored_ids_match_by_value(self, class_id):
+        em = ExplicitMemory(2)
+        em.add_accumulated(5, [1, 2], 1)
+        em.add_accumulated(3, [3, 4], 1)
+        assert class_id in em and em.get(class_id).accum.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("class_id", [4, -3, 2**70, 3.5, None, "3"])
+    def test_other_values_match_no_stored_id(self, class_id):
+        em = ExplicitMemory(2)
+        em.add_accumulated(3, [3, 4], 1)
+        assert class_id not in em
+        with pytest.raises(KeyError):
+            em.get(class_id)
+
+    def test_a_clash_names_the_first_repeated_id(self):
+        em = ExplicitMemory(1)
+        em.add_accumulated(4, [1], 1)
+        with pytest.raises(DuplicateClassError, match="class 4 already stored"):
+            em._append([6, 4], [1, 1], shifts=np.zeros(2, int), accum=np.ones((2, 1), int),
+                       reduced=np.ones((2, 1), int))
+        with pytest.raises(DuplicateClassError, match="class 6 already stored"):
+            em._append([6, 7, 6], [1, 1, 1], shifts=np.zeros(3, int),
+                       accum=np.ones((3, 1), int), reduced=np.ones((3, 1), int))
+        assert em.class_ids() == [4]
 
 
 class TestReduceRows:
