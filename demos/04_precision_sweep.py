@@ -7,7 +7,6 @@ Run: python3 demos/04_precision_sweep.py   (about half a minute on CPU)
 import numpy as np
 
 from protomem import (
-    ActivationMemory,
     ExplicitMemory,
     MetaConfig,
     PretrainLossConfig,
@@ -41,10 +40,10 @@ metalearn(params, stream.base,
 
 print("== populate the store with every class in the stream ==")
 em = ExplicitMemory(params.d_p, QuantSpec())
-act_mem = ActivationMemory(params.d_a)
 for part in [stream.base, *stream.sessions]:
     for cid in part.class_ids():
-        learn_class(em, act_mem, params, part.inputs[part.indices_of(cid)], cid)
+        # no activation memory: only finetuning reads one
+        learn_class(em, None, params, part.inputs[part.indices_of(cid)], cid)
 print(f"{len(em)} prototypes of dim {em.d_p}")
 
 print("\n== sweep prototype precision ==")

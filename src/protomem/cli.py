@@ -32,7 +32,7 @@ from .harness import (
 from .memory import ActivationMemory, ExplicitMemory, classify_batch, precision_sweep
 from .memory import load_actmem, load_em, save_actmem, save_em
 from .offline import build_base_em
-from .online import learn_class, learn_dataset
+from .online import check_aligned, learn_class, learn_dataset
 
 
 def _fmt(value) -> str:
@@ -138,9 +138,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
     require_test_rows(stream)
-    em, act_mem = build_base_em(params, stream.base, cfg.recipe().quant)
+    em, _ = build_base_em(params, stream.base, cfg.recipe().quant)
     for session in stream.sessions:
-        learn_dataset(em, act_mem, params, session)
+        learn_dataset(em, None, params, session)
     feats = extract_features(params, stream.test)
     points = precision_sweep(em, feats, stream.test.labels, cfg.sweep_bits)
     rows = [(p.bits, p.memory_bytes / 1000.0, p.accuracy) for p in points]
@@ -176,6 +176,10 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_learn_class(cfg: RunConfig) -> int:
+    # an activation memory is kept only when actmem_in or actmem_out is set,
+    # and one that is read is written back, so that the pair stays aligned
+    if cfg.actmem_in and not cfg.actmem_out:
+        raise ConfigError("actmem_in needs actmem_out, so that both memories learn the class")
     params = load_params(cfg.params_in)
     dataset = _resolve_dataset(cfg)
     if not 0 <= cfg.class_id < 2**32:
@@ -189,10 +193,17 @@ def cmd_learn_class(cfg: RunConfig) -> int:
             f"prototype_bits is {quant.prototype_bits}"
         )
     em.quant = quant  # a snapshot keeps only its width; the config sets the rest
-    act_mem = load_actmem(cfg.actmem_in) if cfg.actmem_in else ActivationMemory(params.d_a)
+    act_mem = None
+    if cfg.actmem_in:
+        act_mem = load_actmem(cfg.actmem_in)
+        if cfg.em_in:
+            check_aligned(em, act_mem)
+    elif cfg.actmem_out:
+        act_mem = ActivationMemory(params.d_a)
     learn_class(em, act_mem, params, dataset.inputs[rows], cfg.class_id)
     save_em(em, cfg.em_out)
-    save_actmem(act_mem, cfg.actmem_out)
+    if act_mem is not None:
+        save_actmem(act_mem, cfg.actmem_out)
     print(f"learned class {cfg.class_id} from {len(rows)} shots -> {cfg.em_out}")
     return 0
 

@@ -110,7 +110,7 @@ DEFAULTS = {
     "em_in": (str, ""),
     "em_out": (str, "em.ofem"),
     "actmem_in": (str, ""),
-    "actmem_out": (str, "actmem.ofam"),
+    "actmem_out": (str, ""),  # "" keeps no activation memory
     "history_out": (str, "history.csv"),
     "report_out": (str, "report.csv"),
     "sweep_out": (str, "sweep.csv"),

@@ -86,13 +86,16 @@ def quantize_rows(theta, feature_bits: int) -> QuantizedFeature:
     row cannot define a scale: it quantizes to zeros with scale 1 and its
     degenerate flag set.
     """
-    x = check_finite(as_matrix(theta), "feature rows")
+    x = as_matrix(theta)
+    # NaN and inf propagate into a row's peak
+    peak = check_finite(np.abs(x).max(axis=1), "feature rows")
     qmax = (1 << (feature_bits - 1)) - 1
-    peak = np.abs(x).max(axis=1)
     degenerate = peak == 0.0
     scale = np.where(degenerate, 1.0, peak / qmax)
-    q = np.clip(np.rint(x / scale[:, None]), -(qmax + 1), qmax).astype(np.int64)
-    return QuantizedFeature(q, scale, degenerate)
+    q = np.rint(x / scale[:, None])
+    # np.clip(q, -(qmax + 1), qmax) in place, without its per-call dispatch
+    np.minimum(np.maximum(q, -(qmax + 1), out=q), qmax, out=q)
+    return QuantizedFeature(q.astype(np.int64), scale, degenerate)
 
 
 def quantize_feature(theta_p, feature_bits: int) -> QuantizedFeature:
@@ -128,15 +131,17 @@ def reduce_rows(accum, bits: int):
     accumulators: 1-bit storage is the sign vector; wider storage is each
     row's minimal arithmetic right shift into the signed range,
     bit_length(max|row|) - (bits - 1) (cosine scoring is per-prototype
-    scale-invariant). Returns (reduced, shifts)."""
+    scale-invariant). Returns (reduced, shifts); at 64 bits `reduced` is
+    `accum` itself."""
     accum = np.asarray(accum, dtype=np.int64)
     if bits == 1:
         return bipolarize(accum), np.zeros(len(accum), dtype=np.int64)
+    if bits == 64:  # every int64 fits 64-bit storage as it is
+        return accum, np.zeros(len(accum), dtype=np.int64)
     # unsigned, so that |-2**63| is 2**63 rather than wrapping to -2**63
     magnitude = np.abs(accum).view(np.uint64).max(axis=1, initial=0)
     bit_length = _POWERS_OF_TWO.searchsorted(magnitude, side="right")
-    # every int64 fits 64-bit storage as it is
-    shifts = np.maximum(bit_length - (bits - 1), 0) if bits < 64 else np.zeros_like(bit_length)
+    shifts = np.maximum(bit_length - (bits - 1), 0)
     return accum >> shifts[:, None], shifts
 
 
@@ -229,9 +234,9 @@ class _ClassRows:
         if any(not 0 <= c < 2**32 for c in given):
             raise ClassIdRangeError(f"class ids {given} must lie in [0, 2**32)")
         new = np.array(given, dtype=np.int64)
-        # stored ids are distinct: a clash is a stored id or a repeated new one
-        if np.count_nonzero(self.ids == new[:, None]) or len(set(new.tolist())) < len(new):
-            both = self.ids.tolist() + new.tolist()
+        # stored ids are distinct: a clash is a repeated new id or a stored one
+        if len(set(given)) < len(given) or np.count_nonzero(self.ids == new[:, None]):
+            both = self.ids.tolist() + given
             clash = next(c for i, c in enumerate(both) if c in both[:i])
             raise DuplicateClassError(f"class {clash} already stored")
         shots = np.asarray(counts).tolist()
@@ -243,12 +248,15 @@ class _ClassRows:
             width = getattr(self, name).shape[1:]
             if block.shape[1:] != width:
                 raise ShapeMismatchError(f"{name} rows of shape {block.shape[1:]} != {width}")
-        n, k = len(self), len(new)
-        rows.update(ids=new, counts=np.array(counts, dtype=np.int64))
+        n, k = len(self), len(given)
+        rows.update(ids=new, counts=np.array(shots, dtype=np.int64))
         if n == 0:  # an empty memory holds no buffer
             vars(self).update(rows)
             return
-        self._reserve(n + k)
+        # `_reserve` replaces every buffer at once, so the ids buffer's room is all of theirs
+        ids_buf = self._bufs["ids"]
+        if ids_buf is None or len(ids_buf) < n + k:
+            self._reserve(n + k)
         for name, block in rows.items():
             buf = self._bufs[name]
             buf[n : n + k] = block
@@ -307,7 +315,9 @@ class ExplicitMemory(_ClassRows):
 
     def add_accumulated(self, class_id: int, accum, count: int):
         """Store a class from its exact sum, reduced by `reduce_rows`."""
-        accum = np.array(accum, dtype=np.int64).reshape(1, -1)
+        accum = np.asarray(accum, dtype=np.int64).reshape(1, -1)
+        if not len(self):  # an empty memory keeps the rows it is given
+            accum = accum.copy()
         reduced, shifts = reduce_rows(accum, self.quant.prototype_bits)
         self._append([class_id], [count], shifts=shifts, accum=accum, reduced=reduced)
 

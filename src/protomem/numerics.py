@@ -122,11 +122,15 @@ def matmul(a, b) -> np.ndarray:
       the smallest within 2% of the best in that sitting and in a second
       one.
     - One-row products (m == 1) run one rank-1 update per live column. A
-      one-row stacked reduce cut online_sessions query_us_p50 from about
-      675 to 154 us in a 28 s seed-7 run (2 vCPUs, numpy 2.4.6), but 23
-      rounds fit the window instead of 7 to 12, and peak_rss_mb rose from
-      about 51.3 to 57.6 MB, past the benchmark's 10% bound, because its
-      samples grow with the round count (ROADMAP item 1(a)).
+      one-row stacked reduce with blocks of about 64 KiB cut online_sessions
+      query_us_p50 from 679 and 674 to 193 and 185 us in two 28 s seed-7
+      runs (2 vCPUs, numpy 2.4.6). But 27 to 28 rounds fit the window
+      instead of 13, and peak_rss_mb rose from 52.3-53.3 to 60.1-60.7 MB
+      (+14%), past the benchmark's 10% bound. The rank-1 path alone reads
+      58.5 MB when run for 23 rounds: on either path the benchmark's
+      process grows about 0.5 MB per round of 8,672 samples, so the one-row
+      path waits for a benchmark whose footprint does not grow with its
+      round count (ROADMAP item 1(a)).
 
     Only the live columns of `a` are visited: those with a nonzero or NaN
     entry, plus any whose row b[i] holds a non-finite value (0 * inf is

@@ -31,7 +31,7 @@ from .losses import (
     sample_augmentation,
     softmax_ce_batch,
 )
-from .memory import ActivationMemory, ExplicitMemory, QuantSpec
+from .memory import ExplicitMemory, QuantSpec
 from .numerics import ZERO_NORM_FLOOR, matvecs, relu, row_norms
 from .online import learn_dataset
 
@@ -288,8 +288,10 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
     return params, history
 
 
-def build_base_em(params, base_dataset, quant: QuantSpec):
-    """Populate a fresh explicit memory and activation memory with one
-    prototype per base class, each from a single pass over its samples."""
+def build_base_em(params, base_dataset, quant: QuantSpec, act_mem=None):
+    """Populate a fresh explicit memory with one prototype per base class,
+    each from a single pass over its samples, and `act_mem` with their mean
+    activations unless it is None (only finetuning reads them). Returns
+    (em, act_mem)."""
     em = ExplicitMemory(params.d_p, quant)
-    return learn_dataset(em, ActivationMemory(params.d_a), params, base_dataset)
+    return learn_dataset(em, act_mem, params, base_dataset)

@@ -36,11 +36,12 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     Features are quantized and summed into an exact integer accumulator;
     the class mean is never materialized (cosine scoring is
     scale-invariant). Extractor and projection weights stay untouched.
-    Both memories are checked before either is written.
+    `act_mem` is None when no activation memory is kept: only finetuning
+    reads one. Both memories are checked before either is written.
     """
-    if class_id in em or class_id in act_mem:
+    if class_id in em or act_mem is not None and class_id in act_mem:
         raise DuplicateClassError(f"class {class_id} already learned")
-    if act_mem.d_a != params.d_a:
+    if act_mem is not None and act_mem.d_a != params.d_a:
         raise ShapeMismatchError(f"activation memory d_a {act_mem.d_a} != model d_a {params.d_a}")
     if em.d_p != params.d_p:
         raise ShapeMismatchError(f"explicit memory d_p {em.d_p} != model d_p {params.d_p}")
@@ -58,16 +59,27 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     theta_p = forward_fcr(params, theta_a)
     accum = quantize_rows(theta_p, em.quant.feature_bits).values.sum(axis=0)
     em.add_accumulated(class_id, accum, shots)
-    act_mem.add_batch(class_id, theta_a)
+    if act_mem is not None:
+        act_mem.add_batch(class_id, theta_a)
     return em, act_mem
 
 
 def learn_dataset(em, act_mem, params, dataset):
     """Absorb every class of `dataset`, one `learn_class` each, in class-id
-    order: the one order in which a stream's classes enter the memories."""
+    order: the one order in which a stream's classes enter the memories.
+    `act_mem` may be None, as in `learn_class`."""
     for cid in dataset.class_ids():
         learn_class(em, act_mem, params, dataset.inputs[dataset.indices_of(cid)], cid)
     return em, act_mem
+
+
+def check_aligned(em, act_mem):
+    """Refuse an explicit and activation memory pair whose class-id sets
+    differ: finetuning pairs each prototype with its class's mean
+    activation."""
+    em_ids, am_ids = sorted(em.class_ids()), sorted(act_mem.class_ids())
+    if em_ids != am_ids:
+        raise MisalignedMemoriesError(f"memory class sets differ: em={em_ids} act={am_ids}")
 
 
 def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
@@ -93,19 +105,14 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
     Returns the per-epoch total loss history (recorded before each
     epoch's updates land in the following groups).
     """
-    em_ids = sorted(em.class_ids())
-    am_ids = sorted(act_mem.class_ids())
-    if em_ids != am_ids:
-        raise MisalignedMemoriesError(
-            f"memory class sets differ: em={em_ids} act={am_ids}"
-        )
+    check_aligned(em, act_mem)
     order = np.argsort(act_mem.ids)
     inputs = act_mem.sums[order] / act_mem.counts[order, None]
     targets = bipolarize(em.reduced[np.argsort(em.ids)]).astype(np.float64)
     history = []
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
-        for lo in range(0, len(em_ids), cfg.sub_batch):
+        for lo in range(0, len(em), cfg.sub_batch):
             rows = slice(lo, lo + cfg.sub_batch)
             tape = GradientTape()  # records the projection only, so trains only it
             out = forward_fcr(params, inputs[rows], tape)

@@ -249,7 +249,7 @@ def finetune_fcr_per_row(params, act_mem, em, cfg):
 def run_protocol_per_stage(params, stream, quant, finetune=None):
     """`harness.run_protocol` with every stage running the whole extractor
     again on its test subset."""
-    em, act_mem = build_base_em(params, stream.base, quant)
+    em, act_mem = build_base_em(params, stream.base, quant, ActivationMemory(params.d_a))
     base_ids = stream.base.class_ids()
     accs, base_accs = [], []
     for t in range(len(stream.sessions) + 1):

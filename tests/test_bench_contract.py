@@ -3,17 +3,20 @@ lifecycle calls them as `<module>.<name>(...)`; a refactor that renames or
 moves one of them, or renames a parameter the lifecycle passes by keyword,
 would silently drop its spans from traced runs, or break the benchmark
 while every other test passes. Both files are read from their source,
-without importing or editing them. The lifecycle also learns on deep
-copies of the base memories every round, which the last test checks."""
+and neither is edited. The lifecycle also learns on deep copies of the
+base memories every round, which a test checks, and the last test runs
+the set-up and one round of two shrunken workloads."""
 
 import ast
 import copy
 import importlib
 import inspect
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from helpers import ConcatRows, held_nbytes, learn_class_oracles, make_points_dataset
 from protomem import backbone, memory, offline, online
@@ -179,7 +182,9 @@ def test_deep_copied_base_memories_learn_alone_and_hold_each_row_once():
     assert {"trained.base_em", "trained.base_am"} <= lifecycle_deepcopies()
     params = backbone.init_model([8, 6, 4], seed=0)
     quant = memory.QuantSpec(prototype_bits=3)
-    base_em, base_am = offline.build_base_em(params, make_points_dataset(6, 5, dim=8), quant)
+    base_em, base_am = offline.build_base_em(
+        params, make_points_dataset(6, 5, dim=8), quant, memory.ActivationMemory(params.d_a)
+    )
     copies = [(copy.deepcopy(base_em), copy.deepcopy(base_am)) for _ in range(2)]
     for mem in [base_em, base_am, *(m for pair in copies for m in pair)]:
         stored = sum(array.nbytes for array in ConcatRows.of(mem).arrays.values())
@@ -195,3 +200,25 @@ def test_deep_copied_base_memories_learn_alone_and_hold_each_row_once():
         for (em, am), (em_rows, am_rows) in zip(pairs, oracles):
             em_rows.assert_holds(em)
             am_rows.assert_holds(am)
+
+
+@pytest.mark.parametrize("workload", ["online_sessions", "offline_train"])
+def test_a_small_lifecycle_round_keeps_its_checks(monkeypatch, tmp_path, workload):
+    # the set-up and one round of a workload, shrunk to a few milliseconds
+    # of work: the base memories it deep-copies hold no activation memory
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under benchmarks/
+    lifecycle = importlib.import_module("lifecycle")
+    spec = replace(
+        lifecycle.WORKLOADS[workload], classes=6, per_class=9, grid=4, max_shift=0,
+        base_classes=3, ways=1, shots=2, sessions=2, per_class_cap=6, test_per_class=2,
+        hidden=(8, 6, 4), pretrain_epochs=1, meta_iterations=1, meta_samples=2,
+    )
+    rec = lifecycle.Samples()
+    state = lifecycle.setup(spec, 3, rec)
+    out = lifecycle.run_round(spec, state, 3, tmp_path / "em.ofem", rec)
+    assert out["snapshot_roundtrip"] and out["learn_replays_agree"]
+    assert len(out["session_accs"]) == spec.sessions + 1
+    assert len(rec.raw["learn_class_ms"]) == lifecycle.LEARN_SAMPLES_PER_ROUND
+    if not spec.train_in_round:
+        assert state.trained.base_am is None

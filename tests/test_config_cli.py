@@ -22,7 +22,15 @@ from protomem.errors import (
     SettingValueError,
 )
 from protomem.harness import TrainRecipe, make_blob_dataset, train_pipeline
-from protomem.memory import load_actmem, load_em
+from protomem.memory import (
+    ActivationMemory,
+    ExplicitMemory,
+    load_actmem,
+    load_em,
+    save_actmem,
+    save_em,
+)
+from protomem.online import learn_class
 from protomem import cli, offline
 
 
@@ -806,6 +814,48 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith(("data error", "error"))
         assert not (tmp_path / "three.ofem").exists()
 
+    def test_learn_class_refuses_a_misaligned_pair(self, tmp_path, capsys):
+        # a pair split by an earlier run: the explicit memory holds a class
+        # that the activation memory does not
+        params = init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0)
+        save_params(params, tmp_path / "params.ofsc")
+        ds = make_blob_dataset(TINY["classes"], 4, grid=TINY["grid"], seed=9)
+        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        for cid in range(5):
+            into = am if cid < 4 else ActivationMemory(params.d_a)
+            learn_class(em, into, params, ds.inputs[ds.indices_of(cid)], cid)
+        save_em(em, tmp_path / "in.ofem")
+        save_actmem(am, tmp_path / "in.ofam")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code = self.learn_from_file(
+            tmp_path, 6, "out.ofem", em_in=tmp_path / "in.ofem",
+            actmem_in=tmp_path / "in.ofam", actmem_out=tmp_path / "out.ofam",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "data error: memory class sets differ: em=[0, 1, 2, 3, 4] act=[0, 1, 2, 3]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "class6.ofds"])
+
+    def test_learn_class_reads_an_activation_memory_only_to_write_it(self, tmp_path, capsys):
+        save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
+        assert self.learn_from_file(tmp_path, 0, "one.ofem", actmem_out=tmp_path / "one.ofam") == 0
+        code = self.learn_from_file(
+            tmp_path, 1, "two.ofem", em_in=tmp_path / "one.ofem",
+            actmem_in=tmp_path / "one.ofam", actmem_out="",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: actmem_in needs actmem_out")
+        assert not (tmp_path / "two.ofem").exists()
+
+    def test_learn_class_without_an_activation_memory(self, tmp_path):
+        save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
+        assert self.learn_from_file(tmp_path, 0, "kept.ofem", actmem_out=tmp_path / "a.ofam") == 0
+        assert load_actmem(tmp_path / "a.ofam").class_ids() == [0]
+        files = sorted(p.name for p in tmp_path.iterdir())
+        assert self.learn_from_file(tmp_path, 0, "alone.ofem", actmem_out="") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "alone.ofem"])
+        assert (tmp_path / "alone.ofem").read_bytes() == (tmp_path / "kept.ofem").read_bytes()
+
     def test_env_seed_changes_artifacts(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir()
@@ -918,4 +968,36 @@ class TestMalformedFileSweep:
             code, err = run(path), capsys.readouterr().err
             if code != 3 or not err.startswith("data error") or any(o.exists() for o in outputs):
                 missed.append(f"{what}: {command} exits {code}: {err.strip()}")
+        assert missed == []
+
+
+# every key but the files a command reads and writes, and the data sources
+SWEPT_KEYS = sorted(
+    key for key in DEFAULTS
+    if not key.endswith(("_in", "_out")) and key not in ("stream_manifest", "dataset")
+)
+SWEPT_VALUES = ("0", "-1", "1", "2", "x", "nan", "")
+
+
+class TestLearnClassKeySweep:
+    """Any value of any key makes `learn-class` succeed or exit 2, 3 or 4,
+    and a run that fails writes no file."""
+
+    @pytest.mark.parametrize("key", SWEPT_KEYS)
+    def test_each_value_exits_0_to_4_and_a_failure_writes_nothing(
+        self, sweep_inputs, tmp_path, monkeypatch, capsys, key
+    ):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        missed = []
+        for value in SWEPT_VALUES:
+            argv = tiny_overrides(
+                tmp_path, **{"params_in": sweep_inputs / "params.ofsc", "class_id": 1, key: value}
+            )
+            code = cli.main(["learn-class", *argv])
+            written = sorted(p.name for p in tmp_path.iterdir())
+            if code not in (0, 2, 3, 4) or code and written:
+                missed.append(f"{key}={value!r}: exit {code}, wrote {written}")
+            for path in tmp_path.iterdir():
+                path.unlink()
+        capsys.readouterr()
         assert missed == []

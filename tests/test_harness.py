@@ -30,7 +30,7 @@ from protomem.harness import (
     train_pipeline,
     validate_stream,
 )
-from protomem.memory import QuantSpec, classify
+from protomem.memory import ActivationMemory, QuantSpec, classify
 from protomem.offline import MetaConfig, build_base_em, metalearn
 from protomem.online import FinetuneConfig
 
@@ -141,6 +141,21 @@ class TestRunProtocol:
         want = run_protocol_per_stage(twin, stream, QuantSpec(), ft_cfg)
         assert got == want
         assert params_checksum(params) == params_checksum(twin)
+
+    @pytest.mark.parametrize("ft_cfg,built", [(None, 0), (SMALL_FT, 1)])
+    def test_activation_memory_is_built_only_to_finetune(self, monkeypatch, ft_cfg, built):
+        made = []
+        init = ActivationMemory.__init__
+
+        def spy(self, d_a):
+            made.append(d_a)
+            init(self, d_a)
+
+        monkeypatch.setattr(ActivationMemory, "__init__", spy)
+        stream = desk_stream(15)
+        params = desk_params(stream, 15)
+        run_protocol(params, stream, QuantSpec(), ft_cfg)
+        assert made == [params.d_a] * built
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_extracts_each_row_once(self, finetune):

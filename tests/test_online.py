@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import struct
 
 import numpy as np
@@ -133,6 +134,35 @@ class TestLearnClass:
         queries = forward_fcr(params, forward_backbone(params, rng.standard_normal((6, 8))))
         for q in queries:
             assert classify(narrow, q)[0] == classify(rebuilt, q)[0]
+
+    @pytest.mark.parametrize("bits", [None, 3, 1])
+    def test_no_activation_memory_leaves_the_same_explicit_memory(self, bits):
+        # past the first appends, so that both memories outgrow their buffers
+        params = net(13)
+        rng = np.random.default_rng(13)
+        kept = ExplicitMemory(params.d_p, QuantSpec(prototype_bits=bits))
+        alone = ExplicitMemory(params.d_p, QuantSpec(prototype_bits=bits))
+        am = ActivationMemory(params.d_a)
+        for cid in (7, 0, 3, 12, 5):
+            shots = rng.standard_normal((4, 8)) + rng.standard_normal(8)
+            assert learn_class(kept, am, params, shots, cid)[1] is am
+            assert learn_class(alone, None, params, shots, cid) == (alone, None)
+        for name in ("ids", "counts", "shifts", "accum", "reduced"):
+            got, want = getattr(alone, name), getattr(kept, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert am.class_ids() == kept.class_ids()
+
+    def test_no_activation_memory_keeps_every_check(self):
+        params = net(6)
+        em = ExplicitMemory(params.d_p)
+        learn_class(em, None, params, np.ones((1, 8)), 2)
+        with pytest.raises(DuplicateClassError):
+            learn_class(em, None, params, np.ones((1, 8)), 2)
+        with pytest.raises(EmptySampleSetError):
+            learn_class(em, None, params, np.zeros((0, 8)), 3)
+        with pytest.raises(ShapeMismatchError):
+            learn_class(ExplicitMemory(params.d_p + 1), None, params, np.ones((1, 8)), 0)
+        assert em.class_ids() == [2]
 
     def test_duplicate_class(self):
         params = net(6)
@@ -339,6 +369,19 @@ class TestFinetune:
         cfg = FinetuneConfig(epochs=4, sub_batch=sub_batch, lr=0.05)
         assert finetune_fcr(params, am, em, cfg) == finetune_fcr_per_row(oracle, am, em, cfg)
         assert params_checksum(params) == params_checksum(oracle)
+
+    def test_results_are_pinned(self):
+        # the loss history and the trained projection, recorded before the
+        # activation memory became optional
+        params, em, am = self.setup_state(3)
+        history = finetune_fcr(params, am, em, FinetuneConfig(epochs=5, sub_batch=4, lr=0.05))
+        assert history == [
+            0.7322664147636346, 0.4861406441750785, 0.4382386291270083,
+            0.42226889420177494, 0.40925713542403075,
+        ]
+        assert hashlib.sha256(params_checksum(params)).hexdigest() == (
+            "34c5e30113af2eeb2c627c59e9e9cf89400a74197ec9ad6581907799372c5852"
+        )
 
     def test_misaligned_memories(self):
         params, em, am = self.setup_state(5)
