@@ -55,13 +55,11 @@ from .memory import (
     classify,
     classify_batch,
     em_memory_bytes,
-    load_actmem,
     load_em,
     precision_sweep,
     quantize_feature,
     quantize_rows,
     reduce_rows,
-    save_actmem,
     save_em,
 )
 from .numerics import cossim, matmul, relu

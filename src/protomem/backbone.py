@@ -81,31 +81,13 @@ class GradientTape:
     One tape records one forward chain; create a fresh tape per batch. A
     tape trains exactly the layers it recorded: `backward` fills grad_w /
     grad_b for those and `sgd_step` updates those, so a tape that records
-    only `forward_fcr` leaves the extractor untouched. input_grad is
-    d(loss)/d(input of the lowest recorded layer): the model input, or
-    theta_a for a projection-only tape. It is computed on its first read
-    from that layer's gradient and the copy of its weight that backward
-    leaves on the tape, so a tape it is never read from skips that
-    product; pretraining reads it from the head's tape only. It holds the
-    value from before any sgd_step.
+    only `forward_fcr` leaves the extractor untouched.
     """
 
     def __init__(self):
         self.records = []  # (layer_index, input batch, preactivation batch)
         self.grad_w = {}
         self.grad_b = {}
-        # (gradient, weight copy still to apply or None once applied, squeeze)
-        self._input_grad = None
-
-    @property
-    def input_grad(self):
-        if self._input_grad is None:
-            return None
-        g, weight, squeeze = self._input_grad
-        if weight is not None:
-            g = matmul(g, weight.T)
-            self._input_grad = (g, None, squeeze)
-        return g[0] if squeeze else g
 
 
 def _as_batch(x):
@@ -156,13 +138,12 @@ def backward(params, tape, upstream):
     layers the tape recorded, walking down to the lowest of them, and
     returns the tape. A second backward on the same tape replaces its
     gradients rather than adding to them. A layer's gradient is carried
-    through its weight only when a lower recorded layer needs it; the
-    product for the lowest one is left to tape.input_grad, which computes
-    it on first read.
+    through its weight only when a lower recorded layer needs it, so no
+    gradient with respect to the lowest layer's input is formed.
     """
     if not tape.records:
         raise NoForwardRecordedError("no forward pass recorded on this tape")
-    g, squeeze = _as_batch(upstream)
+    g, _ = _as_batch(upstream)
     if g.shape != tape.records[-1][2].shape:
         raise ShapeMismatchError(
             f"upstream shape {g.shape} != last output shape {tape.records[-1][2].shape}"
@@ -177,8 +158,6 @@ def backward(params, tape, upstream):
         tape.grad_w[idx] = matmul(a_in.T, g)
         tape.grad_b[idx] = g.sum(axis=0)
         weight = layer.weight
-    # sgd_step updates weights in place, so the tape keeps its own copy
-    tape._input_grad = (g, weight.copy(), squeeze)
     return tape
 
 

@@ -29,10 +29,9 @@ from .harness import (
     run_protocol,
     validate_stream,
 )
-from .memory import ActivationMemory, ExplicitMemory, classify_batch, precision_sweep
-from .memory import load_actmem, load_em, save_actmem, save_em
+from .memory import ExplicitMemory, classify_batch, load_em, precision_sweep, save_em
 from .offline import build_base_em
-from .online import check_aligned, learn_class, learn_dataset
+from .online import learn_class, learn_dataset
 
 
 def _fmt(value) -> str:
@@ -176,10 +175,6 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_learn_class(cfg: RunConfig) -> int:
-    # an activation memory is kept only when actmem_in or actmem_out is set,
-    # and one that is read is written back, so that the pair stays aligned
-    if cfg.actmem_in and not cfg.actmem_out:
-        raise ConfigError("actmem_in needs actmem_out, so that both memories learn the class")
     params = load_params(cfg.params_in)
     dataset = _resolve_dataset(cfg)
     if not 0 <= cfg.class_id < 2**32:
@@ -193,17 +188,8 @@ def cmd_learn_class(cfg: RunConfig) -> int:
             f"prototype_bits is {quant.prototype_bits}"
         )
     em.quant = quant  # a snapshot keeps only its width; the config sets the rest
-    act_mem = None
-    if cfg.actmem_in:
-        act_mem = load_actmem(cfg.actmem_in)
-        if cfg.em_in:
-            check_aligned(em, act_mem)
-    elif cfg.actmem_out:
-        act_mem = ActivationMemory(params.d_a)
-    learn_class(em, act_mem, params, dataset.inputs[rows], cfg.class_id)
+    learn_class(em, None, params, dataset.inputs[rows], cfg.class_id)
     save_em(em, cfg.em_out)
-    if act_mem is not None:
-        save_actmem(act_mem, cfg.actmem_out)
     print(f"learned class {cfg.class_id} from {len(rows)} shots -> {cfg.em_out}")
     return 0
 
@@ -253,11 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_data_source(command: str, cfg: RunConfig):
     """Refuse a data-source key that the command would ignore: learn-class
-    and classify read one dataset, and a manifest names its own files."""
-    if cfg.stream_manifest and command in ("learn-class", "classify"):
+    and classify read one dataset, and a manifest names its own files.
+    Without dataset=, the two read per_class_cap + test_per_class synthetic
+    rows of each class, sizes that split_fscil checks for the other
+    commands."""
+    one_dataset = command in ("learn-class", "classify")
+    if cfg.stream_manifest and one_dataset:
         raise ConfigError(f"{command} reads dataset= or synthetic data, not stream_manifest=")
     if cfg.stream_manifest and cfg.dataset:
         raise ConfigError("set dataset= or stream_manifest=, not both")
+    if one_dataset and not cfg.dataset and (cfg.per_class_cap < 1 or cfg.test_per_class < 0):
+        raise ConfigError(
+            f"per_class_cap must be >= 1 and test_per_class >= 0, "
+            f"got {cfg.per_class_cap} and {cfg.test_per_class}"
+        )
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ import os
 from dataclasses import replace
 from functools import reduce
 
+from .data import DATASET_FORMATS
 from .errors import ConfigError
 from .harness import TrainRecipe
 
@@ -41,6 +42,12 @@ def _seed(text: str) -> int:
     if value < 0:
         raise ValueError(f"a seed must be >= 0, got {value}")
     return value
+
+
+def _dataset_format(text: str) -> str:
+    if text not in DATASET_FORMATS:
+        raise ValueError(f"unknown dataset format {text!r}, expected one of {DATASET_FORMATS}")
+    return text
 
 
 def _intlist(text: str) -> tuple:
@@ -91,7 +98,7 @@ DEFAULTS = {
     "sweep_bits": (_intlist, (8, 7, 6, 5, 4, 3, 2, 1)),
     # data source (file, manifest, or else synthetic blobs)
     "dataset": (str, ""),
-    "dataset_format": (str, "auto"),  # resolved by data.load_dataset
+    "dataset_format": (_dataset_format, "auto"),  # resolved by data.load_dataset
     "stream_manifest": (str, ""),
     "classes": (int, 18),
     "grid": (int, 16),
@@ -109,8 +116,6 @@ DEFAULTS = {
     "params_out": (str, "params.ofsc"),
     "em_in": (str, ""),
     "em_out": (str, "em.ofem"),
-    "actmem_in": (str, ""),
-    "actmem_out": (str, ""),  # "" keeps no activation memory
     "history_out": (str, "history.csv"),
     "report_out": (str, "report.csv"),
     "sweep_out": (str, "sweep.csv"),

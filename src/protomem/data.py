@@ -169,18 +169,14 @@ def _load_csv_dataset(path) -> LabeledDataset:
 
 
 def load_dataset(path, format: str = "auto") -> LabeledDataset:
-    """Read a "raw-binary", "csv" or "cifar" dataset file; "auto" reads a
-    path ending in .csv as CSV and any other path as raw-binary."""
+    """Read a dataset file in one of DATASET_FORMATS: "raw-binary", "csv"
+    or "cifar"; "auto" reads a path ending in .csv as CSV and any other
+    path as raw-binary."""
     if format == "auto":
         format = "csv" if str(path).endswith(".csv") else "raw-binary"
-    loaders = {
-        "raw-binary": _load_binary_dataset,
-        "csv": _load_csv_dataset,
-        "cifar": load_cifar_batch,
-    }
-    if format not in loaders:
+    if format not in _READERS:
         raise SettingValueError(f"unknown dataset format {format!r}")
-    return loaders[format](path)
+    return _READERS[format](path)
 
 
 def load_cifar_batch(path) -> LabeledDataset:
@@ -200,6 +196,10 @@ def load_cifar_batch(path) -> LabeledDataset:
     labels = raw[:, 1].astype(np.int64)
     pixels = raw[:, 2:].astype(np.float64) / 255.0
     return LabeledDataset(pixels, labels)
+
+
+_READERS = {"raw-binary": _load_binary_dataset, "csv": _load_csv_dataset, "cifar": load_cifar_batch}
+DATASET_FORMATS = ("auto", *_READERS)  # the names `load_dataset` reads
 
 
 def split_fscil(

@@ -28,7 +28,6 @@ from .errors import (
 from .numerics import ZERO_NORM_FLOOR, as_matrix, as_vector, check_finite, row_norms, rowdot
 
 EM_MAGIC = b"OFEM"
-ACTMEM_MAGIC = b"OFAM"
 SNAPSHOT_VERSION = 1
 
 _HALF_DBL_MAX = np.finfo(np.float64).max / 2
@@ -436,52 +435,7 @@ def _int_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
-_ROWS_HEAD = "IIII"  # class count, entries per class, entry bits, right shift
-
-
-def _rows_frame(mem: _ClassRows, bits: int, shift: int, words):
-    """`write_frame`'s header (`_ROWS_HEAD`) and payload for both memories:
-    per class its id and count (u32 each) and its entries, each the low
-    `_int_bytes(bits)` bytes of a little-endian 8-byte word of (C, d) `words`."""
-    n, d = words.shape
-    width = _int_bytes(bits)
-    payload = words.view(np.uint8).reshape(n, d, 8)[..., :width].reshape(n, d * width)
-    head = np.column_stack([mem.ids, mem.counts]).astype("<u4").view(np.uint8)
-    return (n, d, bits, shift), np.concatenate([head, payload], axis=1).tobytes()
-
-
-def _read_rows(path, frame, widths):
-    """Inverse of `_rows_frame` for a `read_frame` result, with bits in
-    `widths`. Returns the header's (d, bits, shift), the id and count
-    columns, and the (C, d) entries as int64 with the sign extended."""
-    (n, d, bits, shift), blob, off = frame
-    if bits not in widths:
-        raise MalformedFileError(f"{path}: unsupported entry width of {bits} bits")
-    if d == 0:
-        raise MalformedFileError(f"{path}: 0 entries per class")
-    width = _int_bytes(bits)
-    record = 8 + d * width
-    check_end(path, blob, off + n * record)
-    rows = np.frombuffer(blob, dtype=np.uint8, count=n * record, offset=off).reshape(n, record)
-    head = rows[:, :8].copy().view("<u4").astype(np.int64)
-    # each entry's bytes are the top of the little-endian word that ends
-    # where the entry ends (the bytes before it lie in the same record), so
-    # an arithmetic shift drops the rest and extends the sign
-    if n:
-        words = np.ndarray((n, d), "<i8", blob, off + width, (record, width))
-    else:  # no word of an empty payload lies inside the blob
-        words = np.zeros((0, d), dtype=np.int64)
-    return (d, bits, shift), head[:, 0], head[:, 1], words >> (64 - 8 * width)
-
-
-def _append_read(path, mem: _ClassRows, ids, counts, **rows):
-    """`mem._append` of the rows a file holds: a repeated id or a shot
-    count of 0, which no memory holds, makes the file malformed."""
-    try:
-        mem._append(ids, counts, **rows)
-    except (DuplicateClassError, EmptySampleSetError) as exc:
-        raise MalformedFileError(f"{path}: {exc}") from None
-    return mem
+_EM_HEAD = "IIII"  # class count, entries per class, entry bits, right shift
 
 
 def _unstorable(vals: np.ndarray, bits: int, shift: int) -> str | None:
@@ -500,47 +454,55 @@ def _unstorable(vals: np.ndarray, bits: int, shift: int) -> str | None:
 
 def save_em(em: ExplicitMemory, path):
     """Snapshot of the reduced-precision store (accumulators are runtime
-    state and are not persisted). The header's shift is the largest
-    per-prototype shift. Refuses, writing nothing, what `load_em` would
-    refuse: a memory whose `quant` was changed after it learned can hold
-    values outside its `prototype_bits` range."""
+    state and are not persisted): `write_frame`'s header (`_EM_HEAD`), whose
+    shift is the largest per-prototype shift, then per class its id and
+    count (u32 each) and its entries, each the low `_int_bytes(bits)` bytes
+    of its little-endian int64. Refuses, writing nothing, what `load_em`
+    would refuse: a memory whose `quant` was changed after it learned can
+    hold values outside its `prototype_bits` range."""
     bits, shift = em.quant.prototype_bits, int(em.shifts.max(initial=0))
     problem = _unstorable(em.reduced, bits, shift)
     if problem:
         raise OverflowAfterShiftError(f"cannot store at {bits} bits: {problem}")
-    frame = _rows_frame(em, bits, shift, em.reduced.astype("<i8"))
-    write_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD, *frame)
+    n, d = em.reduced.shape
+    width = _int_bytes(bits)
+    entries = em.reduced.astype("<i8").view(np.uint8).reshape(n, d, 8)[..., :width]
+    head = np.column_stack([em.ids, em.counts]).astype("<u4").view(np.uint8)
+    payload = np.concatenate([head, entries.reshape(n, d * width)], axis=1).tobytes()
+    write_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _EM_HEAD, (n, d, bits, shift), payload)
 
 
 def load_em(path) -> ExplicitMemory:
-    """Inverse of save_em. Refuses entries outside the signed `bits` range
-    ({-1, +1} at 1 bit) and a shift above the largest that `reduce_rows`
-    gives at that width."""
-    frame = read_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
-    (d_p, bits, shift), ids, counts, vals = _read_rows(path, frame, range(1, 65))
+    """Inverse of save_em. Refuses a width outside 1 to 64 bits, 0 entries
+    per class, entries outside the signed `bits` range ({-1, +1} at 1 bit),
+    a shift above the largest that `reduce_rows` gives at that width, and a
+    repeated id or a shot count of 0, which no memory holds."""
+    (n, d_p, bits, shift), blob, off = read_frame(path, EM_MAGIC, SNAPSHOT_VERSION, _EM_HEAD)
+    if not 1 <= bits <= 64:
+        raise MalformedFileError(f"{path}: unsupported entry width of {bits} bits")
+    if d_p == 0:
+        raise MalformedFileError(f"{path}: 0 entries per class")
+    width = _int_bytes(bits)
+    record = 8 + d_p * width
+    check_end(path, blob, off + n * record)
+    rows = np.frombuffer(blob, dtype=np.uint8, count=n * record, offset=off).reshape(n, record)
+    ids, counts = rows[:, :8].copy().view("<u4").astype(np.int64).T
+    # each entry's bytes are the top of the little-endian word that ends
+    # where the entry ends (the bytes before it lie in the same record), so
+    # an arithmetic shift drops the rest and extends the sign
+    if n:
+        words = np.ndarray((n, d_p), "<i8", blob, off + width, (record, width))
+    else:  # no word of an empty payload lies inside the blob
+        words = np.zeros((0, d_p), dtype=np.int64)
+    vals = words >> (64 - 8 * width)
     problem = _unstorable(vals, bits, shift)
     if problem:
         raise MalformedFileError(f"{path}: {problem}")
     spec = QuantSpec(accum_bits=max(bits, QuantSpec.accum_bits), prototype_bits=bits)
-    em, shifts = ExplicitMemory(d_p, spec), np.full(len(ids), shift)
-    # no stored row is ever written again, so one array serves as both
-    return _append_read(path, em, ids, counts, shifts=shifts, accum=vals, reduced=vals)
-
-
-def save_actmem(act_mem: ActivationMemory, path):
-    """Activation-memory snapshot: the prototype store's container with
-    64-bit entries, the float64 running sums, and shift 0."""
-    frame = _rows_frame(act_mem, 64, 0, act_mem.sums.astype("<f8"))
-    write_frame(path, ACTMEM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD, *frame)
-
-
-def load_actmem(path) -> ActivationMemory:
-    """Inverse of save_actmem. Refuses a nonzero shift and non-finite sums."""
-    frame = read_frame(path, ACTMEM_MAGIC, SNAPSHOT_VERSION, _ROWS_HEAD)
-    (d_a, _bits, shift), ids, counts, words = _read_rows(path, frame, (64,))
-    sums = words.view(np.float64)
-    if shift != 0:
-        raise MalformedFileError(f"{path}: shift {shift} in an activation memory")
-    if not np.isfinite(sums).all():
-        raise MalformedFileError(f"{path}: a running sum is not finite")
-    return _append_read(path, ActivationMemory(d_a), ids, counts, sums=sums)
+    em = ExplicitMemory(d_p, spec)
+    try:
+        # no stored row is ever written again, so one array serves as both
+        em._append(ids, counts, shifts=np.full(n, shift), accum=vals, reduced=vals)
+    except (DuplicateClassError, EmptySampleSetError) as exc:
+        raise MalformedFileError(f"{path}: {exc}") from None
+    return em

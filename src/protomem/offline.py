@@ -32,7 +32,7 @@ from .losses import (
     softmax_ce_batch,
 )
 from .memory import ExplicitMemory, QuantSpec
-from .numerics import ZERO_NORM_FLOOR, matvecs, relu, row_norms
+from .numerics import ZERO_NORM_FLOOR, matmul, matvecs, relu, row_norms
 from .online import learn_dataset
 
 # pretraining has diverged once an epoch's mean CE exceeds this multiple of
@@ -122,8 +122,9 @@ def pretrain(
     and once an epoch's CE exceeds DIVERGED_CE_FACTOR times the first's.
 
     fcc is the one-layer head from `init_fcc`: its only layer is its
-    projection, so it runs through `forward_fcr` on its own tape, is updated
-    by the same `sgd_step`, and passes its input gradient down.
+    projection, so it runs through `forward_fcr` on its own tape and is
+    updated by the same `sgd_step`; its input gradient, taken through its
+    weight before that update, is passed down to the projection.
     """
     if batch_size < 1:
         raise SettingValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -177,7 +178,9 @@ def pretrain(
             hits += int((np.asarray(class_ids)[pred] == hard).sum())
             total += len(idx)
             backward(fcc, head_tape, grad_logits)
-            backward(params, tape, head_tape.input_grad + grad_theta)
+            # the head's input gradient, through its weight before the update
+            grad_head = matmul(grad_logits, fcc.layers[0].weight.T)
+            backward(params, tape, grad_head + grad_theta)
             sgd_step(params, tape, lr)
             sgd_step(fcc, head_tape, lr)
         history.append((epoch, ce_sum / total, ortho_sum / nbatches, hits / total))

@@ -73,15 +73,6 @@ def learn_dataset(em, act_mem, params, dataset):
     return em, act_mem
 
 
-def check_aligned(em, act_mem):
-    """Refuse an explicit and activation memory pair whose class-id sets
-    differ: finetuning pairs each prototype with its class's mean
-    activation."""
-    em_ids, am_ids = sorted(em.class_ids()), sorted(act_mem.class_ids())
-    if em_ids != am_ids:
-        raise MisalignedMemoriesError(f"memory class sets differ: em={em_ids} act={am_ids}")
-
-
 def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
     """Per-row losses 1 - cossim(y_i, target_i) and their gradients
     w.r.t. the rows y_i, each row's values bitwise those of scoring it
@@ -103,9 +94,13 @@ def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
     read-only.
 
     Returns the per-epoch total loss history (recorded before each
-    epoch's updates land in the following groups).
+    epoch's updates land in the following groups). Refuses memories whose
+    class-id sets differ, since each prototype is paired with its class's
+    mean activation.
     """
-    check_aligned(em, act_mem)
+    em_ids, am_ids = sorted(em.class_ids()), sorted(act_mem.class_ids())
+    if em_ids != am_ids:
+        raise MisalignedMemoriesError(f"memory class sets differ: em={em_ids} act={am_ids}")
     order = np.argsort(act_mem.ids)
     inputs = act_mem.sums[order] / act_mem.counts[order, None]
     targets = bipolarize(em.reduced[np.argsort(em.ids)]).astype(np.float64)

@@ -17,6 +17,29 @@ from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows, build_base_e
 from protomem.online import finetune_fcr, learn_class, learn_dataset
 
 
+# the smallest CLI run that exercises every command: a 7-class 8x8 blob
+# stream, a 64-16-12-6 model and one or two steps of each schedule
+TINY = dict(
+    classes=7,
+    base_classes=4,
+    ways=1,
+    shots=3,
+    sessions=3,
+    per_class_cap=8,
+    test_per_class=3,
+    grid=8,
+    hidden="16,12",
+    d_p=6,
+    pretrain_epochs=2,
+    batch_size=16,
+    meta_iterations=2,
+    meta_samples=2,
+    query_batch=8,
+    finetune_epochs=2,
+    seed=5,
+)
+
+
 def central_diff(f, x, step=1e-5):
     """Central finite-difference gradient of scalar f at x (flat array)."""
     x = np.asarray(x, dtype=np.float64)

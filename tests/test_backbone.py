@@ -156,26 +156,6 @@ class TestBackward:
             worst = max(worst, rel_err(analytic, numeric))
         assert worst < 1e-4
 
-    def test_input_gradient(self):
-        params = tiny_net(5)
-        x = np.linspace(0.1, 0.6, 6)
-        tape = GradientTape()
-        out = forward_fcr(params, forward_backbone(params, x, tape), tape)
-        backward(params, tape, 2.0 * out)
-        numeric = central_diff(
-            lambda v: float((forward_fcr(params, forward_backbone(params, v)) ** 2).sum()), x
-        )
-        assert rel_err(tape.input_grad, numeric) < 1e-6
-
-    def test_frozen_input_gradient_is_wrt_theta_a(self):
-        params = tiny_net(6)
-        tape = GradientTape()
-        theta_a = forward_backbone(params, np.linspace(-0.3, 0.8, 6))
-        out = forward_fcr(params, theta_a, tape)  # the tape records the projection only
-        backward(params, tape, 2.0 * out)
-        numeric = central_diff(lambda v: float((forward_fcr(params, v) ** 2).sum()), theta_a)
-        assert rel_err(tape.input_grad, numeric) < 1e-6
-
     def test_frozen_backbone_keeps_buffers_zero(self):
         params = tiny_net(2)
         before = params_checksum(params)
@@ -208,47 +188,9 @@ class TestBackward:
         with pytest.raises(NoForwardRecordedError):
             backward(params, GradientTape(), np.ones(3))
 
-
-def eager_input_grad(params, tape, upstream):
-    """Reference: the input gradient carried through every recorded layer."""
-    g = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    for idx, _, z in reversed(tape.records):
-        layer = params.layers[idx]
-        if layer.activation == "relu":
-            g = g * (z > 0)
-        g = matmul(g, layer.weight.T)
-    return g
-
-
-class TestLazyInputGradient:
-    @pytest.mark.parametrize("rows", [None, 1, 4])
-    def test_bitwise_equal_to_eager_product(self, rows):
-        params = tiny_net(8)
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(6 if rows is None else (rows, 6))
-        tape = GradientTape()
-        out = forward_fcr(params, forward_backbone(params, x, tape), tape)
-        upstream = rng.standard_normal(out.shape)
-        backward(params, tape, upstream)
-        want = eager_input_grad(params, tape, upstream)
-        np.testing.assert_array_equal(tape.input_grad, want[0] if rows is None else want)
-
-    def test_read_after_sgd_step_gives_pre_step_value(self):
-        x = np.linspace(-1.0, 1.0, 6)
-        grads = []
-        for step in (False, True):
-            params = tiny_net(9)
-            tape = GradientTape()
-            out = forward_fcr(params, forward_backbone(params, x, tape), tape)
-            backward(params, tape, out)
-            if step:
-                before = params_checksum(params)
-                sgd_step(params, tape, 0.5)
-                assert params_checksum(params) != before
-            grads.append(tape.input_grad)
-        np.testing.assert_array_equal(grads[1], grads[0])
-
-    def test_backward_leaves_one_product_unrun(self, monkeypatch):
+    def test_backward_forms_no_input_gradient(self, monkeypatch):
+        # one weight-gradient product per recorded layer, and one carry
+        # through each weight but the lowest recorded layer's
         import protomem.backbone as bb
 
         calls = []
@@ -265,10 +207,6 @@ class TestLazyInputGradient:
         calls.clear()
         backward(params, tape, out)
         assert len(calls) == layers + (layers - 1)
-        first = tape.input_grad
-        assert len(calls) == 2 * layers
-        assert tape.input_grad is first  # cached after the first read
-        assert len(calls) == 2 * layers
         tape = GradientTape()
         out = forward_fcr(params, forward_backbone(params, np.ones((2, 6))), tape)
         calls.clear()
@@ -280,8 +218,9 @@ class TestCompositeLossGradients:
     def test_pretrain_objective_through_all_parameters(self):
         # the chain `pretrain` trains: extractor -> projection -> the
         # `init_fcc` head on its own tape -> `pretrain_loss`, with the head's
-        # input gradient passed down; finite differences over every weight
-        # and bias of the model and the head, 20 configurations
+        # input gradient taken through its weight and passed down as
+        # `pretrain` does; finite differences over every weight and bias of
+        # the model and the head, 20 configurations
         from protomem.losses import PretrainLossConfig, pretrain_loss
         from protomem.offline import init_fcc
 
@@ -308,7 +247,8 @@ class TestCompositeLossGradients:
             logits = forward_fcr(fcc, theta, head_tape)
             _, grad_logits, grad_theta, _ = pretrain_loss(logits, targets, theta, cfg)
             backward(fcc, head_tape, grad_logits)
-            backward(params, tape, head_tape.input_grad + grad_theta)
+            grad_head = matmul(grad_logits, fcc.layers[0].weight.T)
+            backward(params, tape, grad_head + grad_theta)
             analytic = np.concatenate(
                 [param_grad_flat(tape, params), param_grad_flat(head_tape, fcc)]
             )

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_points_dataset, save_dataset_csv
+from helpers import TINY, make_points_dataset, save_dataset_csv
 from protomem.backbone import init_model, load_params, params_checksum, save_params
 from protomem import errors
 from protomem.config import DEFAULTS, ENV_SEED, RECIPE_KEYS, load_config
-from protomem.data import LabeledDataset, load_dataset, save_dataset
+from protomem.data import DATASET_FORMATS, LabeledDataset, load_dataset, save_dataset
 from protomem.errors import (
     ConfigError,
     ConflictingFlagsError,
@@ -22,37 +22,8 @@ from protomem.errors import (
     SettingValueError,
 )
 from protomem.harness import TrainRecipe, make_blob_dataset, train_pipeline
-from protomem.memory import (
-    ActivationMemory,
-    ExplicitMemory,
-    load_actmem,
-    load_em,
-    save_actmem,
-    save_em,
-)
-from protomem.online import learn_class
+from protomem.memory import load_em
 from protomem import cli, offline
-
-
-TINY = dict(
-    classes=7,
-    base_classes=4,
-    ways=1,
-    shots=3,
-    sessions=3,
-    per_class_cap=8,
-    test_per_class=3,
-    grid=8,
-    hidden="16,12",
-    d_p=6,
-    pretrain_epochs=2,
-    batch_size=16,
-    meta_iterations=2,
-    meta_samples=2,
-    query_batch=8,
-    finetune_epochs=2,
-    seed=5,
-)
 
 
 def tiny_overrides(tmp_path, **extra):
@@ -65,7 +36,6 @@ def tiny_overrides(tmp_path, **extra):
     items.setdefault("ablation_out", str(tmp_path / "ablation.csv"))
     items.setdefault("predictions_out", str(tmp_path / "pred.csv"))
     items.setdefault("em_out", str(tmp_path / "em.ofem"))
-    items.setdefault("actmem_out", str(tmp_path / "am.ofam"))
     return [f"{k}={v}" for k, v in items.items()]
 
 
@@ -132,19 +102,31 @@ class TestConfigDefaults:
         path.write_text("grid=3\n")
         assert load_config(path).recipe().grid == (3, 3)
 
-    def test_every_key_is_read_by_the_cli(self):
+    def test_every_key_is_read_in_src(self):
         # a RECIPE_KEYS row reaches the library through RunConfig.recipe
-        # (test_recipe_key_sets_its_field); the CLI reads every other key
-        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        read = {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "cfg"
-        }
+        # (test_recipe_key_sets_its_field); every other key is read as an
+        # attribute of a `RunConfig` parameter of some function in src/,
+        # and every such attribute is a key or a RunConfig method
+        read = set()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+                configs = {
+                    a.arg for a in args
+                    if isinstance(a.annotation, ast.Name) and a.annotation.id == "RunConfig"
+                }
+                read |= {
+                    node.attr
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in configs
+                }
         assert set(RECIPE_KEYS) <= set(DEFAULTS)
         assert sorted(set(DEFAULTS) - set(RECIPE_KEYS) - read) == []
+        assert sorted(read - set(DEFAULTS) - {"recipe", "dump"}) == []
 
     NON_DEFAULT = dict(
         seed="11", hidden="20,10", d_p="5", pretrain_epochs="3", pretrain_lr="0.5",
@@ -584,6 +566,35 @@ class TestCliCommands:
         assert cli.main([command, *tiny_overrides(tmp_path, **extra)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_unknown_dataset_format_exits_2_without_a_dataset(self, tmp_path, capsys, command):
+        # the value is checked when the config is parsed, so a command that
+        # reads synthetic blobs refuses it too
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, *tiny_overrides(out, dataset_format="x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "unknown dataset format 'x'" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["learn-class", "classify"])
+    @pytest.mark.parametrize(
+        "key,value", [("per_class_cap", 0), ("per_class_cap", -1), ("test_per_class", -1)]
+    )
+    def test_synthetic_class_size_out_of_range_exits_2(
+        self, sweep_inputs, tmp_path, capsys, command, key, value
+    ):
+        # synthetic rows are per_class_cap + test_per_class per class: -1 + 3
+        # would learn or classify 2 rows a class, and 8 - 1 would give 7
+        argv = tiny_overrides(
+            tmp_path, params_in=sweep_inputs / "params.ofsc", em_in=sweep_inputs / "em.ofem",
+            class_id=1, prototype_bits=3, **{key: value},
+        )
+        assert cli.main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "per_class_cap must be >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key", sorted(k for k, (_, default) in DEFAULTS.items() if isinstance(default, float))
@@ -715,12 +726,16 @@ class TestCliCommands:
     def test_pretrain_batch_size_one(self, tmp_path):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path, batch_size=1)]) == 0
 
+    REMOVED_KEYS = (
+        "threads", "right_shift", "prototype_gradient", "synthetic", "actmem_in", "actmem_out"
+    )
+
     def test_removed_keys_are_unknown(self):
-        for key in ("threads", "right_shift", "prototype_gradient", "synthetic"):
+        for key in self.REMOVED_KEYS:
             with pytest.raises(ConfigError):
                 load_config(overrides=[f"{key}=1"])
 
-    @pytest.mark.parametrize("key", ["threads", "right_shift", "prototype_gradient", "synthetic"])
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_in_a_config_file_exits_2(self, tmp_path, capsys, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key}=true\n")
@@ -742,7 +757,6 @@ class TestCliCommands:
         assert code == 2
         assert "11 shots exceed the declared max_shots 2" in capsys.readouterr().err
         assert not (tmp_path / "em.ofem").exists()
-        assert not (tmp_path / "am.ofam").exists()
 
     @pytest.mark.parametrize("label,value", [("-1", "0.5"), ("x", "0.5"), ("0", "nan")],
                              ids=["negative_label", "text_label", "nan_value"])
@@ -791,16 +805,12 @@ class TestCliCommands:
         assert not (tmp_path / "em.ofem").exists()
 
     @pytest.mark.parametrize("corruption", ["zero_count", "repeated_id", "trailing_byte"])
-    @pytest.mark.parametrize("key", ["em_in", "actmem_in"])
-    def test_corrupt_snapshot_rows_exit_3(self, tmp_path, capsys, key, corruption):
+    def test_corrupt_snapshot_rows_exit_3(self, tmp_path, capsys, corruption):
         assert cli.main(["pretrain", *tiny_overrides(tmp_path)]) == 0
-        assert self.learn_from_file(tmp_path, 0, "one.ofem", actmem_out=tmp_path / "one.ofam") == 0
-        assert self.learn_from_file(
-            tmp_path, 1, "two.ofem", em_in=tmp_path / "one.ofem",
-            actmem_in=tmp_path / "one.ofam", actmem_out=tmp_path / "two.ofam",
-        ) == 0
-        snapshots = {"em_in": tmp_path / "two.ofem", "actmem_in": tmp_path / "two.ofam"}
-        blob = bytearray(snapshots[key].read_bytes())
+        assert self.learn_from_file(tmp_path, 0, "one.ofem") == 0
+        assert self.learn_from_file(tmp_path, 1, "two.ofem", em_in=tmp_path / "one.ofem") == 0
+        snapshot = tmp_path / "two.ofem"
+        blob = bytearray(snapshot.read_bytes())
         record = (len(blob) - 24) // 2
         if corruption == "zero_count":
             blob[28:32] = bytes(4)
@@ -808,53 +818,19 @@ class TestCliCommands:
             blob[24 + record : 28 + record] = blob[24:28]
         else:
             blob += b"\0"
-        snapshots[key].write_bytes(bytes(blob))
-        code = self.learn_from_file(tmp_path, 2, "three.ofem", **snapshots)
+        snapshot.write_bytes(bytes(blob))
+        code = self.learn_from_file(tmp_path, 2, "three.ofem", em_in=snapshot)
         assert code == 3
         assert capsys.readouterr().err.startswith(("data error", "error"))
         assert not (tmp_path / "three.ofem").exists()
 
-    def test_learn_class_refuses_a_misaligned_pair(self, tmp_path, capsys):
-        # a pair split by an earlier run: the explicit memory holds a class
-        # that the activation memory does not
-        params = init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0)
-        save_params(params, tmp_path / "params.ofsc")
-        ds = make_blob_dataset(TINY["classes"], 4, grid=TINY["grid"], seed=9)
-        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
-        for cid in range(5):
-            into = am if cid < 4 else ActivationMemory(params.d_a)
-            learn_class(em, into, params, ds.inputs[ds.indices_of(cid)], cid)
-        save_em(em, tmp_path / "in.ofem")
-        save_actmem(am, tmp_path / "in.ofam")
-        before = sorted(p.name for p in tmp_path.iterdir())
-        code = self.learn_from_file(
-            tmp_path, 6, "out.ofem", em_in=tmp_path / "in.ofem",
-            actmem_in=tmp_path / "in.ofam", actmem_out=tmp_path / "out.ofam",
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err == "data error: memory class sets differ: em=[0, 1, 2, 3, 4] act=[0, 1, 2, 3]\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*before, "class6.ofds"])
-
-    def test_learn_class_reads_an_activation_memory_only_to_write_it(self, tmp_path, capsys):
+    def test_learn_class_writes_em_out_alone(self, tmp_path):
         save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
-        assert self.learn_from_file(tmp_path, 0, "one.ofem", actmem_out=tmp_path / "one.ofam") == 0
-        code = self.learn_from_file(
-            tmp_path, 1, "two.ofem", em_in=tmp_path / "one.ofem",
-            actmem_in=tmp_path / "one.ofam", actmem_out="",
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config error: actmem_in needs actmem_out")
-        assert not (tmp_path / "two.ofem").exists()
-
-    def test_learn_class_without_an_activation_memory(self, tmp_path):
-        save_params(init_model([TINY["grid"] ** 2, 16, 12, 6], seed=0), tmp_path / "params.ofsc")
-        assert self.learn_from_file(tmp_path, 0, "kept.ofem", actmem_out=tmp_path / "a.ofam") == 0
-        assert load_actmem(tmp_path / "a.ofam").class_ids() == [0]
+        assert self.learn_from_file(tmp_path, 0, "one.ofem") == 0
         files = sorted(p.name for p in tmp_path.iterdir())
-        assert self.learn_from_file(tmp_path, 0, "alone.ofem", actmem_out="") == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "alone.ofem"])
-        assert (tmp_path / "alone.ofem").read_bytes() == (tmp_path / "kept.ofem").read_bytes()
+        assert self.learn_from_file(tmp_path, 1, "two.ofem", em_in=tmp_path / "one.ofem") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "class1.ofds", "two.ofem"])
+        assert load_em(tmp_path / "two.ofem").class_ids() == [0, 1]
 
     def test_env_seed_changes_artifacts(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -877,6 +853,32 @@ class TestCliCommands:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("fmt", DATASET_FORMATS)
+    def test_every_dataset_format_the_config_accepts_is_read(self, tmp_path, fmt):
+        # the config checks dataset_format against the names load_dataset reads
+        batch = tmp_path / "batch.bin"
+        write_cifar_batch(batch, (0, 0, 0, 0, 1, 1, 1, 1))
+        rows = load_dataset(batch, "cifar")
+        save_dataset(rows, tmp_path / "d.ofds")
+        save_dataset_csv(rows, tmp_path / "d.csv")
+        path = {"auto": "d.csv", "raw-binary": "d.ofds", "csv": "d.csv", "cifar": "batch.bin"}[fmt]
+        code = cli.main([
+            "validate", f"dataset={tmp_path / path}", f"dataset_format={fmt}",
+            "base_classes=1", "ways=1", "shots=1", "sessions=1",
+            "per_class_cap=2", "test_per_class=2", "seed=0",
+        ])
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["learn-class", "classify"])
+    def test_class_sizes_are_not_read_beside_a_dataset(self, sweep_inputs, tmp_path, command):
+        # with dataset= the file's rows are read as they are
+        argv = tiny_overrides(
+            tmp_path, params_in=sweep_inputs / "params.ofsc", em_in=sweep_inputs / "em.ofem",
+            dataset=sweep_inputs / "data.ofds", class_id=1, prototype_bits=3,
+            per_class_cap=-1, test_per_class=-1,
+        )
+        assert cli.main([command, *argv]) == 0
+
     def test_ablate_rows(self, tmp_path):
         assert cli.main([
             "ablate",
@@ -888,25 +890,22 @@ class TestCliCommands:
         assert rows[2].startswith("AG,")
 
 
-# per CLI key in the sweep below: the file it reads, its library reader,
-# the length of its fixed header, and the command that reads it
-# case: (argument, file, reader, header bytes, command)
+# per file that `classify` reads in the sweep below: its CLI key, the
+# file, its library reader and the length of its fixed header
+# case: (argument, file, reader, header bytes)
 SWEEP_FILES = {
-    "params_in": ("params_in", "params.ofsc", load_params, 12, "classify"),
-    "em_in": ("em_in", "em.ofem", load_em, 24, "classify"),
-    "actmem_in": ("actmem_in", "am.ofam", load_actmem, 24, "learn-class"),
-    "dataset": ("dataset", "data.ofds", load_dataset, 17, "classify"),
+    "params_in": ("params_in", "params.ofsc", load_params, 12),
+    "em_in": ("em_in", "em.ofem", load_em, 24),
+    "dataset": ("dataset", "data.ofds", load_dataset, 17),
     # the header line; a CSV records no length, so a cut at the end parses
-    "csv": ("dataset", "data.csv", load_dataset, None, "classify"),
+    "csv": ("dataset", "data.csv", load_dataset, None),
 }
-SWEEP_OUTPUTS = {"classify": ["pred.csv"], "learn-class": ["em.ofem", "am.ofam"]}
 
 
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
-    """A TINY extractor, the 3-bit memory and activation memory of one class
-    learned through it, and a dataset of that class and the next, binary
-    and CSV."""
+    """A TINY extractor, the 3-bit memory of one class learned through it,
+    and a dataset of that class and the next, binary and CSV."""
     root = tmp_path_factory.mktemp("inputs")
     ds = make_blob_dataset(TINY["classes"], 4, grid=TINY["grid"], seed=9)
     save_dataset(ds.subset_by_classes([0, 1]), root / "data.ofds")
@@ -935,12 +934,12 @@ def corruptions(blob: bytes, header: int, cut: bool = True):
 
 class TestMalformedFileSweep:
     """Every corrupted input file is a `MalformedFileError` from its reader,
-    and exit 3 with no output file from the command that reads it."""
+    and exit 3 with no output file from `classify`, which reads it."""
 
     @pytest.mark.parametrize("case", list(SWEEP_FILES))
     def test_each_corruption_is_refused_and_exits_3(self, sweep_inputs, tmp_path, capsys, case):
-        key, name, reader, header, command = SWEEP_FILES[case]
-        outputs = [tmp_path / out for out in SWEEP_OUTPUTS[command]]
+        key, name, reader, header = SWEEP_FILES[case]
+        pred = tmp_path / "pred.csv"
         blob = (sweep_inputs / name).read_bytes()
         if key == "params_in":  # OFSC's layer table, 9 bytes per layer
             header += 9 * struct.unpack_from("<I", blob, 8)[0]
@@ -950,11 +949,10 @@ class TestMalformedFileSweep:
 
         def run(path):
             argv = tiny_overrides(tmp_path, **{**inputs, key: path}, class_id=1, prototype_bits=3)
-            return cli.main([command, *argv])
+            return cli.main(["classify", *argv])
 
         assert run(sweep_inputs / name) == 0  # the intact inputs pass
-        for out in outputs:
-            out.unlink()
+        pred.unlink()
         capsys.readouterr()
         missed = []
         path = tmp_path / f"bad_{name}"
@@ -966,8 +964,8 @@ class TestMalformedFileSweep:
             except MalformedFileError:
                 pass
             code, err = run(path), capsys.readouterr().err
-            if code != 3 or not err.startswith("data error") or any(o.exists() for o in outputs):
-                missed.append(f"{what}: {command} exits {code}: {err.strip()}")
+            if code != 3 or not err.startswith("data error") or pred.exists():
+                missed.append(f"{what}: classify exits {code}: {err.strip()}")
         assert missed == []
 
 

@@ -200,7 +200,7 @@ class TestOneFraming:
             "write_frame(p, EM_MAGIC, 1, 'I', ())",
             "data.read_frame(p, memory.EM_MAGIC, 1, 'I')",
             "fh.write(EM_MAGIC)",
-            "ok = blob[:4] == memory.ACTMEM_MAGIC",
+            "ok = blob[:4] == backbone.PARAMS_MAGIC",
             "_save_rows(p, EM_MAGIC)",
             "write_frame(p, b'OFEM', 1, 'I', (), EM_MAGIC)",
             "open(p, 'rb')",

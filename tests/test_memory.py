@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ConcatRows, assert_same_bits, held_nbytes, learn_class_oracles
+from helpers import ConcatRows, held_nbytes, learn_class_oracles
 from protomem import memory
 from protomem.backbone import forward_backbone, forward_fcr, init_model
 from protomem.errors import (
@@ -32,13 +32,11 @@ from protomem.memory import (
     classify,
     classify_batch,
     em_memory_bytes,
-    load_actmem,
     load_em,
     precision_sweep,
     quantize_feature,
     quantize_rows,
     reduce_rows,
-    save_actmem,
     save_em,
 )
 from protomem.numerics import cossim
@@ -745,30 +743,34 @@ class TestSnapshot:
         with pytest.raises(MalformedFileError, match=f"outside the {bits}-bit range"):
             load_em(path)
 
+    @pytest.mark.parametrize("bits", [0, 65])
+    def test_width_outside_1_to_64_bits_is_refused(self, tmp_path, bits):
+        path = tmp_path / "w.ofem"
+        self.write_one_class(path, bits, [0, 0, 0], 0)
+        with pytest.raises(MalformedFileError, match=f"unsupported entry width of {bits} bits"):
+            load_em(path)
+
     @pytest.mark.parametrize("bits,entries", [(3, [-4, 3, 0]), (1, [-1, 1, 1])])
     def test_entries_at_the_ends_of_the_stored_width_load(self, tmp_path, bits, entries):
         path = tmp_path / "e.ofem"
         self.write_one_class(path, bits, entries, 0)
         assert load_em(path).reduced.tolist() == [entries]
 
-    @pytest.mark.parametrize(
-        "magic,bits,entry", [(b"OFEM", 8, b"\x01"), (b"OFAM", 64, bytes(8))], ids=["OFEM", "OFAM"]
-    )
     @pytest.mark.parametrize("what,n_d,rows", [
         ("0 entries per class", (0, 0), []),
         ("0 entries per class", (1, 0), [(3, 1)]),
         ("shot count >= 1", (2, 1), [(3, 1), (4, 0)]),
         ("class 3 already stored", (2, 1), [(3, 1), (3, 2)]),
     ], ids=["no-class-0-entries", "0-entries", "0-shots", "repeated-id"])
-    def test_rows_no_memory_can_hold_are_malformed(self, tmp_path, magic, bits, entry, what, n_d, rows):
-        # both memories hold d >= 1 entries per class, and distinct ids
-        # with at least one shot each
+    def test_rows_no_memory_can_hold_are_malformed(self, tmp_path, what, n_d, rows):
+        # a memory holds d >= 1 entries per class, and distinct ids with at
+        # least one shot each
         n, d = n_d
-        payload = b"".join(struct.pack("<II", cid, count) + entry * d for cid, count in rows)
-        path = tmp_path / "rows.bin"
-        path.write_bytes(magic + struct.pack("<IIIII", 1, n, d, bits, 0) + payload)
+        payload = b"".join(struct.pack("<II", cid, count) + b"\x01" * d for cid, count in rows)
+        path = tmp_path / "rows.ofem"
+        path.write_bytes(b"OFEM" + struct.pack("<IIIII", 1, n, d, 8, 0) + payload)
         with pytest.raises(MalformedFileError, match=what):
-            (load_em if magic == b"OFEM" else load_actmem)(path)
+            load_em(path)
 
     def test_save_refuses_what_load_refuses(self, tmp_path):
         # a memory narrowed after learning holds values its new width cannot
@@ -824,16 +826,6 @@ class TestSnapshot:
         back = load_em(tmp_path / "learned.ofem")
         assert back.reduced.tolist() == learned.reduced.tolist()
 
-    def test_activation_sums_round_trip_bit_for_bit(self, tmp_path):
-        top = np.finfo(np.float64).max
-        am = ActivationMemory(6)
-        am.add_batch(4, [[0.0, 5e-324, -5e-324, top, -top, 1.0 / 3.0]])
-        am.add_batch(2, [[0.0, -2.5, 2.0**-1074, 7.0, -0.0, 1e300]])
-        save_actmem(am, tmp_path / "a.ofam")
-        back = load_actmem(tmp_path / "a.ofam")
-        assert back.class_ids() == [4, 2] and back.sums.dtype == np.float64
-        assert_same_bits(back.sums, am.sums)
-
 
 class TestRowStore:
     """Both memories keep their rows in buffers with spare rows that they
@@ -882,17 +874,15 @@ class TestRowStore:
                 clone = copy.deepcopy if op == "deepcopy" else lambda m: pickle.loads(pickle.dumps(m))
                 ems.append((clone(em), ConcatRows(**em_rows.arrays)))
                 ams.append((clone(am), ConcatRows(**am_rows.arrays)))
-            else:  # snapshot both, then learn on what loads
+            else:  # snapshot the explicit memory, then learn on what loads
                 save_em(em, folder / "em.ofem")
-                save_actmem(am, folder / "am.ofam")
-                em2, am2 = load_em(folder / "em.ofem"), load_actmem(folder / "am.ofam")
+                em2 = load_em(folder / "em.ofem")
                 reduced = em_rows.arrays["reduced"]
                 shifts = np.full(len(reduced), em_rows.arrays["shifts"].max(initial=0))
                 rows = {**em_rows.arrays, "shifts": shifts, "accum": reduced}
-                oracles = ConcatRows(**rows), ConcatRows(**am_rows.arrays)
-                self.learn(em2, am2, rng, next(fresh_ids), oracles)
-                ems.append((em2, oracles[0]))
-                ams.append((am2, oracles[1]))
+                em2_rows = ConcatRows(**rows)
+                self.learn(em2, am, rng, next(fresh_ids), (em2_rows, am_rows))
+                ems.append((em2, em2_rows))
             for mem, rows in ems + ams:
                 rows.assert_holds(mem)
 

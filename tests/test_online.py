@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from protomem.backbone import (
 from protomem.errors import (
     DuplicateClassError,
     EmptySampleSetError,
-    MalformedFileError,
     MisalignedMemoriesError,
     ShapeMismatchError,
 )
@@ -35,9 +33,7 @@ from protomem.memory import (
     QuantSpec,
     bipolarize,
     classify,
-    load_actmem,
     quantize_feature,
-    save_actmem,
 )
 from protomem.numerics import cossim
 from protomem.online import (
@@ -393,71 +389,3 @@ class TestFinetune:
         params, em, am = self.setup_state(6)
         history = finetune_fcr(params, am, em, FinetuneConfig(epochs=7, sub_batch=2, lr=0.01))
         assert len(history) == 7
-
-
-class TestActivationMemorySnapshot:
-    def test_round_trip(self, tmp_path):
-        am = ActivationMemory(5)
-        rng = np.random.default_rng(12)
-        am.add_batch(3, rng.standard_normal((4, 5)))
-        am.add_batch(8, rng.standard_normal((2, 5)))
-        path = tmp_path / "mem.ofam"
-        save_actmem(am, path)
-        back = load_actmem(path)
-        assert back.class_ids() == am.class_ids()
-        for c in am.class_ids():
-            np.testing.assert_array_equal(back.mean(c), am.mean(c))
-        assert back.counts.tolist() == am.counts.tolist()
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 6),
-        st.lists(
-            st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 2**31)),
-            max_size=5,
-            unique_by=lambda c: c[0],
-        ),
-    )
-    def test_round_trip_any_ids_widths_and_shots(self, tmp_path_factory, d_a, classes):
-        am = ActivationMemory(d_a)
-        for cid, shots, seed in classes:
-            am.add_batch(cid, np.random.default_rng(seed).standard_normal((shots, d_a)))
-        path = tmp_path_factory.mktemp("ofam") / "mem.ofam"
-        save_actmem(am, path)
-        back = load_actmem(path)
-        assert back.d_a == d_a and back.class_ids() == am.class_ids()
-        for c in am.class_ids():
-            np.testing.assert_array_equal(back.mean(c), am.mean(c))
-        save_actmem(back, path.with_suffix(".again"))
-        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
-
-    def test_bytes_per_entry_and_header(self, tmp_path):
-        # header: magic, version, count, d_a, 64 bits, shift 0; per class:
-        # id, shot count, then each running sum as a little-endian float64
-        am = ActivationMemory(2)
-        am.add_batch(9, [[0.5, -1.0], [1.5, 2.0]])
-        am.add_batch(4, [-0.25, 3.0])
-        path = tmp_path / "w.ofam"
-        save_actmem(am, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"OFAM"
-        assert np.frombuffer(blob[4:24], "<u4").tolist() == [1, 2, 2, 64, 0]
-        assert blob[24:] == (
-            struct.pack("<II2d", 9, 2, 2.0, 1.0) + struct.pack("<II2d", 4, 1, -0.25, 3.0)
-        )
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.ofam"
-        path.write_bytes(b"HUH?" + bytes(24))
-        with pytest.raises(MalformedFileError):
-            load_actmem(path)
-
-    @pytest.mark.parametrize("shift,value", [(7, 1.0), (0, np.nan), (0, np.inf), (0, -np.inf)],
-                             ids=["shift_7", "nan_sum", "inf_sum", "minus_inf_sum"])
-    def test_load_refuses_a_shift_or_sum_save_cannot_write(self, tmp_path, shift, value):
-        # save_actmem writes shift 0 and the running sums of finite activations
-        path = tmp_path / "x.ofam"
-        head = struct.pack("<IIIII", 1, 1, 2, 64, shift)
-        path.write_bytes(b"OFAM" + head + struct.pack("<II2d", 3, 1, value, 0.5))
-        with pytest.raises(MalformedFileError):
-            load_actmem(path)
