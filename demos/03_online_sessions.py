@@ -53,7 +53,7 @@ print("base-class accuracy drop per session:", [f"{d:+.3f}" for d in drops])
 print("(the extractor and old prototypes are frozen, so any drop comes only",
       "\n from new prototypes competing in the argmax, never from drift)")
 
-print("\n== optional projection-layer finetuning from the activation memory ==")
+print("\n== optional projection-layer finetuning from the class mean activations ==")
 ft_report = run_protocol(
     copy.deepcopy(params), stream, QuantSpec(),
     finetune=FinetuneConfig(epochs=20, sub_batch=4, lr=0.01),

@@ -42,7 +42,7 @@ print("== populate the store with every class in the stream ==")
 em = ExplicitMemory(params.d_p, QuantSpec())
 for part in [stream.base, *stream.sessions]:
     for cid in part.class_ids():
-        # no activation memory: only finetuning reads one
+        # no class means: only finetuning reads them
         learn_class(em, None, params, part.inputs[part.indices_of(cid)], cid)
 print(f"{len(em)} prototypes of dim {em.d_p}")
 

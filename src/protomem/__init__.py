@@ -47,7 +47,6 @@ from .losses import (
     sample_augmentation,
 )
 from .memory import (
-    ActivationMemory,
     ExplicitMemory,
     Prototype,
     QuantSpec,

@@ -239,15 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_data_source(command: str, cfg: RunConfig):
     """Refuse a data-source key that the command would ignore: learn-class
-    and classify read one dataset, and a manifest names its own files.
-    Without dataset=, the two read per_class_cap + test_per_class synthetic
-    rows of each class, sizes that split_fscil checks for the other
-    commands."""
+    and classify read one dataset, a manifest names its own files (read as
+    `auto`), and dataset_format applies to dataset= alone. Without
+    dataset=, learn-class and classify read per_class_cap + test_per_class
+    synthetic rows of each class, sizes that split_fscil checks for the
+    other commands."""
     one_dataset = command in ("learn-class", "classify")
     if cfg.stream_manifest and one_dataset:
         raise ConfigError(f"{command} reads dataset= or synthetic data, not stream_manifest=")
     if cfg.stream_manifest and cfg.dataset:
         raise ConfigError("set dataset= or stream_manifest=, not both")
+    if cfg.dataset_format != "auto" and not cfg.dataset:
+        raise ConfigError(f"dataset_format={cfg.dataset_format} needs dataset=")
     if one_dataset and not cfg.dataset and (cfg.per_class_cap < 1 or cfg.test_per_class < 0):
         raise ConfigError(
             f"per_class_cap must be >= 1 and test_per_class >= 0, "

@@ -45,7 +45,7 @@ class EmptySampleSetError(ProtomemError):
 
 
 class MisalignedMemoriesError(ProtomemError):
-    """Explicit memory and activation memory disagree on class ids."""
+    """The explicit memory and the class means that finetuning reads disagree on class ids."""
 
 
 class InsufficientSamplesError(ProtomemError):

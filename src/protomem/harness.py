@@ -9,7 +9,7 @@ from .backbone import forward_backbone, forward_fcr, init_model
 from .data import LabeledDataset, SessionStream
 from .errors import ConflictingFlagsError, InsufficientSamplesError, SettingValueError
 from .losses import PretrainLossConfig
-from .memory import ActivationMemory, QuantSpec, aligned_copy, classify_batch
+from .memory import QuantSpec, aligned_copy, classify_batch
 from .offline import MetaConfig, build_base_em, init_fcc, metalearn, pretrain
 from .online import FinetuneConfig, finetune_fcr, learn_dataset
 
@@ -98,23 +98,23 @@ def run_protocol(
     """Play the stream: build the base memory, absorb each incremental
     session with single-pass updates (then finetune the projection, unless
     `finetune` is None), and evaluate each stage on the union of classes seen.
-    An activation memory, which only finetuning reads, is kept only then.
+    Class mean activations, which only finetuning reads, are kept only then.
 
     The test rows go through the frozen extractor once, and through the
     projection again after each finetune.
     """
     is_base = require_base_test_rows(stream)
     test = stream.test
-    act_mem = None if finetune is None else ActivationMemory(params.d_a)
-    em, act_mem = build_base_em(params, stream.base, quant, act_mem)
+    means = None if finetune is None else {}
+    em, means = build_base_em(params, stream.base, quant, means)
     theta_a = forward_backbone(params, test.inputs)
     feats = forward_fcr(params, theta_a)
     accs, base_accs = [], []
     for t in range(len(stream.sessions) + 1):
         if t:
-            learn_dataset(em, act_mem, params, stream.sessions[t - 1])
+            learn_dataset(em, means, params, stream.sessions[t - 1])
             if finetune is not None:
-                finetune_fcr(params, act_mem, em, finetune)
+                finetune_fcr(params, means, em, finetune)
                 feats = forward_fcr(params, theta_a)
         in_stage = np.isin(test.labels, stream.classes_through(t))
         preds, _ = classify_batch(em, feats[in_stage])

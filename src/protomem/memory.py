@@ -161,28 +161,43 @@ class ScoringView(NamedTuple):
     by_id: np.ndarray  # (C,) column order that sorts the class ids
 
 
-class _ClassRows:
-    """One row per class in insertion order: int64 class `ids` and shot
-    `counts`, beside the per-class arrays that a subclass names.
-    `_append` is the one writer of both memories.
+class ExplicitMemory:
+    """The classifier's entire state, one row per class in insertion
+    order: class ids, shot counts, right shifts, and (C, d_p) int64
+    matrices of exact accumulators and of the reduced values that
+    classification scores. Learning (`add_accumulated`), `load_em` and
+    `rebuilt_at_bits` are the only writers of `reduced`; nothing outside
+    the memory writes it, and `get` returns a read-only view of one row.
 
-    Each of these arrays is exactly (C, ...) and views the filled rows of a
+    Each stored array is exactly (C, ...) and views the filled rows of a
     buffer with spare rows (`_reserve`), so an append writes only its own
     rows, and a full buffer is replaced by one of twice the rows. A memory
     writes only into spare rows of buffers that it allocated (`_bufs`), and
     a written row never changes: a memory that shares another's arrays
     (`rebuilt_at_bits`) or a row view handed out earlier reads the same
     values after any append. A pickle holds the filled rows alone, and a
-    copy or an unpickled memory puts them in buffers of its own."""
+    copy or an unpickled memory puts them in buffers of its own.
 
-    def __init__(self, **rows):
+    `scoring_view()` is derived state: `reduced` as float64, its row norms
+    and the id order, built on the first scoring after a change and
+    dropped by every append."""
+
+    def __init__(self, d_p: int, quant: QuantSpec | None = None):
+        if d_p < 1:
+            raise ShapeMismatchError("d_p must be positive")
         self.ids = np.zeros(0, dtype=np.int64)
         self.counts = np.zeros(0, dtype=np.int64)
-        vars(self).update(rows)
-        self._bufs = dict.fromkeys(["ids", "counts", *rows])
+        self.shifts = np.zeros(0, dtype=np.int64)
+        self.accum = np.zeros((0, d_p), dtype=np.int64)
+        self.reduced = np.zeros((0, d_p), dtype=np.int64)
+        self._bufs = dict.fromkeys(["ids", "counts", "shifts", "accum", "reduced"])
+        self.d_p = d_p
+        self.quant = quant if quant is not None else QuantSpec()
+        self._scoring = None
 
     def __getstate__(self):
-        return {**vars(self), "_bufs": dict.fromkeys(self._bufs)}
+        # the scoring view is derived: a copy or pickle rebuilds it on use
+        return {**vars(self), "_bufs": dict.fromkeys(self._bufs), "_scoring": None}
 
     def __setstate__(self, state):
         vars(self).update(state)
@@ -216,13 +231,6 @@ class _ClassRows:
         for a value that no int64 id equals."""
         return (self.ids == class_id).nonzero()[0]
 
-    def _row(self, class_id: int) -> int:
-        """Row index of a stored class; KeyError for any other id."""
-        rows = self._rows_of(class_id)
-        if not rows.size:
-            raise KeyError(class_id)
-        return int(rows[0])
-
     def _append(self, ids, counts, **rows):
         """Append rows once every row invariant holds, else write nothing:
         ids are new, distinct and fit the snapshots' u32 id field, counts
@@ -249,6 +257,7 @@ class _ClassRows:
                 raise ShapeMismatchError(f"{name} rows of shape {block.shape[1:]} != {width}")
         n, k = len(self), len(given)
         rows.update(ids=new, counts=np.array(shots, dtype=np.int64))
+        self._scoring = None
         if n == 0:  # an empty memory holds no buffer
             vars(self).update(rows)
             return
@@ -260,39 +269,6 @@ class _ClassRows:
             buf = self._bufs[name]
             buf[n : n + k] = block
             setattr(self, name, buf[: n + k])
-
-
-class ExplicitMemory(_ClassRows):
-    """The classifier's entire state, one row per class in insertion
-    order: class ids, shot counts, right shifts, and (C, d_p) int64
-    matrices of exact accumulators and of the reduced values that
-    classification scores. Learning (`add_accumulated`), `load_em` and
-    `rebuilt_at_bits` are the only writers of `reduced`; nothing outside
-    the memory writes it, and `get` returns a read-only view of one row.
-
-    `scoring_view()` is derived state: `reduced` as float64, its row norms
-    and the id order, built on the first scoring after a change and
-    dropped by every append."""
-
-    def __init__(self, d_p: int, quant: QuantSpec | None = None):
-        if d_p < 1:
-            raise ShapeMismatchError("d_p must be positive")
-        super().__init__(
-            shifts=np.zeros(0, dtype=np.int64),
-            accum=np.zeros((0, d_p), dtype=np.int64),
-            reduced=np.zeros((0, d_p), dtype=np.int64),
-        )
-        self.d_p = d_p
-        self.quant = quant if quant is not None else QuantSpec()
-        self._scoring = None
-
-    def __getstate__(self):
-        # the scoring view is derived: a copy or pickle rebuilds it on use
-        return {**super().__getstate__(), "_scoring": None}
-
-    def _append(self, ids, counts, **rows):
-        super()._append(ids, counts, **rows)
-        self._scoring = None
 
     def scoring_view(self) -> ScoringView:
         """What `classify_batch` reads, read-only and kept until the memory
@@ -306,8 +282,11 @@ class ExplicitMemory(_ClassRows):
         return self._scoring
 
     def get(self, class_id: int) -> Prototype:
-        """Read-only view of one stored class."""
-        i = self._row(class_id)
+        """Read-only view of one stored class; KeyError for any other id."""
+        rows = self._rows_of(class_id)
+        if not rows.size:
+            raise KeyError(class_id)
+        i = int(rows[0])
         accum, reduced = self.accum[i], self.reduced[i]
         accum.flags.writeable = reduced.flags.writeable = False
         return Prototype(int(self.ids[i]), accum, int(self.counts[i]), reduced, int(self.shifts[i]))
@@ -327,28 +306,6 @@ class ExplicitMemory(_ClassRows):
         out.ids, out.counts, out.accum = self.ids, self.counts, self.accum
         out.reduced, out.shifts = reduce_rows(self.accum, bits)
         return out
-
-
-class ActivationMemory(_ClassRows):
-    """Per-class running sums of intermediate features, laid out like
-    `ExplicitMemory`: ids and shot counts in insertion order beside a
-    (C, d_a) float64 matrix of sums. Means are taken on demand."""
-
-    def __init__(self, d_a: int):
-        if d_a < 1:
-            raise ShapeMismatchError("d_a must be positive")
-        super().__init__(sums=np.zeros((0, d_a)))
-        self.d_a = d_a
-
-    def add_batch(self, class_id: int, thetas):
-        """Store a new class from its (shots, d_a) activations."""
-        batch = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-        self._append([class_id], [len(batch)], sums=batch.sum(axis=0, keepdims=True))
-
-    def mean(self, class_id: int) -> np.ndarray:
-        """Mean activation of a stored class; KeyError for any other id."""
-        i = self._row(class_id)
-        return self.sums[i] / self.counts[i]
 
 
 def classify_batch(em: ExplicitMemory, features):

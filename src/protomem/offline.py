@@ -291,10 +291,10 @@ def metalearn(params, base_dataset, cfg: MetaConfig, seed):
     return params, history
 
 
-def build_base_em(params, base_dataset, quant: QuantSpec, act_mem=None):
+def build_base_em(params, base_dataset, quant: QuantSpec, means=None):
     """Populate a fresh explicit memory with one prototype per base class,
-    each from a single pass over its samples, and `act_mem` with their mean
-    activations unless it is None (only finetuning reads them). Returns
-    (em, act_mem)."""
+    each from a single pass over its samples, and the dict `means` with
+    their mean activations unless it is None (only finetuning reads them).
+    Returns (em, means)."""
     em = ExplicitMemory(params.d_p, quant)
-    return learn_dataset(em, act_mem, params, base_dataset)
+    return learn_dataset(em, means, params, base_dataset)

@@ -30,19 +30,19 @@ class FinetuneConfig:
             raise SettingValueError("epochs, sub_batch must be >= 1 and lr >= 0")
 
 
-def learn_class(em, act_mem, params, samples, class_id: int):
+def learn_class(em, means, params, samples, class_id: int):
     """Absorb one new class with a single forward pass per sample.
 
     Features are quantized and summed into an exact integer accumulator;
     the class mean is never materialized (cosine scoring is
     scale-invariant). Extractor and projection weights stay untouched.
-    `act_mem` is None when no activation memory is kept: only finetuning
-    reads one. Both memories are checked before either is written.
+    `means` maps class ids to mean extractor activations, the one input
+    of `finetune_fcr`, or is None when finetuning is off; the class's mean
+    is added to it. A class already in `em` or in `means` is refused
+    before either is written.
     """
-    if class_id in em or act_mem is not None and class_id in act_mem:
+    if class_id in em or means is not None and int(class_id) in means:
         raise DuplicateClassError(f"class {class_id} already learned")
-    if act_mem is not None and act_mem.d_a != params.d_a:
-        raise ShapeMismatchError(f"activation memory d_a {act_mem.d_a} != model d_a {params.d_a}")
     if em.d_p != params.d_p:
         raise ShapeMismatchError(f"explicit memory d_p {em.d_p} != model d_p {params.d_p}")
     batch = np.asarray(samples, dtype=np.float64)
@@ -59,18 +59,18 @@ def learn_class(em, act_mem, params, samples, class_id: int):
     theta_p = forward_fcr(params, theta_a)
     accum = quantize_rows(theta_p, em.quant.feature_bits).values.sum(axis=0)
     em.add_accumulated(class_id, accum, shots)
-    if act_mem is not None:
-        act_mem.add_batch(class_id, theta_a)
-    return em, act_mem
+    if means is not None:
+        means[int(class_id)] = theta_a.sum(axis=0) / shots
+    return em, means
 
 
-def learn_dataset(em, act_mem, params, dataset):
+def learn_dataset(em, means, params, dataset):
     """Absorb every class of `dataset`, one `learn_class` each, in class-id
-    order: the one order in which a stream's classes enter the memories.
-    `act_mem` may be None, as in `learn_class`."""
+    order: the one order in which a stream's classes enter the memory.
+    `means` is None or a dict of class means, as in `learn_class`."""
     for cid in dataset.class_ids():
-        learn_class(em, act_mem, params, dataset.inputs[dataset.indices_of(cid)], cid)
-    return em, act_mem
+        learn_class(em, means, params, dataset.inputs[dataset.indices_of(cid)], cid)
+    return em, means
 
 
 def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
@@ -88,21 +88,26 @@ def _cosine_target_grads(y: np.ndarray, targets: np.ndarray):
     return 1.0 - cos, grads
 
 
-def finetune_fcr(params, act_mem, em, cfg: FinetuneConfig):
+def finetune_fcr(params, means, em, cfg: FinetuneConfig):
     """Batched gradient descent pulling projected mean activations toward
     the bipolarized class prototypes; the extractor and the memory are
     read-only.
 
-    Returns the per-epoch total loss history (recorded before each
-    epoch's updates land in the following groups). Refuses memories whose
-    class-id sets differ, since each prototype is paired with its class's
-    mean activation.
+    `means` maps each class id of `em` to its (d_a,) mean activation, as
+    `learn_class` stores it. Returns the per-epoch total loss history
+    (recorded before each epoch's updates land in the following groups).
+    Refuses, before any update, class-id sets that differ, since each
+    prototype is paired with its class's mean activation, and a mean that
+    is not d_a wide.
     """
-    em_ids, am_ids = sorted(em.class_ids()), sorted(act_mem.class_ids())
-    if em_ids != am_ids:
-        raise MisalignedMemoriesError(f"memory class sets differ: em={em_ids} act={am_ids}")
-    order = np.argsort(act_mem.ids)
-    inputs = act_mem.sums[order] / act_mem.counts[order, None]
+    em_ids, mean_ids = sorted(em.class_ids()), sorted(means)
+    if em_ids != mean_ids:
+        raise MisalignedMemoriesError(f"memory class sets differ: em={em_ids} means={mean_ids}")
+    for c in mean_ids:
+        shape = np.shape(means[c])
+        if shape != (params.d_a,):
+            raise ShapeMismatchError(f"class {c} mean of shape {shape} != ({params.d_a},)")
+    inputs = np.array([means[c] for c in mean_ids], dtype=np.float64)
     targets = bipolarize(em.reduced[np.argsort(em.ids)]).astype(np.float64)
     history = []
     for _ in range(cfg.epochs):

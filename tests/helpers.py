@@ -11,7 +11,7 @@ from protomem.errors import NumericFailureError, ShapeMismatchError, ZeroNormErr
 from protomem import harness
 from protomem.harness import SessionReport, extract_features, pretrain_model
 from protomem.losses import cutmix, mixup, pretrain_loss, sample_augmentation
-from protomem.memory import ActivationMemory, bipolarize, classify_batch, quantize_rows, reduce_rows
+from protomem.memory import bipolarize, classify_batch, quantize_rows, reduce_rows
 from protomem.numerics import ZERO_NORM_FLOOR, as_vector, matmul, relu
 from protomem.offline import _cosines, _cutmix_grid, _one_hot_rows, build_base_em
 from protomem.online import finetune_fcr, learn_class, learn_dataset
@@ -246,10 +246,10 @@ def cosine_target_grad(y, target):
     return 1.0 - cos, grad
 
 
-def finetune_fcr_per_row(params, act_mem, em, cfg):
+def finetune_fcr_per_row(params, means, em, cfg):
     """`online.finetune_fcr` with the cosine objective taken one row at a
     time; returns the per-epoch loss history."""
-    inputs = np.stack([act_mem.mean(c) for c in sorted(act_mem.class_ids())])
+    inputs = np.stack([means[c] for c in sorted(means)])
     targets = np.stack([
         bipolarize(em.get(c).quantized).astype(np.float64) for c in sorted(em.class_ids())
     ])
@@ -272,16 +272,16 @@ def finetune_fcr_per_row(params, act_mem, em, cfg):
 def run_protocol_per_stage(params, stream, quant, finetune=None):
     """`harness.run_protocol` with every stage running the whole extractor
     again on its test subset."""
-    em, act_mem = build_base_em(params, stream.base, quant, ActivationMemory(params.d_a))
+    em, means = build_base_em(params, stream.base, quant, {})
     base_ids = stream.base.class_ids()
     accs, base_accs = [], []
     for t in range(len(stream.sessions) + 1):
         if t:
             session = stream.sessions[t - 1]
             for cid in session.class_ids():
-                learn_class(em, act_mem, params, session.inputs[session.indices_of(cid)], cid)
+                learn_class(em, means, params, session.inputs[session.indices_of(cid)], cid)
             if finetune is not None:
-                finetune_fcr(params, act_mem, em, finetune)
+                finetune_fcr(params, means, em, finetune)
         subset = stream.test.subset_by_classes(stream.classes_through(t))
         preds, _ = classify_batch(em, extract_features(params, subset))
         ok = preds == subset.labels
@@ -295,11 +295,11 @@ def base_scores_per_stage(params, stream, quant, feats) -> list:
     """The scores of `feats` against the base classes of the memory that
     `build_base_em` builds, and again after each session's `learn_dataset`:
     one (N, base classes) array per stage."""
-    em, act_mem = build_base_em(params, stream.base, quant)
+    em, _ = build_base_em(params, stream.base, quant)
     base = [em.class_ids().index(cid) for cid in stream.base.class_ids()]
     stages = [classify_batch(em, feats)[1][:, base]]
     for session in stream.sessions:
-        learn_dataset(em, act_mem, params, session)
+        learn_dataset(em, None, params, session)
         stages.append(classify_batch(em, feats)[1][:, base])
     return stages
 
@@ -497,7 +497,7 @@ def pretrain_hand_head(params, weight, bias, base_dataset, cfg, epochs, lr, seed
 
 
 class ConcatRows:
-    """Oracle for what a class memory stores: each array that it names,
+    """Oracle for what an explicit memory stores: each of its arrays,
     grown by one `np.concatenate` per append, so that every append leaves
     fresh (C, ...) arrays that nothing else holds."""
 
@@ -507,8 +507,8 @@ class ConcatRows:
     @classmethod
     def of(cls, mem):
         """An oracle holding a copy of each array that `mem` stores now."""
-        names = ("sums",) if isinstance(mem, ActivationMemory) else ("shifts", "accum", "reduced")
-        return cls(**{name: getattr(mem, name) for name in ("ids", "counts", *names)})
+        names = ("ids", "counts", "shifts", "accum", "reduced")
+        return cls(**{name: getattr(mem, name) for name in names})
 
     def append(self, **rows):
         for name, block in rows.items():
@@ -519,9 +519,6 @@ class ConcatRows:
         accum = np.asarray(accum, dtype=np.int64).reshape(1, -1)
         reduced, shifts = reduce_rows(accum, bits)
         self.append(ids=[class_id], counts=[count], shifts=shifts, accum=accum, reduced=reduced)
-
-    def add_batch(self, class_id, thetas):
-        self.append(ids=[class_id], counts=[len(thetas)], sums=thetas.sum(axis=0, keepdims=True))
 
     def assert_holds(self, mem):
         """Every stored array of `mem` equals the oracle's, bit for bit."""
@@ -548,9 +545,8 @@ def held_nbytes(obj) -> int:
     return sum(held.values())
 
 
-def learn_class_oracles(em_rows, am_rows, quant, params, samples, class_id):
-    """What `learn_class` appends to the two memories, on their oracles."""
+def learn_class_oracle(em_rows, quant, params, samples, class_id):
+    """What `learn_class` appends to an explicit memory, on its oracle."""
     theta_a = forward_backbone(params, np.asarray(samples, dtype=np.float64))
     q = quantize_rows(forward_fcr(params, theta_a), quant.feature_bits).values
     em_rows.add_accumulated(class_id, q.sum(axis=0), len(q), quant.prototype_bits)
-    am_rows.add_batch(class_id, theta_a)

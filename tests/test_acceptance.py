@@ -41,7 +41,6 @@ from protomem.losses import (
     softmax_ce_batch,
 )
 from protomem.memory import (
-    ActivationMemory,
     ExplicitMemory,
     QuantSpec,
     classify,
@@ -84,7 +83,7 @@ class DeskRun:
         metalearn(self.params_aom, self.stream.base, meta, seed=self.SEED + 2)
         self.report_ag = run_protocol(self.params_ag, self.stream, QuantSpec())
         self.report_aom = run_protocol(self.params_aom, self.stream, QuantSpec())
-        self.em, self.act_mem = self._populate_em(self.params_aom)
+        self.em = self._populate_em(self.params_aom)
         self.test_features = extract_features(self.params_aom, self.stream.test)
         self.elapsed = time.monotonic() - t0
 
@@ -98,11 +97,10 @@ class DeskRun:
 
     def _populate_em(self, params):
         em = ExplicitMemory(params.d_p, QuantSpec())
-        am = ActivationMemory(params.d_a)
         for part in [self.stream.base, *self.stream.sessions]:
             for cid in part.class_ids():
-                learn_class(em, am, params, part.inputs[part.indices_of(cid)], cid)
-        return em, am
+                learn_class(em, None, params, part.inputs[part.indices_of(cid)], cid)
+        return em
 
     def mean_offdiag_gram(self, params):
         feats = extract_features(params, self.stream.test)
@@ -266,8 +264,7 @@ class TestCriterion2Oracles:
             params = init_model([4, d_p + 1, d_p], seed=int(rng.integers(1 << 30)))
             samples = rng.standard_normal((shots, 4))
             em = ExplicitMemory(d_p, QuantSpec())
-            am = ActivationMemory(d_p + 1)
-            learn_class(em, am, params, samples, 0)
+            learn_class(em, None, params, samples, 0)
             feats = forward_fcr(params, forward_backbone(params, samples))
             qs = np.stack([quantize_feature(f, 8).values for f in feats])
             np.testing.assert_array_equal(em.get(0).accum, qs.sum(axis=0))
@@ -448,13 +445,12 @@ class TestCriterion7SinglePass:
     def test_forward_counter_equals_shots(self, desk):
         params = copy.deepcopy(desk.params_aom)
         em = ExplicitMemory(params.d_p, QuantSpec())
-        am = ActivationMemory(params.d_a)
         deltas = []
         for session in desk.stream.sessions:
             for cid in session.class_ids():
                 rows = session.indices_of(cid)
                 before = params.forward_calls
-                learn_class(em, am, params, session.inputs[rows], cid)
+                learn_class(em, None, params, session.inputs[rows], cid)
                 deltas.append(params.forward_calls - before)
         ok = all(d == desk.stream.shots for d in deltas)
         report(7, ok, f"forward passes per learned class = {sorted(set(deltas))} "

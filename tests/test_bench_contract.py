@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ConcatRows, held_nbytes, learn_class_oracles, make_points_dataset
+from helpers import ConcatRows, held_nbytes, learn_class_oracle, make_points_dataset
 from protomem import backbone, memory, offline, online
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -178,34 +178,32 @@ def test_deep_copied_base_memories_learn_alone_and_hold_each_row_once():
     # Every round learns on deep copies of the learned base memories. A copy
     # that wrote into its source's buffers would change the next round's
     # base; one that kept a view beside the buffer it views would hold rows
-    # twice and raise peak_rss_mb.
+    # twice and raise peak_rss_mb. The base is built as `lifecycle` builds
+    # it, which keeps no class means: `base_am` is None.
     assert {"trained.base_em", "trained.base_am"} <= lifecycle_deepcopies()
     params = backbone.init_model([8, 6, 4], seed=0)
     quant = memory.QuantSpec(prototype_bits=3)
-    base_em, base_am = offline.build_base_em(
-        params, make_points_dataset(6, 5, dim=8), quant, memory.ActivationMemory(params.d_a)
-    )
-    copies = [(copy.deepcopy(base_em), copy.deepcopy(base_am)) for _ in range(2)]
-    for mem in [base_em, base_am, *(m for pair in copies for m in pair)]:
+    base_em, base_am = offline.build_base_em(params, make_points_dataset(6, 5, dim=8), quant)
+    assert base_am is None
+    mems = [base_em, *(copy.deepcopy(base_em) for _ in range(2))]
+    for mem in mems:
         stored = sum(array.nbytes for array in ConcatRows.of(mem).arrays.values())
         assert held_nbytes(mem) <= 2 * stored
-    pairs = [(base_em, base_am), *copies]
-    oracles = [(ConcatRows.of(em), ConcatRows.of(am)) for em, am in pairs]
+    oracles = [ConcatRows.of(mem) for mem in mems]
     rng = np.random.default_rng(4)
     for cid in range(100, 106):
-        who = cid % len(pairs)
+        who = cid % len(mems)
         samples = rng.standard_normal((5, 8))
-        online.learn_class(*pairs[who], params, samples, cid)
-        learn_class_oracles(*oracles[who], quant, params, samples, cid)
-        for (em, am), (em_rows, am_rows) in zip(pairs, oracles):
-            em_rows.assert_holds(em)
-            am_rows.assert_holds(am)
+        online.learn_class(mems[who], base_am, params, samples, cid)
+        learn_class_oracle(oracles[who], quant, params, samples, cid)
+        for mem, rows in zip(mems, oracles):
+            rows.assert_holds(mem)
 
 
 @pytest.mark.parametrize("workload", ["online_sessions", "offline_train"])
 def test_a_small_lifecycle_round_keeps_its_checks(monkeypatch, tmp_path, workload):
     # the set-up and one round of a workload, shrunk to a few milliseconds
-    # of work: the base memories it deep-copies hold no activation memory
+    # of work: the base memories it deep-copies keep no class means
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ under benchmarks/
     lifecycle = importlib.import_module("lifecycle")

@@ -577,6 +577,29 @@ class TestCliCommands:
         assert err.startswith("config error") and "unknown dataset format 'x'" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_a_dataset_format_other_than_auto_needs_a_dataset(self, tmp_path, capsys, command):
+        # synthetic blobs and a manifest's files, read as auto, would ignore it
+        manifest = novel_test_stream(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        sources = [{}]
+        if command not in ("learn-class", "classify"):  # which refuse a manifest
+            sources.append({"stream_manifest": manifest})
+        for fmt in DATASET_FORMATS:
+            for source in sources:
+                argv = tiny_overrides(out, params_in=tmp_path / "params.ofsc", class_id=3,
+                                      dataset_format=fmt, **source)
+                code, err = cli.main([command, *argv]), capsys.readouterr().err
+                if fmt == "auto":
+                    assert not err.startswith("config error"), err
+                else:
+                    want = f"config error: dataset_format={fmt} needs dataset=\n"
+                    assert (code, err) == (2, want)
+                for path in out.iterdir():
+                    assert fmt == "auto", path
+                    path.unlink()
+
     @pytest.mark.parametrize("command", ["learn-class", "classify"])
     @pytest.mark.parametrize(
         "key,value", [("per_class_cap", 0), ("per_class_cap", -1), ("test_per_class", -1)]
@@ -977,13 +1000,14 @@ SWEPT_KEYS = sorted(
 SWEPT_VALUES = ("0", "-1", "1", "2", "x", "nan", "")
 
 
-class TestLearnClassKeySweep:
-    """Any value of any key makes `learn-class` succeed or exit 2, 3 or 4,
-    and a run that fails writes no file."""
+class TestKeySweep:
+    """Any value of any key makes `learn-class`, `pretrain` or `protocol`
+    succeed or exit 2, 3 or 4, and a run that fails writes no file."""
 
+    @pytest.mark.parametrize("command", ["learn-class", "pretrain", "protocol"])
     @pytest.mark.parametrize("key", SWEPT_KEYS)
     def test_each_value_exits_0_to_4_and_a_failure_writes_nothing(
-        self, sweep_inputs, tmp_path, monkeypatch, capsys, key
+        self, sweep_inputs, tmp_path, monkeypatch, capsys, key, command
     ):
         monkeypatch.delenv(ENV_SEED, raising=False)
         missed = []
@@ -991,7 +1015,7 @@ class TestLearnClassKeySweep:
             argv = tiny_overrides(
                 tmp_path, **{"params_in": sweep_inputs / "params.ofsc", "class_id": 1, key: value}
             )
-            code = cli.main(["learn-class", *argv])
+            code = cli.main([command, *argv])
             written = sorted(p.name for p in tmp_path.iterdir())
             if code not in (0, 2, 3, 4) or code and written:
                 missed.append(f"{key}={value!r}: exit {code}, wrote {written}")

@@ -30,7 +30,8 @@ from protomem.harness import (
     train_pipeline,
     validate_stream,
 )
-from protomem.memory import ActivationMemory, QuantSpec, classify
+from protomem.memory import QuantSpec, classify
+from protomem import offline
 from protomem.offline import MetaConfig, build_base_em, metalearn
 from protomem.online import FinetuneConfig
 
@@ -142,20 +143,27 @@ class TestRunProtocol:
         assert got == want
         assert params_checksum(params) == params_checksum(twin)
 
-    @pytest.mark.parametrize("ft_cfg,built", [(None, 0), (SMALL_FT, 1)])
-    def test_activation_memory_is_built_only_to_finetune(self, monkeypatch, ft_cfg, built):
-        made = []
-        init = ActivationMemory.__init__
+    @pytest.mark.parametrize("ft_cfg", [None, SMALL_FT])
+    def test_class_means_are_kept_only_to_finetune(self, monkeypatch, ft_cfg):
+        # the base (through build_base_em) and each session: None without
+        # finetuning, else one dict that ends up holding every class
+        given = []
+        for module in (offline, harness):
+            real = module.learn_dataset
 
-        def spy(self, d_a):
-            made.append(d_a)
-            init(self, d_a)
+            def spy(em, means, params, dataset, real=real):
+                given.append(means)
+                return real(em, means, params, dataset)
 
-        monkeypatch.setattr(ActivationMemory, "__init__", spy)
+            monkeypatch.setattr(module, "learn_dataset", spy)
         stream = desk_stream(15)
-        params = desk_params(stream, 15)
-        run_protocol(params, stream, QuantSpec(), ft_cfg)
-        assert made == [params.d_a] * built
+        run_protocol(desk_params(stream, 15), stream, QuantSpec(), ft_cfg)
+        assert len(given) == 1 + len(stream.sessions)
+        if ft_cfg is None:
+            assert given == [None] * len(given)
+        else:
+            assert all(means is given[0] for means in given) and type(given[0]) is dict
+            assert sorted(given[0]) == sorted(stream.classes_through(len(stream.sessions)))
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_extracts_each_row_once(self, finetune):

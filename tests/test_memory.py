@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ConcatRows, held_nbytes, learn_class_oracles
+from helpers import ConcatRows, held_nbytes, learn_class_oracle
 from protomem import memory
 from protomem.backbone import forward_backbone, forward_fcr, init_model
 from protomem.errors import (
@@ -25,7 +25,6 @@ from protomem.errors import (
     ZeroNormError,
 )
 from protomem.memory import (
-    ActivationMemory,
     ExplicitMemory,
     QuantSpec,
     bipolarize,
@@ -146,12 +145,12 @@ class TestQuantizeRows:
 
     def test_learn_class_refuses_a_non_finite_shot_writing_neither_memory(self):
         params = init_model([8, 6, 4], seed=0)
-        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        em, means = ExplicitMemory(params.d_p), {}
         shots = np.ones((5, 8))
         shots[3, 0] = np.nan
         with pytest.raises(NonFiniteValueError):
-            learn_class(em, am, params, shots, 0)
-        assert len(em) == len(am) == 0
+            learn_class(em, means, params, shots, 0)
+        assert len(em) == len(means) == 0
 
 
 class TestChooseShift:
@@ -445,18 +444,18 @@ class TestScoringView:
         return scores
 
     @staticmethod
-    def learn(em, am, params, rng, cid):
-        learn_class(em, am, params, rng.standard_normal((5, 8)) + rng.standard_normal(8), cid)
+    def learn(em, means, params, rng, cid):
+        learn_class(em, means, params, rng.standard_normal((5, 8)) + rng.standard_normal(8), cid)
 
     def test_scores_follow_every_change(self, tmp_path):
         params = init_model([8, 6, 4], seed=3)
         rng = np.random.default_rng(11)
         queries = forward_fcr(params, forward_backbone(params, rng.standard_normal((6, 8))))
-        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        em, means = ExplicitMemory(params.d_p), {}
         for cid in (5, 2):
-            self.learn(em, am, params, rng, cid)
+            self.learn(em, means, params, rng, cid)
             self.assert_scores_are_cossim(em, queries)
-        self.learn(em, am, params, rng, 9)
+        self.learn(em, means, params, rng, 9)
         self.assert_scores_are_cossim(em, queries)
 
         save_em(em, tmp_path / "em.ofem")
@@ -466,12 +465,12 @@ class TestScoringView:
 
         view, before = em.scoring_view(), self.assert_scores_are_cossim(em, queries)
         with pytest.raises(DuplicateClassError):
-            self.learn(em, am, params, rng, 2)
+            self.learn(em, means, params, rng, 2)
         assert em.class_ids() == [5, 2, 9] and em.scoring_view() is view
         assert self.assert_scores_are_cossim(em, queries).tolist() == before.tolist()
 
-        twin, twin_am = copy.deepcopy(em), copy.deepcopy(am)
-        self.learn(twin, twin_am, params, rng, 4)
+        twin, twin_means = copy.deepcopy(em), copy.deepcopy(means)
+        self.learn(twin, twin_means, params, rng, 4)
         assert self.assert_scores_are_cossim(twin, queries).shape == (6, 4)
         assert self.assert_scores_are_cossim(em, queries).tolist() == before.tolist()
 
@@ -508,14 +507,14 @@ class TestScoringView:
         monkeypatch.setattr(memory, "row_norms", counting)
         params = init_model([8, 6, 4], seed=4)
         rng = np.random.default_rng(12)
-        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a)
+        em = ExplicitMemory(params.d_p)
         for cid in (0, 1, 2):
-            self.learn(em, am, params, rng, cid)
+            self.learn(em, None, params, rng, cid)
         query = rng.standard_normal(params.d_p)
         classify(em, query)
         classify(em, query)
         assert built == [3]
-        self.learn(em, am, params, rng, 3)
+        self.learn(em, None, params, rng, 3)
         classify(em, query)
         classify(em, query)
         assert built == [3, 4]
@@ -667,18 +666,14 @@ class TestSnapshot:
     @pytest.mark.parametrize("class_id", [-1, 2**32, 2**32 + 5])
     def test_ids_must_fit_u32(self, class_id):
         # the snapshot id column is u32: 2**32 + 5 would reload as 5
-        em, am = ExplicitMemory(2), ActivationMemory(2)
+        em = ExplicitMemory(2)
         with pytest.raises(ClassIdRangeError):
             em.add_accumulated(class_id, [1, 2], 1)
-        with pytest.raises(ClassIdRangeError):
-            am.add_batch(class_id, [1.0, 2.0])
-        assert len(em) == len(am) == 0
+        assert len(em) == 0
 
     def test_counts_must_be_positive(self):
         with pytest.raises(EmptySampleSetError):
             ExplicitMemory(2).add_accumulated(0, [1, 2], 0)
-        with pytest.raises(EmptySampleSetError):
-            ActivationMemory(2).add_batch(0, np.zeros((0, 2)))
 
     @pytest.mark.parametrize("count", [2**32, 2**32 + 3])
     def test_counts_must_fit_u32(self, count):
@@ -828,43 +823,37 @@ class TestSnapshot:
 
 
 class TestRowStore:
-    """Both memories keep their rows in buffers with spare rows that they
-    alone write; every memory must still read as if each append had
+    """The explicit memory keeps its rows in buffers with spare rows that
+    it alone writes; every memory must still read as if each append had
     concatenated fresh arrays (`helpers.ConcatRows`)."""
 
     PARAMS = init_model([8, 6, 4], seed=3)
 
     @classmethod
-    def learn(cls, em, am, rng, cid, oracles=None):
+    def learn(cls, em, rng, cid, oracle=None):
         samples = rng.standard_normal((int(rng.integers(1, 6)), 8)) + rng.standard_normal(8)
-        learn_class(em, am, cls.PARAMS, samples, cid)
-        if oracles is not None:
-            learn_class_oracles(*oracles, em.quant, cls.PARAMS, samples, cid)
+        learn_class(em, None, cls.PARAMS, samples, cid)
+        if oracle is not None:
+            learn_class_oracle(oracle, em.quant, cls.PARAMS, samples, cid)
 
-    OPS = ("add_accumulated", "add_batch", "learn_class", "rebuilt_at_bits", "deepcopy",
-           "pickle", "snapshot")
+    OPS = ("add_accumulated", "learn_class", "rebuilt_at_bits", "deepcopy", "pickle", "snapshot")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**31)), max_size=25))
     def test_every_memory_matches_a_concatenating_oracle(self, tmp_path_factory, steps):
-        d_p, d_a = self.PARAMS.d_p, self.PARAMS.d_a
-        root = ExplicitMemory(d_p, QuantSpec(prototype_bits=5)), ActivationMemory(d_a)
-        ems, ams = [(root[0], ConcatRows.of(root[0]))], [(root[1], ConcatRows.of(root[1]))]
+        d_p = self.PARAMS.d_p
+        root = ExplicitMemory(d_p, QuantSpec(prototype_bits=5))
+        ems = [(root, ConcatRows.of(root))]
         fresh_ids, folder = itertools.count(), tmp_path_factory.mktemp("rows")
         for op, seed in steps:
             rng = np.random.default_rng(seed)
             em, em_rows = ems[rng.integers(len(ems))]
-            am, am_rows = ams[rng.integers(len(ams))]
             if op == "add_accumulated":
                 accum, count = rng.integers(-(2**20), 2**20, d_p), int(rng.integers(1, 9))
                 em.add_accumulated(next(fresh_ids), accum, count)
                 em_rows.add_accumulated(em.ids[-1], accum, count, em.quant.prototype_bits)
-            elif op == "add_batch":
-                thetas = rng.standard_normal((int(rng.integers(1, 5)), d_a))
-                am.add_batch(next(fresh_ids), thetas)
-                am_rows.add_batch(am.ids[-1], thetas)
             elif op == "learn_class":
-                self.learn(em, am, rng, next(fresh_ids), (em_rows, am_rows))
+                self.learn(em, rng, next(fresh_ids), em_rows)
             elif op == "rebuilt_at_bits":
                 bits = int(rng.integers(1, 33))
                 reduced, shifts = reduce_rows(em_rows.arrays["accum"], bits)
@@ -873,7 +862,6 @@ class TestRowStore:
             elif op in ("deepcopy", "pickle"):
                 clone = copy.deepcopy if op == "deepcopy" else lambda m: pickle.loads(pickle.dumps(m))
                 ems.append((clone(em), ConcatRows(**em_rows.arrays)))
-                ams.append((clone(am), ConcatRows(**am_rows.arrays)))
             else:  # snapshot the explicit memory, then learn on what loads
                 save_em(em, folder / "em.ofem")
                 em2 = load_em(folder / "em.ofem")
@@ -881,62 +869,55 @@ class TestRowStore:
                 shifts = np.full(len(reduced), em_rows.arrays["shifts"].max(initial=0))
                 rows = {**em_rows.arrays, "shifts": shifts, "accum": reduced}
                 em2_rows = ConcatRows(**rows)
-                self.learn(em2, am, rng, next(fresh_ids), (em2_rows, am_rows))
+                self.learn(em2, rng, next(fresh_ids), em2_rows)
                 ems.append((em2, em2_rows))
-            for mem, rows in ems + ams:
+            for mem, rows in ems:
                 rows.assert_holds(mem)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_learning_on_one_relative_leaves_the_others_unchanged(self, order):
         # the source has spare rows; its rebuild shares its arrays
         rng = np.random.default_rng(5)
-        em, am = ExplicitMemory(self.PARAMS.d_p), ActivationMemory(self.PARAMS.d_a)
+        em = ExplicitMemory(self.PARAMS.d_p)
         for cid in range(3):
-            self.learn(em, am, rng, cid)
-        em_copy, am_copy = copy.deepcopy(em), copy.deepcopy(am)
-        pairs = [(em, am), (em.rebuilt_at_bits(3), ActivationMemory(self.PARAMS.d_a)),
-                 (em_copy, am_copy)]
-        oracles = [(ConcatRows.of(e), ConcatRows.of(a)) for e, a in pairs]
+            self.learn(em, rng, cid)
+        mems = [em, em.rebuilt_at_bits(3), copy.deepcopy(em)]
+        oracles = [ConcatRows.of(m) for m in mems]
         for cid, who in enumerate(order, start=10):
-            self.learn(*pairs[who], rng, cid, oracles[who])
-            for (e, a), (e_rows, a_rows) in zip(pairs, oracles):
-                e_rows.assert_holds(e)
-                a_rows.assert_holds(a)
+            self.learn(mems[who], rng, cid, oracles[who])
+            for mem, rows in zip(mems, oracles):
+                rows.assert_holds(mem)
 
     def test_an_append_writes_its_row_beside_the_rows_before(self):
         # a full buffer doubles, so of 16 appends to a non-empty memory at
         # most 5 (at 1, 2, 4, 8 and 16 rows) copy the rows before them
         rng = np.random.default_rng(8)
-        em, am = ExplicitMemory(self.PARAMS.d_p), ActivationMemory(self.PARAMS.d_a)
-        self.learn(em, am, rng, 0)
+        em = ExplicitMemory(self.PARAMS.d_p)
+        self.learn(em, rng, 0)
         in_place = []
         for cid in range(1, 17):
-            accum, sums = em.accum, am.sums
-            self.learn(em, am, rng, cid)
-            assert np.array_equal(em.accum[:cid], accum) and np.array_equal(am.sums[:cid], sums)
-            in_place.append(np.shares_memory(em.accum, accum) and np.shares_memory(am.sums, sums))
+            accum = em.accum
+            self.learn(em, rng, cid)
+            assert np.array_equal(em.accum[:cid], accum)
+            in_place.append(np.shares_memory(em.accum, accum))
         assert in_place.count(False) <= 5
 
     def test_a_copy_holds_each_row_once_and_learns_in_place(self):
         rng = np.random.default_rng(9)
-        em, am = ExplicitMemory(64), ActivationMemory(64)
+        em = ExplicitMemory(64)
         for cid in range(5):
             em.add_accumulated(cid, rng.integers(-99, 99, 64), 1)
-            am.add_batch(cid, rng.standard_normal((2, 64)))
         classify(em, np.ones(64))  # a scored memory holds a derived float copy too
-        learn = {em: lambda m: m.add_accumulated(9, np.ones(64), 1),
-                 am: lambda m: m.add_batch(9, np.ones((1, 64)))}
-        for mem in (em, am):
-            rows = ConcatRows.of(mem).arrays
-            stored = sum(array.nbytes for array in rows.values())
-            assert len(pickle.dumps(mem)) < stored + 1024
-            for clone in (copy.deepcopy(mem), pickle.loads(pickle.dumps(mem))):
-                assert held_nbytes(clone) <= 2 * stored
-                ConcatRows(**rows).assert_holds(clone)
-                before = {name: getattr(clone, name) for name in rows}
-                learn[mem](clone)
-                assert all(np.shares_memory(getattr(clone, n), a) for n, a in before.items())
-            ConcatRows(**rows).assert_holds(mem)
+        rows = ConcatRows.of(em).arrays
+        stored = sum(array.nbytes for array in rows.values())
+        assert len(pickle.dumps(em)) < stored + 1024
+        for clone in (copy.deepcopy(em), pickle.loads(pickle.dumps(em))):
+            assert held_nbytes(clone) <= 2 * stored
+            ConcatRows(**rows).assert_holds(clone)
+            before = {name: getattr(clone, name) for name in rows}
+            clone.add_accumulated(9, np.ones(64), 1)
+            assert all(np.shares_memory(getattr(clone, n), a) for n, a in before.items())
+        ConcatRows(**rows).assert_holds(em)
 
     def test_a_loaded_memory_keeps_the_rows_it_decoded(self, tmp_path):
         # load_em decodes once; accumulators and reduced values are one

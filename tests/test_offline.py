@@ -34,7 +34,7 @@ from protomem.errors import (
     ShapeMismatchError,
 )
 from protomem.losses import PretrainLossConfig
-from protomem.memory import ActivationMemory, QuantSpec, classify, quantize_feature
+from protomem.memory import QuantSpec, classify, quantize_feature
 from protomem.numerics import relu
 from protomem.offline import (
     MetaConfig,
@@ -346,13 +346,13 @@ class TestMetalearn:
 class TestBuildBaseEm:
     def test_one_prototype_per_class(self):
         ds, params, _ = toy_problem(14, classes=4)
-        em, am = build_base_em(params, ds, QuantSpec(), ActivationMemory(params.d_a))
+        em, means = build_base_em(params, ds, QuantSpec(), {})
         assert em.class_ids() == ds.class_ids()
-        assert am.class_ids() == ds.class_ids()
+        assert list(means) == ds.class_ids()
 
     def test_no_activation_memory_unless_one_is_given(self):
         ds, params, _ = toy_problem(14, classes=4)
-        kept, _ = build_base_em(params, ds, QuantSpec(), ActivationMemory(params.d_a))
+        kept, _ = build_base_em(params, ds, QuantSpec(), {})
         em, am = build_base_em(params, ds, QuantSpec())
         assert am is None
         assert em.accum.tobytes() == kept.accum.tobytes()

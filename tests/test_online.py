@@ -28,7 +28,6 @@ from protomem.errors import (
     ShapeMismatchError,
 )
 from protomem.memory import (
-    ActivationMemory,
     ExplicitMemory,
     QuantSpec,
     bipolarize,
@@ -49,16 +48,16 @@ def net(seed=0):
 
 
 def fresh_memories(params):
-    return ExplicitMemory(params.d_p, QuantSpec()), ActivationMemory(params.d_a)
+    return ExplicitMemory(params.d_p, QuantSpec()), {}
 
 
 class TestLearnClass:
     def test_single_shot_equals_quantized_feature(self):
         params = net(1)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(8)
-        learn_class(em, am, params, [x], class_id=3)
+        learn_class(em, means, params, [x], class_id=3)
         theta_p = forward_fcr(params, forward_backbone(params, x))
         expected = quantize_feature(theta_p, em.quant.feature_bits).values
         np.testing.assert_array_equal(em.get(3).accum, expected)
@@ -67,9 +66,9 @@ class TestLearnClass:
 
     def test_identical_shots_keep_direction(self):
         params = net(2)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         x = np.linspace(-1, 1, 8)
-        learn_class(em, am, params, np.tile(x, (5, 1)), class_id=0)
+        learn_class(em, means, params, np.tile(x, (5, 1)), class_id=0)
         single = quantize_feature(
             forward_fcr(params, forward_backbone(params, x)), 8
         ).values
@@ -79,10 +78,10 @@ class TestLearnClass:
 
     def test_matches_two_pass_mean_oracle(self):
         params = net(3)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         rng = np.random.default_rng(5)
         samples = rng.standard_normal((5, 8))
-        learn_class(em, am, params, samples, class_id=1)
+        learn_class(em, means, params, samples, class_id=1)
         # two-pass oracle: quantize every feature, then take the mean
         qs = [
             quantize_feature(forward_fcr(params, forward_backbone(params, s)), 8).values
@@ -94,17 +93,17 @@ class TestLearnClass:
 
     def test_single_pass_counter(self):
         params = net(4)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         rng = np.random.default_rng(6)
         before = params.forward_calls
-        learn_class(em, am, params, rng.standard_normal((7, 8)), class_id=0)
+        learn_class(em, means, params, rng.standard_normal((7, 8)), class_id=0)
         assert params.forward_calls - before == 7
 
     def test_weights_untouched(self):
         params = net(5)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         checksum = params_checksum(params)
-        learn_class(em, am, params, np.random.default_rng(0).standard_normal((4, 8)), 0)
+        learn_class(em, means, params, np.random.default_rng(0).standard_normal((4, 8)), 0)
         assert params_checksum(params) == checksum
 
     @pytest.mark.parametrize("bits", range(1, 9))
@@ -113,13 +112,13 @@ class TestLearnClass:
         # same prototypes, shifts and decisions as reducing afterwards
         params = net(12)
         rng = np.random.default_rng(bits)
-        full, am_full = fresh_memories(params)
+        full, means_full = fresh_memories(params)
         narrow = ExplicitMemory(params.d_p, QuantSpec(prototype_bits=bits))
-        am_narrow = ActivationMemory(params.d_a)
+        means_narrow = {}
         for cid in (4, 0, 2):
             shots = rng.standard_normal((5, 8)) + rng.standard_normal(8)
-            learn_class(full, am_full, params, shots, cid)
-            learn_class(narrow, am_narrow, params, shots, cid)
+            learn_class(full, means_full, params, shots, cid)
+            learn_class(narrow, means_narrow, params, shots, cid)
         rebuilt = full.rebuilt_at_bits(bits)
         assert narrow.class_ids() == rebuilt.class_ids() == [4, 0, 2]
         for cid in (4, 0, 2):
@@ -138,15 +137,15 @@ class TestLearnClass:
         rng = np.random.default_rng(13)
         kept = ExplicitMemory(params.d_p, QuantSpec(prototype_bits=bits))
         alone = ExplicitMemory(params.d_p, QuantSpec(prototype_bits=bits))
-        am = ActivationMemory(params.d_a)
+        means = {}
         for cid in (7, 0, 3, 12, 5):
             shots = rng.standard_normal((4, 8)) + rng.standard_normal(8)
-            assert learn_class(kept, am, params, shots, cid)[1] is am
+            assert learn_class(kept, means, params, shots, cid)[1] is means
             assert learn_class(alone, None, params, shots, cid) == (alone, None)
         for name in ("ids", "counts", "shifts", "accum", "reduced"):
             got, want = getattr(alone, name), getattr(kept, name)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        assert am.class_ids() == kept.class_ids()
+        assert list(means) == kept.class_ids()
 
     def test_no_activation_memory_keeps_every_check(self):
         params = net(6)
@@ -162,68 +161,71 @@ class TestLearnClass:
 
     def test_duplicate_class(self):
         params = net(6)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         x = np.ones((1, 8))
-        learn_class(em, am, params, x, 2)
+        learn_class(em, means, params, x, 2)
         with pytest.raises(DuplicateClassError):
-            learn_class(em, am, params, x, 2)
+            learn_class(em, means, params, x, 2)
 
-    def test_class_in_activation_memory_writes_neither(self):
-        # an activation memory from another run already holds class 2
+    def test_class_in_means_writes_neither(self):
+        # class means from another run already hold class 2
         params = net(6)
-        em, am = fresh_memories(params)
-        am.add_batch(2, np.ones((2, params.d_a)))
+        em, means = fresh_memories(params)
+        means[2] = np.ones(params.d_a)
         with pytest.raises(DuplicateClassError):
-            learn_class(em, am, params, np.ones((5, 8)), 2)
-        assert len(em) == 0 and am.counts.tolist() == [2]
-
-    def test_activation_width_mismatch_writes_neither(self):
-        params = net(6)
-        em, am = ExplicitMemory(params.d_p), ActivationMemory(params.d_a + 1)
-        with pytest.raises(ShapeMismatchError):
-            learn_class(em, am, params, np.ones((2, 8)), 0)
-        assert len(em) == len(am) == 0
+            learn_class(em, means, params, np.ones((5, 8)), 2)
+        assert len(em) == 0 and list(means) == [2] and means[2].tolist() == [1.0] * params.d_a
 
     @pytest.mark.parametrize("d_p", [1, 3])
     def test_projection_width_mismatch_writes_neither(self, d_p):
         # a one-wide projection once broadcast into every entry of the class
         params = init_model([8, 6, d_p], seed=6)
-        em, am = ExplicitMemory(4), ActivationMemory(params.d_a)
+        em, means = ExplicitMemory(4), {}
         with pytest.raises(ShapeMismatchError):
-            learn_class(em, am, params, np.ones((2, 8)), 0)
-        assert len(em) == len(am) == 0 and params.forward_calls == 0
+            learn_class(em, means, params, np.ones((2, 8)), 0)
+        assert len(em) == len(means) == 0 and params.forward_calls == 0
 
     def test_empty_sample_set(self):
         params = net(7)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         with pytest.raises(EmptySampleSetError):
-            learn_class(em, am, params, np.zeros((0, 8)), 0)
+            learn_class(em, means, params, np.zeros((0, 8)), 0)
 
-    def test_activation_memory_mean(self):
+    def test_means_are_the_forward_mean_bit_for_bit(self):
         params = net(8)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         rng = np.random.default_rng(1)
-        samples = rng.standard_normal((6, 8))
-        learn_class(em, am, params, samples, 4)
-        thetas = forward_backbone(params, samples)
-        np.testing.assert_allclose(am.mean(4), thetas.mean(axis=0), atol=1e-12)
+        shots = {4: rng.standard_normal((6, 8)), 0: rng.standard_normal((1, 8)),
+                 9: rng.standard_normal((5, 8)) * 1e3}
+        for cid, samples in shots.items():
+            learn_class(em, means, params, samples, cid)
+        assert list(means) == em.class_ids() == [4, 0, 9]
+        for cid, samples in shots.items():
+            want = forward_backbone(params, samples).sum(axis=0) / len(samples)
+            assert (means[cid].dtype, means[cid].tobytes()) == (want.dtype, want.tobytes())
+        # a class already in the dict but not in this memory is refused too
+        other = ExplicitMemory(params.d_p)
+        learn_class(other, None, params, np.ones((2, 8)), 1)
+        before = {n: getattr(other, n).tobytes() for n in ("ids", "counts", "accum", "reduced")}
+        with pytest.raises(DuplicateClassError):
+            learn_class(other, means, params, shots[9], 9)
+        assert {n: getattr(other, n).tobytes() for n in before} == before
+        assert sorted(means) == [0, 4, 9]
 
-    def test_activation_memory_mean_of_unknown_class(self):
+    def test_get_of_unknown_class(self):
         params = net(8)
-        em, am = fresh_memories(params)
-        learn_class(em, am, params, np.ones((2, 8)), 4)
-        with pytest.raises(KeyError):
-            am.mean(5)
+        em, means = fresh_memories(params)
+        learn_class(em, means, params, np.ones((2, 8)), 4)
         with pytest.raises(KeyError):
             em.get(5)
 
     def test_training_samples_classified_back(self):
         params = net(9)
-        em, am = fresh_memories(params)
+        em = ExplicitMemory(params.d_p)
         rng = np.random.default_rng(2)
         sets = {c: rng.standard_normal((5, 8)) + 3 * rng.standard_normal(8) for c in range(4)}
         for c, samples in sets.items():
-            learn_class(em, am, params, samples, c)
+            learn_class(em, None, params, samples, c)
         # shots classify back to their class at least as often as the
         # full-precision oracle (brute-force cosine against class means)
         means = {c: em.get(c).mean_vector() for c in em.class_ids()}
@@ -274,23 +276,23 @@ class TestSubbatchPlan:
 class TestFinetune:
     def setup_state(self, seed=0):
         params = net(seed)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         rng = np.random.default_rng(seed + 100)
         for c in range(6):
-            learn_class(em, am, params, rng.standard_normal((5, 8)) + c * 0.3, c)
-        return params, em, am
+            learn_class(em, means, params, rng.standard_normal((5, 8)) + c * 0.3, c)
+        return params, em, means
 
     def test_lr_zero_keeps_weights_bitwise(self):
-        params, em, am = self.setup_state(1)
+        params, em, means = self.setup_state(1)
         checksum = params_checksum(params)
-        finetune_fcr(params, am, em, FinetuneConfig(epochs=3, sub_batch=2, lr=0.0))
+        finetune_fcr(params, means, em, FinetuneConfig(epochs=3, sub_batch=2, lr=0.0))
         assert params_checksum(params) == checksum
 
     def test_backbone_and_memory_untouched(self):
-        params, em, am = self.setup_state(2)
+        params, em, means = self.setup_state(2)
         frozen = [params.layers[i].weight.copy() for i in range(len(params.layers) - 1)]
         protos_before = {c: em.get(c).quantized.copy() for c in em.class_ids()}
-        finetune_fcr(params, am, em, FinetuneConfig(epochs=5, sub_batch=3, lr=0.05))
+        finetune_fcr(params, means, em, FinetuneConfig(epochs=5, sub_batch=3, lr=0.05))
         for i, w in enumerate(frozen):
             np.testing.assert_array_equal(params.layers[i].weight, w)
         for c, q in protos_before.items():
@@ -298,17 +300,17 @@ class TestFinetune:
 
     def test_single_class_alignment_improves_monotonically(self):
         params = net(11)
-        em, am = fresh_memories(params)
+        em, means = fresh_memories(params)
         rng = np.random.default_rng(42)
-        learn_class(em, am, params, rng.standard_normal((5, 8)), 0)
+        learn_class(em, means, params, rng.standard_normal((5, 8)), 0)
         target = bipolarize(em.get(0).quantized).astype(np.float64)
 
         def alignment():
-            return cossim(forward_fcr(params, am.mean(0)), target)
+            return cossim(forward_fcr(params, means[0]), target)
 
         values = [alignment()]
         for _ in range(10):
-            finetune_fcr(params, am, em, FinetuneConfig(epochs=1, sub_batch=1, lr=0.05))
+            finetune_fcr(params, means, em, FinetuneConfig(epochs=1, sub_batch=1, lr=0.05))
             values.append(alignment())
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -325,9 +327,9 @@ class TestFinetune:
 
     def test_fcr_weight_gradient_matches_fd(self):
         # full chain: projection weights -> cosine objective
-        params, em, am = self.setup_state(4)
+        params, em, means = self.setup_state(4)
         ids = sorted(em.class_ids())
-        inputs = np.stack([am.mean(c) for c in ids])
+        inputs = np.stack([means[c] for c in ids])
         targets = np.stack(
             [bipolarize(em.get(c).quantized).astype(np.float64) for c in ids]
         )
@@ -360,17 +362,17 @@ class TestFinetune:
 
     @pytest.mark.parametrize("sub_batch", [1, 3, 4, 7])
     def test_batched_equals_per_row_oracle(self, sub_batch):
-        params, em, am = self.setup_state(8)
+        params, em, means = self.setup_state(8)
         oracle = copy.deepcopy(params)
         cfg = FinetuneConfig(epochs=4, sub_batch=sub_batch, lr=0.05)
-        assert finetune_fcr(params, am, em, cfg) == finetune_fcr_per_row(oracle, am, em, cfg)
+        assert finetune_fcr(params, means, em, cfg) == finetune_fcr_per_row(oracle, means, em, cfg)
         assert params_checksum(params) == params_checksum(oracle)
 
     def test_results_are_pinned(self):
-        # the loss history and the trained projection, recorded before the
-        # activation memory became optional
-        params, em, am = self.setup_state(3)
-        history = finetune_fcr(params, am, em, FinetuneConfig(epochs=5, sub_batch=4, lr=0.05))
+        # the loss history and the trained projection, recorded when the
+        # class means were still running sums in a memory of their own
+        params, em, means = self.setup_state(3)
+        history = finetune_fcr(params, means, em, FinetuneConfig(epochs=5, sub_batch=4, lr=0.05))
         assert history == [
             0.7322664147636346, 0.4861406441750785, 0.4382386291270083,
             0.42226889420177494, 0.40925713542403075,
@@ -380,12 +382,22 @@ class TestFinetune:
         )
 
     def test_misaligned_memories(self):
-        params, em, am = self.setup_state(5)
-        am.add_batch(99, np.ones(params.d_a))
+        params, em, means = self.setup_state(5)
+        means[99] = np.ones(params.d_a)
         with pytest.raises(MisalignedMemoriesError):
-            finetune_fcr(params, am, em, FinetuneConfig(epochs=1, sub_batch=2, lr=0.1))
+            finetune_fcr(params, means, em, FinetuneConfig(epochs=1, sub_batch=2, lr=0.1))
+
+    @pytest.mark.parametrize("shape", [(7,), (5,), (1, 6)])
+    def test_mean_width_mismatch_updates_nothing(self, shape):
+        # a mean that is not d_a = 6 wide, even in the last sub-batch
+        params, em, means = self.setup_state(5)
+        means[5] = np.ones(shape)
+        checksum = params_checksum(params)
+        with pytest.raises(ShapeMismatchError):
+            finetune_fcr(params, means, em, FinetuneConfig(epochs=2, sub_batch=2, lr=0.1))
+        assert params_checksum(params) == checksum
 
     def test_loss_history_length(self):
-        params, em, am = self.setup_state(6)
-        history = finetune_fcr(params, am, em, FinetuneConfig(epochs=7, sub_batch=2, lr=0.01))
+        params, em, means = self.setup_state(6)
+        history = finetune_fcr(params, means, em, FinetuneConfig(epochs=7, sub_batch=2, lr=0.01))
         assert len(history) == 7
