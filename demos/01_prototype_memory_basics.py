@@ -23,19 +23,20 @@ print("== 1. symmetric feature quantization ==")
 theta = rng.standard_normal(8) * 0.6
 q = quantize_feature(theta, 8)
 print("feature      :", np.round(theta, 3))
-print("8-bit ints   :", q.values)
-print("scale        :", f"{q.scale:.5f}", " max reconstruction error <= scale/2")
+scale = np.abs(theta).max() / 127  # the peak maps to the top of the 8-bit range
+print("8-bit ints   :", q)
+print("scale        :", f"{scale:.5f}", " max reconstruction error <= scale/2")
 
 print("\n== 2. accumulate shots into an integer prototype ==")
 shots = [rng.standard_normal(8) * 0.6 + theta for _ in range(5)]
 accum = np.zeros(8, dtype=np.int64)
 for s in shots:
-    accum += quantize_feature(s, 8).values
+    accum += quantize_feature(s, 8)
 tour = ExplicitMemory(d_p=8, quant=QuantSpec())
 tour.add_accumulated(0, accum, count=5)
 proto = tour.get(0)
 print("accumulator  :", proto.accum)
-print("class mean   :", np.round(proto.mean_vector(), 2), "(never materialized on device)")
+print("class mean   :", np.round(proto.accum / proto.count, 2), "(never materialized on device)")
 
 print("\n== 3. right-shift precision reduction ==")
 wide = np.array([65535, -40000, 123, -7], dtype=np.int64)

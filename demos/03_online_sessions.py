@@ -12,7 +12,6 @@ from protomem import (
     MetaConfig,
     PretrainLossConfig,
     QuantSpec,
-    forgetting_metrics,
     make_blob_dataset,
     metalearn,
     pretrain,
@@ -48,7 +47,8 @@ print(f"         {header}    avg")
 row = " ".join(f"{a:.3f}" for a in report.session_accuracies)
 print(f"accuracy {row}  {report.average:.4f}")
 
-drops = forgetting_metrics(report.base_class_accuracies)
+base_accs = report.base_class_accuracies
+drops = [base_accs[0] - acc for acc in base_accs]
 print("base-class accuracy drop per session:", [f"{d:+.3f}" for d in drops])
 print("(the extractor and old prototypes are frozen, so any drop comes only",
       "\n from new prototypes competing in the argmax, never from drift)")

@@ -31,7 +31,6 @@ from .harness import (
     TrainRecipe,
     ablation_matrix,
     extract_features,
-    forgetting_metrics,
     make_blob_dataset,
     pretrain_model,
     run_protocol,

@@ -19,14 +19,11 @@ from .numerics import matmul, relu
 PARAMS_MAGIC = b"OFSC"
 PARAMS_VERSION = 1
 
-ACTIVATIONS = ("identity", "relu")
-
 
 @dataclass
 class DenseLayer:
     weight: np.ndarray  # (in_dim, out_dim), float64
     bias: np.ndarray  # (out_dim,), float64
-    activation: str = "identity"
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -37,16 +34,15 @@ class DenseLayer:
             raise ShapeMismatchError(
                 f"bias length {self.bias.shape[0]} != weight cols {self.weight.shape[1]}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
 class ModelParams:
     """Dense layers: layers[:-1] are the extractor, layers[-1] the projection.
 
-    This is the one model shape, and the one OFSC stores. d_a is the
-    projection's fan-in; a one-layer model (the pretraining head) has an
+    This is the one model shape, and the one OFSC stores: every extractor
+    layer applies relu and the projection none. d_a is the projection's
+    fan-in; a one-layer model (the pretraining head) has an
     empty extractor and its only layer is its projection. forward_calls
     counts samples seen by the extractor; it instruments the single-pass
     contract of online learning and is not model state.
@@ -61,10 +57,6 @@ class ModelParams:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weight.shape[1] != nxt.weight.shape[0]:
                 raise ShapeMismatchError("layer shapes do not chain")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
 
     @property
     def d_a(self) -> int:
@@ -111,7 +103,7 @@ def _run_layers(params, x, start, stop, tape=None):
         z = matmul(a, layer.weight) + layer.bias
         if tape is not None:
             tape.records.append((idx, a, z))
-        a = relu(z) if layer.activation == "relu" else z
+        a = relu(z) if idx < len(params.layers) - 1 else z
     return a[0] if squeeze else a
 
 
@@ -153,7 +145,7 @@ def backward(params, tape, upstream):
         if weight is not None:
             g = matmul(g, weight.T)
         layer = params.layers[idx]
-        if layer.activation == "relu":
+        if idx < len(params.layers) - 1:  # an extractor layer's relu
             g = g * (z > 0)
         tape.grad_w[idx] = matmul(a_in.T, g)
         tape.grad_b[idx] = g.sum(axis=0)
@@ -176,7 +168,7 @@ def init_model(layer_dims, seed, *, split_point=None) -> ModelParams:
     """Glorot-uniform initialised network from a seeded generator.
 
     layer_dims = [in, h1, ..., d_a, d_p]; the final layer is the
-    projection. Extractor layers apply relu, the projection identity.
+    projection.
     """
     # split_point stays only for benchmarks/lifecycle.py; it goes with its next revision
     if split_point not in (None, len(layer_dims) - 2):
@@ -192,8 +184,7 @@ def init_model(layer_dims, seed, *, split_point=None) -> ModelParams:
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        activation = "relu" if i < n_layers - 1 else "identity"
-        layers.append(DenseLayer(w, np.zeros(fan_out), activation))
+        layers.append(DenseLayer(w, np.zeros(fan_out)))
     params = ModelParams(layers)
     if params.d_p >= params.d_a:
         raise LayerWidthError(f"d_p ({params.d_p}) must be < d_a ({params.d_a})")
@@ -209,24 +200,22 @@ def params_checksum(params: ModelParams) -> bytes:
     return b"".join(chunks)
 
 
-_ACT_CODE = {"identity": 0, "relu": 1}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
-
-
 def save_params(params: ModelParams, path):
     """`data.write_frame` with the layer count as header, then the layer
     table (rows u32, cols u32, activation u8 per layer) and the float64
-    weights and biases; round-trips bit-exactly."""
+    weights and biases; round-trips bit-exactly. The activation byte is
+    fixed by position: 1 (relu) below the projection, 0 (none) at it."""
+    last = len(params.layers) - 1
     table = b"".join(
-        struct.pack("<IIB", *layer.weight.shape, _ACT_CODE[layer.activation])
-        for layer in params.layers
+        struct.pack("<IIB", *layer.weight.shape, i < last) for i, layer in enumerate(params.layers)
     )
     head = (len(params.layers),)
     write_frame(path, PARAMS_MAGIC, PARAMS_VERSION, "I", head, table, params_checksum(params))
 
 
 def load_params(path) -> ModelParams:
-    """Inverse of save_params."""
+    """Inverse of save_params. Refuses an activation byte other than the
+    one its layer's position fixes."""
     (n_layers,), blob, off = read_frame(path, PARAMS_MAGIC, PARAMS_VERSION, "I")
     if n_layers == 0:
         raise MalformedFileError(f"{path}: 0 layers")
@@ -239,12 +228,12 @@ def load_params(path) -> ModelParams:
         raise MalformedFileError(f"{path}: a layer of width 0")
     if any(out != into for (_, out, _), (into, _, _) in zip(shapes, shapes[1:])):
         raise MalformedFileError(f"{path}: layer shapes do not chain")
+    if [act for _, _, act in shapes] != [1] * (n_layers - 1) + [0]:
+        raise MalformedFileError(f"{path}: activation codes other than relu below the projection")
     layers, off = [], table_end
-    for rows, cols, act in shapes:
-        if act not in _ACT_NAME:
-            raise MalformedFileError(f"{path}: unknown activation code {act}")
+    for rows, cols, _ in shapes:
         wb = np.frombuffer(blob, dtype="<f8", count=(rows + 1) * cols, offset=off)
         off += wb.nbytes
         weight, bias = wb[: rows * cols].reshape(rows, cols), wb[rows * cols :]
-        layers.append(DenseLayer(weight.copy(), bias.copy(), _ACT_NAME[act]))
+        layers.append(DenseLayer(weight.copy(), bias.copy()))
     return ModelParams(layers)

@@ -5,12 +5,15 @@ Each command reads a `RunConfig`, builds its library settings with
 the library. Exit codes follow the error class: 0 success,
 1 validation violations, 2 `ConfigError` ("config error:"),
 3 any other `ProtomemError` or `OSError` ("data error:"),
-4 `NumericFailureError` ("numeric failure:"). Every command is
-deterministic given the same config and seed; reruns produce
+4 `NumericFailureError` ("numeric failure:"). A command writes through
+`_staged_outputs`, so one that fails leaves every output as it was. Every
+command is deterministic given the same config and seed; reruns produce
 byte-identical artifacts.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from . import data as dio
 from .backbone import load_params, save_params
 from .config import DEFAULTS, RunConfig, load_config, parse_kv_file
-from .errors import ConfigError, NumericFailureError, ProtomemError
+from .errors import ConfigError, MalformedFileError, NumericFailureError, ProtomemError
 from .harness import (
     ablation_matrix,
     extract_features,
@@ -40,6 +43,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _staged_outputs():
+    """Yield `stage(path)`, which creates an empty file beside `path` and
+    returns its name, for the command to write in place of `path`. Each
+    such file replaces its destination only once the block ends without
+    error; on any error each is removed and no destination is touched."""
+    staged = {}  # temporary -> destination
+
+    def stage(path):
+        if os.path.isdir(path):  # which os.replace would refuse after others succeeded
+            raise IsADirectoryError(f"output {path} is a directory")
+        head, name = os.path.split(path)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}-{len(staged)}.tmp")
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        staged[tmp] = path
+        return tmp
+
+    try:
+        yield stage
+        for tmp, dest in staged.items():
+            os.replace(tmp, dest)
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -57,24 +87,25 @@ def _resolve_dataset(cfg: RunConfig) -> dio.LabeledDataset:
 
 
 def _parse_manifest(path) -> dio.SessionStream:
-    pairs = parse_kv_file(path)
+    """A manifest is a data file: one that does not parse exits 3."""
+    pairs = parse_kv_file(path, MalformedFileError)
     for key in ("base", "test", "ways", "shots"):
         if key not in pairs:
-            raise ConfigError(f"{path}: manifest is missing {key!r}")
+            raise MalformedFileError(f"{path}: manifest is missing {key!r}")
     session_keys = []
     for key in pairs:
         if key.startswith("session"):
             suffix = key[len("session") :]
             if not suffix.isdigit():
-                raise ConfigError(f"{path}: bad session key {key!r}")
+                raise MalformedFileError(f"{path}: bad session key {key!r}")
             session_keys.append((int(suffix), key))
         elif key not in ("base", "test", "ways", "shots"):
-            raise ConfigError(f"{path}: unknown manifest key {key!r}")
+            raise MalformedFileError(f"{path}: unknown manifest key {key!r}")
     try:
         ways = int(pairs["ways"])
         shots = int(pairs["shots"])
     except ValueError as exc:
-        raise ConfigError(f"{path}: ways/shots must be integers") from exc
+        raise MalformedFileError(f"{path}: ways/shots must be integers") from exc
     base = dio.load_dataset(pairs["base"])
     test = dio.load_dataset(pairs["test"])
     sessions = [dio.load_dataset(pairs[key]) for _, key in sorted(session_keys)]
@@ -97,21 +128,21 @@ def _resolve_stream(cfg: RunConfig) -> dio.SessionStream:
     )
 
 
-def cmd_pretrain(cfg: RunConfig) -> int:
+def cmd_pretrain(cfg: RunConfig, stage) -> int:
     base = _resolve_stream(cfg).base
     params, history = pretrain_model(base, cfg.recipe())
-    save_params(params, cfg.params_out)
-    _write_csv(cfg.history_out, ("epoch", "ce", "ortho", "accuracy"), history)
+    save_params(params, stage(cfg.params_out))
+    _write_csv(stage(cfg.history_out), ("epoch", "ce", "ortho", "accuracy"), history)
     print(f"pretrained {cfg.pretrain_epochs} epochs -> {cfg.params_out}")
     return 0
 
 
-def cmd_metalearn(cfg: RunConfig) -> int:
+def cmd_metalearn(cfg: RunConfig, stage) -> int:
     params = load_params(cfg.params_in)
     base = _resolve_stream(cfg).base
     _, history = metalearn_model(params, base, cfg.recipe())
-    save_params(params, cfg.params_out)
-    _write_csv(cfg.history_out, ("iteration", "loss", "accuracy"), history)
+    save_params(params, stage(cfg.params_out))
+    _write_csv(stage(cfg.history_out), ("iteration", "loss", "accuracy"), history)
     print(f"metalearned {cfg.meta_iterations} iterations -> {cfg.params_out}")
     return 0
 
@@ -122,18 +153,18 @@ def _write_report(path, reports):
     _write_csv(path, header, [[lbl, *rep.session_accuracies, rep.average] for lbl, rep in reports])
 
 
-def cmd_protocol(cfg: RunConfig) -> int:
+def cmd_protocol(cfg: RunConfig, stage) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
     recipe = cfg.recipe()
     report = run_protocol(params, stream, recipe.quant, recipe.finetune if cfg.finetune else None)
     label = f"pb{cfg.prototype_bits}" + ("+FT" if cfg.finetune else "")
-    _write_report(cfg.report_out, [(label, report)])
+    _write_report(stage(cfg.report_out), [(label, report)])
     print(f"protocol avg accuracy {report.average:.4f} -> {cfg.report_out}")
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, stage) -> int:
     params = load_params(cfg.params_in)
     stream = _resolve_stream(cfg)
     require_test_rows(stream)
@@ -143,12 +174,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     feats = extract_features(params, stream.test)
     points = precision_sweep(em, feats, stream.test.labels, cfg.sweep_bits)
     rows = [(p.bits, p.memory_bytes / 1000.0, p.accuracy) for p in points]
-    _write_csv(cfg.sweep_out, ("bits", "kilobytes", "accuracy"), rows)
+    _write_csv(stage(cfg.sweep_out), ("bits", "kilobytes", "accuracy"), rows)
     print(f"swept {len(rows)} bit widths -> {cfg.sweep_out}")
     return 0
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
+def cmd_ablate(cfg: RunConfig, stage) -> int:
     stream = _resolve_stream(cfg)
     rows = []
     for token in cfg.ablate_rows.split(";"):
@@ -158,12 +189,12 @@ def cmd_ablate(cfg: RunConfig) -> int:
         else:
             rows.append(frozenset(f.strip().upper() for f in token.split(",")))
     reports = ablation_matrix(stream, rows, cfg.recipe())
-    _write_report(cfg.ablation_out, reports)
+    _write_report(stage(cfg.ablation_out), reports)
     print(f"ablated {len(reports)} rows -> {cfg.ablation_out}")
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, _stage) -> int:
     stream = _resolve_stream(cfg)
     violations = validate_stream(stream)
     if violations:
@@ -174,7 +205,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_learn_class(cfg: RunConfig) -> int:
+def cmd_learn_class(cfg: RunConfig, stage) -> int:
     params = load_params(cfg.params_in)
     dataset = _resolve_dataset(cfg)
     if not 0 <= cfg.class_id < 2**32:
@@ -189,19 +220,19 @@ def cmd_learn_class(cfg: RunConfig) -> int:
         )
     em.quant = quant  # a snapshot keeps only its width; the config sets the rest
     learn_class(em, None, params, dataset.inputs[rows], cfg.class_id)
-    save_em(em, cfg.em_out)
+    save_em(em, stage(cfg.em_out))
     print(f"learned class {cfg.class_id} from {len(rows)} shots -> {cfg.em_out}")
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: RunConfig, stage) -> int:
     params = load_params(cfg.params_in)
     em = load_em(cfg.em_in)
     dataset = _resolve_dataset(cfg)
     preds, scores = classify_batch(em, extract_features(params, dataset))
     labels = dataset.labels
     rows = zip(range(len(labels)), labels.tolist(), preds.tolist(), scores.max(axis=1).tolist())
-    _write_csv(cfg.predictions_out, ("index", "label", "predicted", "score"), rows)
+    _write_csv(stage(cfg.predictions_out), ("index", "label", "predicted", "score"), rows)
     hits = int(np.count_nonzero(preds == labels))
     print(f"classified {len(labels)} samples, accuracy {hits / len(labels):.4f}")
     return 0
@@ -263,7 +294,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         _check_data_source(args.command, cfg)
-        return _HANDLERS[args.command](cfg)
+        with _staged_outputs() as stage:
+            return _HANDLERS[args.command](cfg, stage)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -166,20 +166,21 @@ class RunConfig:
         return "".join(lines)
 
 
-def parse_kv_file(path) -> dict:
-    """Read raw key=value pairs; no typing, no key validation."""
+def parse_kv_file(path, error=ConfigError) -> dict:
+    """Read raw key=value pairs; no typing, no key validation. A file that
+    is not UTF-8, or a line without '=', raises `error`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text") from exc
+        raise error(f"{path}: not UTF-8 text") from exc
     pairs = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
     return pairs

@@ -128,12 +128,6 @@ def run_protocol(
     )
 
 
-def forgetting_metrics(base_only_accuracies) -> list:
-    """Per-session drop of base-class accuracy relative to session 0."""
-    ref = base_only_accuracies[0]
-    return [ref - a for a in base_only_accuracies]
-
-
 @dataclass
 class TrainRecipe:
     """Run settings: one instance of each settings class, plus the model

@@ -67,40 +67,28 @@ class QuantSpec:
             )
 
 
-class QuantizedFeature(NamedTuple):
-    """`quantize_feature` gives one row's values, scale and flag;
-    `quantize_rows` gives (N, d) values beside (N,) scales and flags."""
-
-    values: np.ndarray  # int64
-    scale: float | np.ndarray
-    degenerate: bool | np.ndarray
-
-
-def quantize_rows(theta, feature_bits: int) -> QuantizedFeature:
-    """Symmetric per-row quantization of an (N, d) stack to signed
-    feature_bits integers.
+def quantize_rows(theta, feature_bits: int) -> np.ndarray:
+    """Symmetric per-row quantization of an (N, d) stack to (N, d) signed
+    feature_bits integers (int64).
 
     For each row, s = max|x| / (2^(b-1) - 1) and q = clamp(round(x / s)),
     elementwise, so every row is bitwise what it would be alone. An all-zero
-    row cannot define a scale: it quantizes to zeros with scale 1 and its
-    degenerate flag set.
+    row cannot define a scale: it quantizes to zeros.
     """
     x = as_matrix(theta)
     # NaN and inf propagate into a row's peak
     peak = check_finite(np.abs(x).max(axis=1), "feature rows")
     qmax = (1 << (feature_bits - 1)) - 1
-    degenerate = peak == 0.0
-    scale = np.where(degenerate, 1.0, peak / qmax)
+    scale = np.where(peak == 0.0, 1.0, peak / qmax)
     q = np.rint(x / scale[:, None])
     # np.clip(q, -(qmax + 1), qmax) in place, without its per-call dispatch
     np.minimum(np.maximum(q, -(qmax + 1), out=q), qmax, out=q)
-    return QuantizedFeature(q.astype(np.int64), scale, degenerate)
+    return q.astype(np.int64)
 
 
-def quantize_feature(theta_p, feature_bits: int) -> QuantizedFeature:
-    """One vector's `quantize_rows`: its values, scale and degenerate flag."""
-    q = quantize_rows(as_vector(theta_p)[None, :], feature_bits)
-    return QuantizedFeature(q.values[0], float(q.scale[0]), bool(q.degenerate[0]))
+def quantize_feature(theta_p, feature_bits: int) -> np.ndarray:
+    """One vector's `quantize_rows`: its (d,) values."""
+    return quantize_rows(as_vector(theta_p)[None, :], feature_bits)[0]
 
 
 class Prototype(NamedTuple):
@@ -113,10 +101,6 @@ class Prototype(NamedTuple):
     count: int
     quantized: np.ndarray  # int64 values fitting in prototype_bits
     scale_shift: int
-
-    def mean_vector(self) -> np.ndarray:
-        """Full-precision class mean of the quantized features."""
-        return self.accum.astype(np.float64) / self.count
 
 
 def bipolarize(x) -> np.ndarray:

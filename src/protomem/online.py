@@ -57,7 +57,7 @@ def learn_class(em, means, params, samples, class_id: int):
         )
     theta_a = forward_backbone(params, batch)
     theta_p = forward_fcr(params, theta_a)
-    accum = quantize_rows(theta_p, em.quant.feature_bits).values.sum(axis=0)
+    accum = quantize_rows(theta_p, em.quant.feature_bits).sum(axis=0)
     em.add_accumulated(class_id, accum, shots)
     if means is not None:
         means[int(class_id)] = theta_a.sum(axis=0) / shots

@@ -548,5 +548,5 @@ def held_nbytes(obj) -> int:
 def learn_class_oracle(em_rows, quant, params, samples, class_id):
     """What `learn_class` appends to an explicit memory, on its oracle."""
     theta_a = forward_backbone(params, np.asarray(samples, dtype=np.float64))
-    q = quantize_rows(forward_fcr(params, theta_a), quant.feature_bits).values
+    q = quantize_rows(forward_fcr(params, theta_a), quant.feature_bits)
     em_rows.add_accumulated(class_id, q.sum(axis=0), len(q), quant.prototype_bits)

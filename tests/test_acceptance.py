@@ -266,10 +266,11 @@ class TestCriterion2Oracles:
             em = ExplicitMemory(d_p, QuantSpec())
             learn_class(em, None, params, samples, 0)
             feats = forward_fcr(params, forward_backbone(params, samples))
-            qs = np.stack([quantize_feature(f, 8).values for f in feats])
-            np.testing.assert_array_equal(em.get(0).accum, qs.sum(axis=0))
+            qs = np.stack([quantize_feature(f, 8) for f in feats])
+            proto = em.get(0)
+            np.testing.assert_array_equal(proto.accum, qs.sum(axis=0))
             np.testing.assert_array_equal(
-                em.get(0).mean_vector(), qs.astype(np.float64).mean(axis=0)
+                proto.accum / proto.count, qs.astype(np.float64).mean(axis=0)
             )
         report(2, True, "single-pass accumulation == two-pass integer mean on 100 instances")
 

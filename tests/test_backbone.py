@@ -33,7 +33,8 @@ def tiny_net(seed=0):
 def python_forward(params, x):
     """Independent straight-line oracle with the same accumulation order."""
     a = [float(v) for v in x]
-    for layer in params.layers:
+    last = len(params.layers) - 1
+    for idx, layer in enumerate(params.layers):
         w, b = layer.weight, layer.bias
         out = []
         for j in range(w.shape[1]):
@@ -41,7 +42,7 @@ def python_forward(params, x):
             for i in range(w.shape[0]):
                 acc += a[i] * w[i, j]
             acc = acc + b[j]
-            out.append(max(acc, 0.0) if layer.activation == "relu" else acc)
+            out.append(max(acc, 0.0) if idx < last else acc)
         a = out
     return np.array(a)
 
@@ -67,7 +68,7 @@ class TestForward:
     def test_identity_projection(self):
         # d_a == d_p only in this constructed test
         layers = [
-            DenseLayer(np.eye(3), np.zeros(3), "relu"),
+            DenseLayer(np.eye(3), np.zeros(3)),
             DenseLayer(np.eye(3), np.zeros(3)),
         ]
         params = ModelParams(layers)
@@ -76,7 +77,7 @@ class TestForward:
 
     def test_projection_zero_weights_give_bias(self):
         layers = [
-            DenseLayer(np.eye(3), np.zeros(3), "relu"),
+            DenseLayer(np.eye(3), np.zeros(3)),
             DenseLayer(np.zeros((3, 2)), np.array([1.0, 2.0])),
         ]
         params = ModelParams(layers)
@@ -315,7 +316,6 @@ class TestSaveLoad:
         loaded = load_params(path)
         assert params_checksum(loaded) == params_checksum(params)
         assert loaded.d_a == params.d_a
-        assert [l.activation for l in loaded.layers] == [l.activation for l in params.layers]
 
     @pytest.mark.parametrize("shape", ["init_model", "init_fcc"])
     def test_every_built_shape_round_trips(self, tmp_path, shape):
@@ -331,8 +331,10 @@ class TestSaveLoad:
         for got, want in zip(loaded.layers, params.layers, strict=True):
             assert got.weight.tobytes() == want.weight.tobytes()
             assert got.bias.tobytes() == want.bias.tobytes()
-            assert got.activation == want.activation
         assert (loaded.d_a, loaded.d_p) == (params.d_a, params.d_p)
+        # the layer table's activation byte: relu (1) below the projection, none (0) at it
+        table = path.read_bytes()[12 : 12 + 9 * len(params.layers)]
+        assert list(table[8::9]) == [1] * (len(params.layers) - 1) + [0]
 
     def test_truncated_file(self, tmp_path):
         params = tiny_net(8)
@@ -419,4 +421,4 @@ class TestInit:
 
     def test_dims(self):
         params = tiny_net()
-        assert params.input_dim == 6 and params.d_a == 4 and params.d_p == 3
+        assert params.d_a == 4 and params.d_p == 3

@@ -1,6 +1,8 @@
 import ast
 import copy
 import pickle
+import re
+import shutil
 import struct
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -127,6 +129,31 @@ class TestConfigDefaults:
         assert set(RECIPE_KEYS) <= set(DEFAULTS)
         assert sorted(set(DEFAULTS) - set(RECIPE_KEYS) - read) == []
         assert sorted(read - set(DEFAULTS) - {"recipe", "dump"}) == []
+
+    def test_every_export_is_read_in_src_or_benchmarks(self):
+        # a name the package exports is read by one of its modules outside
+        # its own definition, or named by the benchmark. save_dataset stays
+        # although only tests call it: it is the reference writer of OFDS,
+        # the binary dataset format that the README documents
+        src = Path(cli.__file__).parent
+        init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+        exported = {
+            alias.asname or alias.name
+            for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        read = set()
+        for path in src.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                read |= {
+                    node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(stmt)
+                    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                } - {getattr(stmt, "name", None)}  # a top-level def reading itself
+        for path in (src.parents[1] / "benchmarks").glob("*.py"):
+            read |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+        assert sorted(exported - read) == ["save_dataset"]
 
     NON_DEFAULT = dict(
         seed="11", hidden="20,10", d_p="5", pretrain_epochs="3", pretrain_lr="0.5",
@@ -290,7 +317,7 @@ class TestCliCommands:
         ids=lambda c: c.__name__,
     )
     def test_exit_code_follows_error_class(self, monkeypatch, capsys, exc_type):
-        def handler(cfg):
+        def handler(cfg, stage):
             raise exc_type("boom")
 
         monkeypatch.setitem(cli._HANDLERS, "validate", handler)
@@ -427,11 +454,6 @@ class TestCliCommands:
         assert code == 1
         assert "class 1" in capsys.readouterr().out
 
-    def test_malformed_manifest_exits_2(self, tmp_path):
-        manifest = tmp_path / "stream.cfg"
-        manifest.write_text("base=missing.ofds\n")  # no test/ways/shots
-        assert cli.main(["validate", f"stream_manifest={manifest}"]) == 2
-
     @pytest.mark.parametrize("env", [False, True], ids=["key", "env"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, env):
         if env:
@@ -454,12 +476,6 @@ class TestCliCommands:
         assert cli.main(["pretrain", "-c", str(path), *tiny_overrides(out)]) == 2
         assert capsys.readouterr().err == f"config error: {path}: not UTF-8 text\n"
         assert list(out.iterdir()) == []
-
-    def test_manifest_not_utf8_exits_2(self, tmp_path, capsys):
-        manifest = tmp_path / "stream.cfg"
-        manifest.write_bytes(self.NOT_UTF8)
-        assert cli.main(["validate", f"stream_manifest={manifest}"]) == 2
-        assert capsys.readouterr().err == f"config error: {manifest}: not UTF-8 text\n"
 
     def test_csv_not_utf8_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -991,6 +1007,58 @@ class TestMalformedFileSweep:
                 missed.append(f"{what}: classify exits {code}: {err.strip()}")
         assert missed == []
 
+    def test_swapped_activation_bytes_exit_3(self, sweep_inputs, tmp_path, capsys):
+        # OFSC's activation byte is fixed by position, relu (1) below the
+        # projection and none (0) at it; a table with the two swapped would
+        # run another network than the one trained
+        blob = bytearray((sweep_inputs / "params.ofsc").read_bytes())
+        n_layers = struct.unpack_from("<I", blob, 8)[0]
+        codes = slice(12 + 8, 12 + 9 * n_layers, 9)
+        assert list(blob[codes]) == [1] * (n_layers - 1) + [0]
+        blob[codes] = bytes([0] * (n_layers - 1) + [1])
+        path = tmp_path / "swapped.ofsc"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MalformedFileError, match="activation codes"):
+            load_params(path)
+        argv = tiny_overrides(
+            tmp_path, params_in=path, em_in=sweep_inputs / "em.ofem", class_id=1, prototype_bits=3
+        )
+        assert cli.main(["classify", *argv]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: activation codes")
+        assert not (tmp_path / "pred.csv").exists()
+
+    # case: (manifest edit, the refusal) on a manifest whose own lines parse
+    MANIFEST_CASES = {
+        "not UTF-8": (lambda text: text.encode() + b"\xff\xfe=1\n", "not UTF-8 text"),
+        "line without =": (lambda text: text + "ways 1\n", "expected key=value"),
+        "missing key": (lambda text: text.replace("shots=6\n", ""), "missing 'shots'"),
+        "bad session key": (lambda text: text + "session_x=s1.ofds\n", "bad session key"),
+        "unknown key": (lambda text: text + "seed=3\n", "unknown manifest key 'seed'"),
+        "non-integer ways": (lambda text: text.replace("ways=1", "ways=one"), "must be integers"),
+    }
+
+    @pytest.mark.parametrize("case", list(MANIFEST_CASES))
+    def test_each_malformed_manifest_exits_3(self, tmp_path, capsys, case):
+        # a manifest is a data file like the others, not a config file
+        manifest = novel_test_stream(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["pretrain", *tiny_overrides(out, stream_manifest=manifest)]
+        assert cli.main(argv) == 0  # the intact manifest passes
+        for path in out.iterdir():
+            path.unlink()
+        capsys.readouterr()
+        edit, refusal = self.MANIFEST_CASES[case]
+        bad = edit(manifest.read_text())
+        if isinstance(bad, bytes):
+            manifest.write_bytes(bad)
+        else:
+            manifest.write_text(bad)
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest}") and refusal in err
+        assert list(out.iterdir()) == []
+
 
 # every key but the files a command reads and writes, and the data sources
 SWEPT_KEYS = sorted(
@@ -1023,3 +1091,52 @@ class TestKeySweep:
                 path.unlink()
         capsys.readouterr()
         assert missed == []
+
+
+class TestStagedOutputs:
+    """A command that fails leaves every output path as it was: each output
+    is written beside its destination, and replaces it only once every
+    output of the command is written."""
+
+    # (command, the output that fails, the name `cli` writes it through)
+    CASES = [
+        ("pretrain", "params_out", "save_params"),
+        ("pretrain", "history_out", "_write_csv"),
+        ("metalearn", "params_out", "save_params"),
+        ("metalearn", "history_out", "_write_csv"),
+        ("learn-class", "em_out", "save_em"),
+    ]
+
+    @pytest.mark.parametrize("how", ["write fails", "no such directory", "a directory"])
+    @pytest.mark.parametrize(
+        "command,key,writer", CASES, ids=[f"{c}-{k}" for c, k, _ in CASES]
+    )
+    def test_a_failing_output_leaves_every_output_as_it_was(
+        self, sweep_inputs, tmp_path, monkeypatch, capsys, command, key, writer, how
+    ):
+        # metalearn writes over its own params_in, and learn-class over its em_in
+        for name in ("params.ofsc", "em.ofem"):
+            shutil.copy(sweep_inputs / name, tmp_path / name)
+        (tmp_path / "history.csv").write_text("epoch,ce,ortho,accuracy\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        outputs = {"params_in": tmp_path / "params.ofsc", "em_in": tmp_path / "em.ofem"}
+        if how == "write fails":  # the whole file is written, then the disk is full
+            write = getattr(cli, writer)
+
+            def full_disk(*args):
+                write(*args)
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli, writer, full_disk)
+        elif how == "no such directory":
+            outputs[key] = tmp_path / "missing" / "out"
+        else:
+            outputs[key] = tmp_path / "dir"
+            outputs[key].mkdir()
+            before["dir"] = None
+        # at seed 8 every output differs from the files there, which seed 7 wrote
+        argv = tiny_overrides(tmp_path, **outputs, class_id=1, prototype_bits=3, seed=8)
+        assert cli.main([command, *argv]) == 3
+        assert capsys.readouterr().err.startswith("data error")
+        after = {p.name: None if p.is_dir() else p.read_bytes() for p in tmp_path.iterdir()}
+        assert after == before

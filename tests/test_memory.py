@@ -61,24 +61,25 @@ def brute_force_argmax(query, id_vectors):
 class TestQuantizeFeature:
     def test_extremes_map_to_range_ends(self):
         q = quantize_feature([1.0, -1.0], 8)
-        np.testing.assert_array_equal(q.values, [127, -127])
-        assert q.scale == pytest.approx(1.0 / 127.0)
-        assert not q.degenerate
+        assert q.dtype == np.int64
+        np.testing.assert_array_equal(q, [127, -127])
 
-    def test_zero_vector_flagged(self):
+    def test_zero_vector_quantizes_to_zeros(self):
         q = quantize_feature([0.0, 0.0, 0.0], 8)
-        np.testing.assert_array_equal(q.values, 0)
-        assert q.scale == 1.0
-        assert q.degenerate
+        assert q.dtype == np.int64
+        np.testing.assert_array_equal(q, 0)
 
     def test_reconstruction_error_bounded(self):
+        # the scale is the row's peak over qmax = 127, and q rounds x / scale
         rng = np.random.default_rng(17)
         for _ in range(1000):
             dim = int(rng.integers(1, 32))
             x = rng.standard_normal(dim) * rng.uniform(0.01, 100)
             q = quantize_feature(x, 8)
-            recon = q.values * q.scale
-            assert np.all(np.abs(recon - x) <= q.scale / 2 + 1e-12)
+            scale = np.abs(x).max() / 127
+            np.testing.assert_array_equal(q, np.rint(x / scale))
+            recon = q * scale
+            assert np.all(np.abs(recon - x) <= scale / 2 + 1e-12)
 
     def test_values_fit_bit_width(self):
         rng = np.random.default_rng(3)
@@ -87,7 +88,7 @@ class TestQuantizeFeature:
             for _ in range(50):
                 x = rng.standard_normal(16) * 10
                 q = quantize_feature(x, bits)
-                assert q.values.max() <= lim and q.values.min() >= -lim - 1
+                assert q.max() <= lim and q.min() >= -lim - 1
 
 
 class TestQuantizeRows:
@@ -112,7 +113,7 @@ class TestQuantizeRows:
         rows = []
         for kind in kinds:
             if kind == "zero":
-                row = np.zeros(d)  # degenerate: no scale
+                row = np.zeros(d)  # no scale: quantizes to zeros
             elif kind == "negative_peak":
                 row = rng.standard_normal(d)
                 row[rng.integers(d)] = -2.0 * np.abs(row).max() - 1.0
@@ -130,18 +131,13 @@ class TestQuantizeRows:
                 quantize_feature(bad, bits)
             return
         got = quantize_rows(np.stack(rows), bits)
-        assert got.values.dtype == np.int64 and got.values.shape == (len(rows), d)
+        assert got.dtype == np.int64 and got.shape == (len(rows), d)
         for i, row in enumerate(rows):
-            one = quantize_feature(row, bits)
-            assert got.values[i].tolist() == one.values.tolist()
-            assert got.scale[i] == one.scale
-            assert bool(got.degenerate[i]) == one.degenerate
+            assert got[i].tolist() == quantize_feature(row, bits).tolist()
 
     def test_peak_on_a_negative_entry_reaches_the_range_end(self):
         q = quantize_rows([[-4.0, 1.0, 2.0], [0.0, -0.0, 0.0]], 4)
-        assert q.values.tolist() == [[-7, 2, 4], [0, 0, 0]]
-        assert q.scale.tolist() == [4.0 / 7.0, 1.0]
-        assert q.degenerate.tolist() == [False, True]
+        assert q.tolist() == [[-7, 2, 4], [0, 0, 0]]
 
     def test_learn_class_refuses_a_non_finite_shot_writing_neither_memory(self):
         params = init_model([8, 6, 4], seed=0)

@@ -35,7 +35,7 @@ from protomem.errors import (
 )
 from protomem.losses import PretrainLossConfig
 from protomem.memory import QuantSpec, classify, quantize_feature
-from protomem.numerics import relu
+from protomem.numerics import matmul, relu
 from protomem.offline import (
     MetaConfig,
     build_base_em,
@@ -71,9 +71,14 @@ class TestFccHead:
         fcc = init_fcc(3, 8, 5)
         limit = np.sqrt(6.0 / 11)
         draw = np.random.default_rng(5).uniform(-limit, limit, size=(3, 8))
-        assert len(fcc.layers) == 1 and fcc.layers[0].activation == "identity"
+        assert len(fcc.layers) == 1
         assert fcc.layers[0].weight.tobytes() == draw.T.tobytes()
         assert fcc.layers[0].bias.tobytes() == np.zeros(3).tobytes()
+        # its only layer is its projection, which applies no relu
+        x = np.random.default_rng(6).standard_normal((4, 8))
+        logits = forward_fcr(fcc, x)
+        assert (logits < 0).any()
+        assert logits.tobytes() == matmul(x, fcc.layers[0].weight).tobytes()
 
     @pytest.mark.parametrize("mix_probability", [0.0, 1.0])
     def test_tape_head_equals_hand_written_head(self, mix_probability):
@@ -364,9 +369,10 @@ class TestBuildBaseEm:
         for cid in ds.class_ids():
             rows = ds.indices_of(cid)
             feats = forward_fcr(params, forward_backbone(params, ds.inputs[rows]))
-            qs = np.stack([quantize_feature(f, 8).values for f in feats])
+            qs = np.stack([quantize_feature(f, 8) for f in feats])
+            proto = em.get(cid)
             np.testing.assert_array_equal(
-                em.get(cid).mean_vector(), qs.astype(np.float64).mean(axis=0)
+                proto.accum / proto.count, qs.astype(np.float64).mean(axis=0)
             )
 
     def test_em_accuracy_close_to_fcc(self):

@@ -59,7 +59,7 @@ class TestLearnClass:
         x = rng.standard_normal(8)
         learn_class(em, means, params, [x], class_id=3)
         theta_p = forward_fcr(params, forward_backbone(params, x))
-        expected = quantize_feature(theta_p, em.quant.feature_bits).values
+        expected = quantize_feature(theta_p, em.quant.feature_bits)
         np.testing.assert_array_equal(em.get(3).accum, expected)
         np.testing.assert_array_equal(em.get(3).quantized, expected)
         assert em.get(3).count == 1
@@ -69,12 +69,10 @@ class TestLearnClass:
         em, means = fresh_memories(params)
         x = np.linspace(-1, 1, 8)
         learn_class(em, means, params, np.tile(x, (5, 1)), class_id=0)
-        single = quantize_feature(
-            forward_fcr(params, forward_backbone(params, x)), 8
-        ).values
+        single = quantize_feature(forward_fcr(params, forward_backbone(params, x)), 8)
         proto = em.get(0)
         np.testing.assert_array_equal(proto.accum, 5 * single)
-        assert cossim(proto.mean_vector(), single.astype(float)) == pytest.approx(1.0)
+        assert cossim(proto.accum / proto.count, single.astype(float)) == pytest.approx(1.0)
 
     def test_matches_two_pass_mean_oracle(self):
         params = net(3)
@@ -84,11 +82,12 @@ class TestLearnClass:
         learn_class(em, means, params, samples, class_id=1)
         # two-pass oracle: quantize every feature, then take the mean
         qs = [
-            quantize_feature(forward_fcr(params, forward_backbone(params, s)), 8).values
+            quantize_feature(forward_fcr(params, forward_backbone(params, s)), 8)
             for s in samples
         ]
         oracle_mean = np.stack(qs).astype(np.float64).mean(axis=0)
-        np.testing.assert_array_equal(em.get(1).mean_vector(), oracle_mean)
+        proto = em.get(1)
+        np.testing.assert_array_equal(proto.accum / proto.count, oracle_mean)
         np.testing.assert_array_equal(em.get(1).accum, np.stack(qs).sum(axis=0))
 
     def test_single_pass_counter(self):
@@ -228,7 +227,7 @@ class TestLearnClass:
             learn_class(em, None, params, samples, c)
         # shots classify back to their class at least as often as the
         # full-precision oracle (brute-force cosine against class means)
-        means = {c: em.get(c).mean_vector() for c in em.class_ids()}
+        means = {c: em.get(c).accum / em.get(c).count for c in em.class_ids()}
 
         def oracle_pred(feat):
             return max(
