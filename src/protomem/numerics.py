@@ -121,16 +121,23 @@ def matmul(a, b) -> np.ndarray:
       0.69, 0.71 and 1.26 s at 32, and 0.71, 0.73 and 1.33 s at 64; 16 is
       the smallest within 2% of the best in that sitting and in a second
       one.
-    - One-row products (m == 1) run one rank-1 update per live column. A
-      one-row stacked reduce with blocks of about 64 KiB cut online_sessions
-      query_us_p50 from 679 and 674 to 193 and 185 us in two 28 s seed-7
-      runs (2 vCPUs, numpy 2.4.6). But 27 to 28 rounds fit the window
-      instead of 13, and peak_rss_mb rose from 52.3-53.3 to 60.1-60.7 MB
-      (+14%), past the benchmark's 10% bound. The rank-1 path alone reads
-      58.5 MB when run for 23 rounds: on either path the benchmark's
-      process grows about 0.5 MB per round of 8,672 samples, so the one-row
-      path waits for a benchmark whose footprint does not grow with its
-      round count (ROADMAP item 1(a)).
+    - One-row products (m == 1) run one rank-1 update per live column,
+      left to right: a's live values are read once as Python floats, and
+      each one times its row b[i] goes into one 1-D temporary
+      (np.multiply(s, b[i])), which is added into out's only row. No
+      column is sliced out of `a` or `b` per step. Against slicing
+      a[:, i, None] and b[i, None, :] for every column, this cut a one-row
+      forward from 418 to 297 us on the 256-96-48-32 model and from 468 to
+      360 us on the 64-384-256 one (medians of 15 interleaved sets of 100
+      queries), and online_sessions query_us_p50 from 666 to 482 us (seed
+      7) and from 642 to 476 us (seed 2024), medians of five 28 s runs
+      each (2 vCPUs, numpy 2.4.6). A one-row stacked reduce with blocks of
+      about 64 KiB is faster still: it cut query_us_p50 from 676 to 184 us
+      in a 28 s seed-7 run. But 24 rounds fit the window instead of 11, and
+      peak_rss_mb rose from 51.0 to 58.5 MB (+14.8%), past the benchmark's
+      10% bound: its process grows about 0.5 MB per round with the samples
+      the harness keeps. So that path waits for a benchmark whose footprint
+      does not grow with its round count (ROADMAP item 1(a)).
 
     Only the live columns of `a` are visited: those with a nonzero or NaN
     entry, plus any whose row b[i] holds a non-finite value (0 * inf is
@@ -153,10 +160,10 @@ def matmul(a, b) -> np.ndarray:
         cols = live.nonzero()[0]
     out = np.zeros((m, n))
     if m == 1:
-        tmp = np.empty((1, n))
-        for i in cols.tolist():
-            np.multiply(a[:, i, None], b[i, None, :], out=tmp)
-            np.add(out, tmp, out=out)
+        o, tmp = out[0], np.empty(n)
+        for s, i in zip(a[0, cols].tolist(), cols.tolist()):
+            np.multiply(s, b[i], out=tmp)
+            np.add(o, tmp, out=o)
         return out
     k_live = len(cols)
     h0 = _ROW_CHUNK // (_KC * n)

@@ -199,13 +199,15 @@ class _ReduceSpy:
 
 
 class _NumpySpy:
-    """numpy as `numerics` sees it, counting the rank-1 loop's products."""
+    """numpy as `numerics` sees it, counting the rank-1 loop's products and
+    keeping the two factors of each."""
 
     def __init__(self):
-        self.add, self.multiplies = _ReduceSpy(), 0
+        self.add, self.multiplies, self.factors = _ReduceSpy(), 0, []
 
     def multiply(self, *args, **kwargs):
         self.multiplies += 1
+        self.factors.append(args[:2])
         return np.multiply(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -394,6 +396,45 @@ class TestMatmul:
         a, b = np.array([[1.0, 0.0, 3.0]]), np.arange(6.0).reshape(3, 2)
         assert_same_bits(matmul(a, b), naive_matmul(a, b))
         assert numpy_spy.multiplies == 2 and numpy_spy.add.stacks == []
+
+    @pytest.mark.parametrize("case", ["relu", "nan-in-a", "inf-in-dead-row"])
+    @pytest.mark.parametrize("m,k,n", WORKLOAD_SHAPES["forward"][:5])
+    def test_one_row_workload_shapes_keep_triple_loop_bits(self, case, m, k, n):
+        # a query's forward: about half the entries +0.0, a few -0.0, read as
+        # a strided row (x[None, ::2]) against a C-order and a transposed b
+        rng = np.random.default_rng(k * 1000 + n)
+        x = rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-3, 3, 2 * k)
+        x[::2] = relu(x[::2])
+        zeros = np.flatnonzero(x[::2] == 0.0)
+        x[2 * zeros[:3]] = -0.0
+        b = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, n))
+        if case == "nan-in-a":
+            x[2 * zeros[-1]] = np.nan
+        elif case == "inf-in-dead-row":
+            b[zeros[-1], n // 2] = np.inf
+        a = x[None, ::2]
+        assert len(zeros) > k // 3
+        nan_cols = {"relu": [], "nan-in-a": range(n), "inf-in-dead-row": [n // 2]}[case]
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            want = naive_matmul(a, b)
+            np.testing.assert_array_equal(np.flatnonzero(np.isnan(want[0])), list(nan_cols))
+            assert_same_bits(matmul(a, b), want)
+            assert_same_bits(matmul(a, np.ascontiguousarray(b.T).T), want)
+
+    def test_one_row_loop_visits_live_rows_in_order(self, numpy_spy):
+        # live: nonzero columns 1, 4 and 6, the NaN in column 5, and column 3
+        # only through the inf in its row of b
+        a = np.array([[0.0, 2.0, -0.0, 0.0, -5.0, np.nan, 0.5, 0.0]])
+        b = np.arange(24.0).reshape(8, 3)
+        b[3, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(matmul(a, b), naive_matmul(a, b))
+        rows = [(row.ctypes.data - b.ctypes.data) // b.strides[0] for _, row in numpy_spy.factors]
+        assert rows == [1, 3, 4, 5, 6]
+        for (s, row), i in zip(numpy_spy.factors, rows):
+            assert_same_bits(s, a[0, i])  # a's value is the first factor
+            assert row.shape == (3,) and np.shares_memory(row, b)
+            assert_same_bits(row, b[i])
 
     def test_a_one_row_tile_would_sum_pairwise(self):
         # why every tile holds two rows or more: numpy sums a C-contiguous
