@@ -49,12 +49,22 @@ def init_fcc(num_classes: int, d_p: int, seed) -> ModelParams:
         raise ShapeMismatchError("head needs fewer classes than feature dims (d_p > |C0|)")
     rng = np.random.default_rng(seed)
     limit = np.sqrt(6.0 / (num_classes + d_p))
-    weight = rng.uniform(-limit, limit, size=(num_classes, d_p)).T.copy()
+    weight = rng.uniform(-limit, limit, size=(num_classes, d_p)).T
     return ModelParams([DenseLayer(weight, np.zeros(num_classes))])
 
 
 @dataclass
 class MetaConfig:
+    """Settings of `metalearn`'s episodes.
+
+    `lr` is a per-mean rate: `metalearn` divides the upstream gradient of
+    its query batch by the number of queries (`upstream_q / nq`), so a
+    step moves the weights by lr times the gradient of the mean query
+    loss. `pretrain` and `finetune_fcr` take per-sum rates, applied to
+    gradients summed over their batch. With a full batch of the default
+    64 queries, the default lr = 0.01 is a per-sum rate of 0.01 / 64.
+    """
+
     meta_samples: int = 5
     iterations: int = 500
     lr: float = 0.01

@@ -108,16 +108,24 @@ def flatten_params(params):
     return np.concatenate(chunks)
 
 
+def assign_layer(layer, weight=None, bias=None):
+    """Give a layer new weight and/or bias values, each reshaped to the
+    layer's own shape: the one way tests change parameters, since a
+    layer's arrays are read-only. Each is assigned as a fresh copy through
+    the attribute, which drops the layer's derived state."""
+    if weight is not None:
+        layer.weight = np.array(weight, dtype=np.float64).reshape(layer.weight.shape)
+    if bias is not None:
+        layer.bias = np.array(bias, dtype=np.float64).reshape(layer.bias.shape)
+
+
 def set_params_from_flat(params, flat):
-    """Inverse of flatten_params; writes in place."""
+    """Inverse of flatten_params, through assign_layer."""
     off = 0
     for layer in params.layers:
-        n = layer.weight.size
-        layer.weight[...] = flat[off : off + n].reshape(layer.weight.shape)
-        off += n
-        n = layer.bias.size
-        layer.bias[...] = flat[off : off + n]
-        off += n
+        n_w, n_b = layer.weight.size, layer.bias.size
+        assign_layer(layer, flat[off : off + n_w], flat[off + n_w : off + n_w + n_b])
+        off += n_w + n_b
     assert off == flat.size
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assign_layer,
     base_scores_per_stage,
     central_diff,
     flatten_params,
@@ -234,11 +235,11 @@ class TestCriterion1Gradients:
             flat0 = layer.weight.ravel().copy()
 
             def ft_loss(flat):
-                layer.weight[...] = flat.reshape(layer.weight.shape)
+                assign_layer(layer, flat)
                 return _cosine_target_grads(forward_fcr(params, a), target)[0][0]
 
             num = central_diff(ft_loss, flat0)
-            layer.weight[...] = flat0.reshape(layer.weight.shape)
+            assign_layer(layer, flat0)
             w = max(w, rel_err(analytic, num))
         worst["finetune_cos"] = w
 

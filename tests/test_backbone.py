@@ -1,9 +1,23 @@
+import ast
+import copy
+import pickle
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import central_diff, flatten_params, param_grad_flat, rel_err, set_params_from_flat
+import protomem
+from helpers import (
+    assert_same_bits,
+    assign_layer,
+    central_diff,
+    flatten_params,
+    naive_matmul,
+    param_grad_flat,
+    rel_err,
+    set_params_from_flat,
+)
 from protomem.backbone import (
     DenseLayer,
     GradientTape,
@@ -24,6 +38,8 @@ from protomem.errors import (
     ShapeMismatchError,
 )
 from protomem.numerics import matmul
+
+SRC = Path(protomem.__file__).parent
 
 
 def tiny_net(seed=0):
@@ -196,9 +212,9 @@ class TestBackward:
 
         calls = []
 
-        def counting_matmul(a, b):
+        def counting_matmul(a, b, **kwargs):
             calls.append((np.shape(a), np.shape(b)))
-            return matmul(a, b)
+            return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(bb, "matmul", counting_matmul)
         params = tiny_net(10)
@@ -234,7 +250,7 @@ class TestCompositeLossGradients:
             trial += 1
             params = init_model([4, 4, 3], seed=trial)
             fcc = init_fcc(2, 3, seed=trial)
-            fcc.layers[0].bias[:] = rng.standard_normal(2) * 0.5
+            assign_layer(fcc.layers[0], bias=rng.standard_normal(2) * 0.5)
             x = rng.standard_normal((3, 4))
             targets = np.eye(2)[rng.integers(0, 2, 3)]
             probe = forward_fcr(params, forward_backbone(params, x))
@@ -308,6 +324,164 @@ class TestSgdStep:
             sgd_step(params, GradientTape(), 0.1)
 
 
+def _written_params(target):
+    """Whether an assignment target writes a `.weight` or `.bias`: the
+    attribute itself, or into it by subscript or through another attribute
+    of it (`x.weight[i]`, `x.weight.T[i]`)."""
+    while isinstance(target, (ast.Subscript, ast.Attribute)):
+        if isinstance(target, ast.Attribute) and target.attr in ("weight", "bias"):
+            return True
+        target = target.value
+    return False
+
+
+def param_writes(source: str):
+    """(line, target) of each assignment, augmented assignment or
+    `setattr` in `source` that writes a layer's weight or bias."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr":
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and name.value in ("weight", "bias"):
+                found.append((node.lineno, ast.unparse(node)))
+            continue
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif _written_params(target):
+                found.append((node.lineno, ast.unparse(target)))
+    return sorted(found)
+
+
+class TestOneWriter:
+    """Only backbone.py writes a layer's weight or bias, so `sgd_step` and
+    construction are the only writers in the package, and the layer's
+    derived mask is dropped by each of them. A write through a local alias
+    (`w = layer.weight; w[0] = 1`) is not seen here, but the arrays are
+    read-only and it raises."""
+
+    def test_guard_sees_every_form(self):
+        source = "\n".join([
+            "layer.weight = w",
+            "layer.bias -= g",
+            "params.layers[0].weight[...] = w",
+            "layer.weight[0, 1] += 1.0",
+            "a, layer.bias = x, y",
+            "layer.weight.T[0] = 1.0",
+            "setattr(layer, 'bias', b)",
+            "layer.bias: np.ndarray = b",
+            "w = layer.weight",
+            "tape.grad_w[0] = g",
+            "out[layer.weight > 0] = 1.0",
+            "self.weights = w",
+            "setattr(cfg, 'lr', 0.1)",
+            "setattr(self, name, buf)",
+            "x = layer.weight[0] + layer.bias",
+        ])
+        assert [line for line, _ in param_writes(source)] == [1, 2, 3, 4, 5, 6, 7, 8]
+
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "backbone.py")
+    )
+    def test_no_other_module_writes_weights(self, module):
+        writes = param_writes((SRC / module).read_text(encoding="utf-8"))
+        assert [f"{module}:{line}: {what}" for line, what in writes] == []
+
+
+class TestReadOnlyWeights:
+    def test_outside_writes_raise(self):
+        params = tiny_net(2)
+        before = params_checksum(params)
+        layer = params.layers[0]
+        writes = [
+            lambda: layer.weight.__setitem__((0, 0), 1.0),
+            lambda: layer.bias.__setitem__(slice(None), 0.0),
+            lambda: layer.weight.T.__setitem__(0, 1.0),
+            lambda: layer.weight.__iadd__(1.0),
+            lambda: np.subtract(layer.bias, 1.0, out=layer.bias),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError):
+                write()
+        assert params_checksum(params) == before
+
+    def test_sgd_step_keeps_weights_read_only(self):
+        params = tiny_net(4)
+        tape = GradientTape()
+        forward_fcr(params, forward_backbone(params, np.ones(6), tape), tape)
+        backward(params, tape, np.ones(3))
+        sgd_step(params, tape, 0.1)
+        for layer in params.layers:
+            assert not layer.weight.flags.writeable and not layer.bias.flags.writeable
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("writer", ["sgd_step", "assign"])
+    def test_a_written_inf_reaches_the_next_forward(self, writer, rows):
+        # input column 2 is all zero, so only the rebuilt mask makes weight row 2 live
+        params = init_model([6, 5, 3], seed=5)
+        x = np.random.default_rng(5).random((rows, 6))
+        x[:, 2] = 0.0
+        forward_backbone(params, x)  # derives the mask while every weight is finite
+        layer = params.layers[0]
+        if writer == "sgd_step":
+            tape = GradientTape()
+            tape.grad_w[0] = np.zeros((6, 5))
+            tape.grad_w[0][2, 1] = -np.inf
+            tape.grad_b[0] = np.zeros(5)
+            sgd_step(params, tape, 1.0)
+        else:
+            w = layer.weight.copy()
+            w[2, 1] = np.inf
+            assign_layer(layer, w)
+        assert layer.weight[2, 1] == np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got = forward_backbone(params, x)
+            want = np.maximum(naive_matmul(x, layer.weight) + layer.bias, 0.0)
+        assert np.isnan(want[:, 1]).all() and not np.isnan(want[:, [0, 2, 3, 4]]).any()
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_copies_are_read_only_and_forward_the_same_bits(self, clone):
+        params = tiny_net(6)
+        w = params.layers[1].weight.copy()
+        w[3] = [np.inf, -np.inf, 1.0, np.nan]
+        assign_layer(params.layers[1], w)
+        x = np.random.default_rng(6).random((4, 6))
+        with np.errstate(invalid="ignore"):
+            want = forward_fcr(params, forward_backbone(params, x))
+            if clone == "deepcopy":
+                twin = copy.deepcopy(params)
+            else:
+                twin = pickle.loads(pickle.dumps(params))
+            got = forward_fcr(twin, forward_backbone(twin, x))
+        assert_same_bits(got, want)
+        assert params_checksum(twin) == params_checksum(params)
+        for mine, theirs in zip(twin.layers, params.layers, strict=True):
+            for array, other in ((mine.weight, theirs.weight), (mine.bias, theirs.bias)):
+                assert not array.flags.writeable
+                assert not np.shares_memory(array, other)
+            with pytest.raises(ValueError):
+                mine.weight[0, 0] = 0.0
+
+    def test_construction_copies_and_leaves_the_callers_arrays(self):
+        w, b = np.arange(6.0).reshape(3, 2), np.zeros(2)
+        layer = DenseLayer(w, b)
+        assert w.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(layer.weight, w) and not np.shares_memory(layer.bias, b)
+        w[0, 0], b[0] = 9.0, 9.0
+        assert layer.weight[0, 0] == 0.0 and layer.bias[0] == 0.0
+        assert not layer.weight.flags.writeable and not layer.bias.flags.writeable
+
+
 class TestSaveLoad:
     def test_round_trip_bitwise(self, tmp_path):
         params = tiny_net(8)
@@ -324,7 +498,7 @@ class TestSaveLoad:
         params = init_model([8, 6, 5, 4], seed=0) if shape == "init_model" else init_fcc(3, 8, 1)
         rng = np.random.default_rng(2)
         for layer in params.layers:
-            layer.bias[:] = rng.standard_normal(layer.bias.shape)
+            assign_layer(layer, bias=rng.standard_normal(layer.bias.shape))
         path = tmp_path / "net.ofsc"
         save_params(params, path)
         loaded = load_params(path)

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import assert_same_bits, central_diff, naive_matmul, rank1_matmul, rel_err
 from protomem import numerics
+from protomem.backbone import DenseLayer
 from protomem.errors import ShapeMismatchError, ZeroNormError
 from protomem.losses import softmax_ce_batch
 from protomem.numerics import cossim, matmul, matvecs, relu, rowdot
@@ -435,6 +436,25 @@ class TestMatmul:
             assert_same_bits(s, a[0, i])  # a's value is the first factor
             assert row.shape == (3,) and np.shares_memory(row, b)
             assert_same_bits(row, b[i])
+
+    @pytest.mark.parametrize("case", ZERO_CASES)
+    @pytest.mark.parametrize(
+        "m,k,n", [(1, 7, 1), (1, 12, 2), (1, 1000, 1), (2, 12, 1), (9, 12, 2), (16, 12, 8)]
+    )
+    def test_nonfinite_row_mask_gives_the_scan_bits(self, case, m, k, n):
+        # a forward passes its layer's kept mask instead of the per-call scan
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        a, b = _zero_column_case(case, m, k, n, rng)
+        mask = DenseLayer(b, np.zeros(n)).nonfinite_rows()
+        assert mask.any() == (case in ("inf-in-b", "nan-in-b"))
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            want = matmul(a, b)
+            assert_same_bits(matmul(a, b, nonfinite_rows=mask), want)
+            assert_same_bits(want, naive_matmul(a, b))
+
+    def test_a_mask_of_another_length_is_refused(self):
+        with pytest.raises(ShapeMismatchError):
+            matmul(np.ones((1, 3)), np.ones((3, 2)), nonfinite_rows=np.zeros(2, dtype=bool))
 
     def test_a_one_row_tile_would_sum_pairwise(self):
         # why every tile holds two rows or more: numpy sums a C-contiguous

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assign_layer,
     central_diff,
     cosine_target_grad,
     finetune_fcr_per_row,
@@ -336,7 +337,7 @@ class TestFinetune:
         flat0 = layer.weight.ravel().copy()
 
         def loss_at(flat):
-            layer.weight[...] = flat.reshape(layer.weight.shape)
+            assign_layer(layer, flat)
             return _cosine_target_grads(forward_fcr(params, inputs), targets)[0].sum()
 
         tape = GradientTape()
@@ -344,7 +345,7 @@ class TestFinetune:
         backward(params, tape, upstream)
         analytic = tape.grad_w[len(params.layers) - 1].ravel().copy()
         numeric = central_diff(loss_at, flat0)
-        layer.weight[...] = flat0.reshape(layer.weight.shape)
+        assign_layer(layer, flat0)
         assert rel_err(analytic, numeric) < 1e-4
 
     @settings(max_examples=100, deadline=None)
